@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import MonomialMatrix, dot, kron, mat_mul, mat_prod
+from .linalg import MonomialMatrix, kron, mat_mul, mat_prod
 
 
 class CliffordConstructionError(ValueError):
@@ -57,9 +57,6 @@ class CliffordRep:
     dim: int
     gammas: Tuple[MonomialMatrix, ...]
     metric: Tuple[int, ...]  # +1 for the first p generators, then -1
-
-    def gamma(self, mu: int) -> MonomialMatrix:
-        return self.gammas[mu]
 
 
 @dataclass(frozen=True)
@@ -383,7 +380,7 @@ def fierz_residual(
         for mu in idx:
             raise_sign *= rep.metric[mu]
         w = gm.apply(psi)
-        s = dot(psi, C.C.apply(w))
+        s = C.C.bilinear(psi, w)
         if s:
             coeff = raise_sign * s
             for i in range(rep.dim):

@@ -19,7 +19,7 @@ an exact linear-algebra certificate of that fact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -208,10 +208,6 @@ class EPElement:
                 yield (name, None), val
 
 
-def ep_zero(space: EPSpace) -> EPElement:
-    return EPElement({})
-
-
 def ep_add(a: EPElement, b: EPElement) -> EPElement:
     out = {}
     for name in set(a.blocks) | set(b.blocks):
@@ -283,47 +279,20 @@ def _so_commutator(metric, x: dict, y: dict) -> dict:
 
 def _act_so(space: EPSpace, x: dict, psi: list) -> list:
     """Orthogonal action on a spinor column: half the two-gamma products."""
-    dim = space.rep.dim
-    acc = [0] * dim
+    acc = [0] * space.rep.dim
     for key, v in x.items():
-        m = space.pair_actions[space.pair_index[key]]
-        rows, signs = m.rows, m.signs
-        for c in range(dim):
-            pc = psi[c]
-            if pc:
-                acc[rows[c]] += v * signs[c] * pc
+        space.pair_actions[space.pair_index[key]].apply(psi, acc, v)
     half = Q(1, 2)
     return [half * t if t else 0 for t in acc]
 
 
 def _pair_so(space: EPSpace, psi: list, phi: list) -> dict:
     out = {}
-    for idx, key in enumerate(space.pairs):
-        m = space.pair_forms[idx]
-        s = 0
-        rows, signs = m.rows, m.signs
-        for c in range(space.rep.dim):
-            pc = phi[c]
-            if pc:
-                x = psi[rows[c]]
-                if x:
-                    s += signs[c] * x * pc
+    for key, m in zip(space.pairs, space.pair_forms):
+        s = m.bilinear(psi, phi)
         if s:
             out[key] = s
     return out
-
-
-def _pair_scalar(space: EPSpace, psi: list, phi: list):
-    m = space.C.C
-    rows, signs = m.rows, m.signs
-    s = 0
-    for c in range(space.rep.dim):
-        pc = phi[c]
-        if pc:
-            x = psi[rows[c]]
-            if x:
-                s += signs[c] * x * pc
-    return s
 
 
 def _build_table(level: str) -> dict:
@@ -357,7 +326,7 @@ def _build_table(level: str) -> dict:
 
     def k_pairscalar(target):
         def k(space, psi, phi):
-            return {target: _pair_scalar(space, psi, phi)}
+            return {target: space.C.C.bilinear(psi, phi)}
         return k
 
     def k_transfer(target):
@@ -504,23 +473,19 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
 
     for bx, xv in x.blocks.items():
         for by, yv in y.blocks.items():
-            entry = space.table.get((bx, by))
-            if entry is not None:
+            # the table lists each block pair once; the reversed order is
+            # the same kernel with the arguments swapped and the sign flipped
+            for key, args, sign in (((bx, by), (xv, yv), 1), ((by, bx), (yv, xv), -1)):
+                entry = space.table.get(key)
+                if entry is None:
+                    continue
                 for name, kernel in entry:
-                    contrib = kernel(space, xv, yv)
+                    contrib = kernel(space, *args)
                     tag, scale = _tag_for(name, unknowns, values)
                     if scale != 1:
                         contrib = {k: _scale_val(v, scale) for k, v in contrib.items()}
-                    emit(tag, contrib, 1)
-                continue
-            entry = space.table.get((by, bx))
-            if entry is not None:
-                for name, kernel in entry:
-                    contrib = kernel(space, yv, xv)
-                    tag, scale = _tag_for(name, unknowns, values)
-                    if scale != 1:
-                        contrib = {k: _scale_val(v, scale) for k, v in contrib.items()}
-                    emit(tag, contrib, -1)
+                    emit(tag, contrib, sign)
+                break
     return [(tag, el) for tag, el in parts.items() if not el.is_zero()]
 
 
@@ -724,8 +689,9 @@ def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> Calib
             if sol[col] != prod:
                 raise EPError("coefficient products are inconsistent; construction bug")
     coeffs = BracketCoeffs(values, _CHANNELS[level][1])
-    # independent re-verification on fresh random triples
-    space2 = make_ep(level, n, coeffs)
+    # independent re-verification on fresh random triples; the rep is
+    # deterministic, so only the coefficients change
+    space2 = replace(space, coeffs=coeffs)
     verify = 12
     for _ in range(verify):
         x = random_element(space2, rng)
@@ -760,6 +726,8 @@ def jacobi_infeasibility(
     """
     if n < 1:
         raise EPError("jacobi_infeasibility requires n >= 1")
+    if samples < 1:
+        raise EPError("samples must be at least 1")
     space = make_ep(level, n, polarization=polarization)
     unknown_names = tuple(
         c for c in _CHANNELS[level][0] if c not in _CHANNELS[level][1]
@@ -769,12 +737,10 @@ def jacobi_infeasibility(
     system = _System(tags)
     witness_index = None
     witness = None
-    triples = []
     for t_idx in range(samples):
         x = random_spinor_element(space, rng)
         y = random_spinor_element(space, rng)
         z = random_spinor_element(space, rng)
-        triples.append((x, y, z))
         tagged = _tagged_jacobiator(space, x, y, z, frozenset(unknown_names))
         if witness_index is None and not unknown_names:
             nonzero = any(not el.is_zero() for el in tagged.values())

@@ -7,7 +7,9 @@ form), so nothing here ever rounds.  Two matrix representations:
   small solves and serialization.
 * ``MonomialMatrix`` -- a signed permutation (exactly one entry, +1 or -1,
   per row and per column).  Gamma matrices live here; products and Kronecker
-  products of monomials stay monomial and cost O(dim).
+  products of monomials stay monomial and cost O(dim).  Its ``apply``
+  (gather-accumulate) and ``bilinear`` are the one implementation of
+  vector arithmetic over that storage.
 """
 
 from __future__ import annotations
@@ -120,13 +122,6 @@ class MonomialMatrix:
     def identity(n: int) -> "MonomialMatrix":
         return MonomialMatrix(n, tuple(range(n)), (1,) * n)
 
-    @staticmethod
-    def from_pairs(pairs: Sequence[Tuple[int, int]]) -> "MonomialMatrix":
-        """Build from a list of (row, sign) per column."""
-        rows = tuple(p[0] for p in pairs)
-        signs = tuple(p[1] for p in pairs)
-        return MonomialMatrix(len(pairs), rows, signs)
-
     def entry(self, i: int, j: int) -> int:
         return self.signs[j] if self.rows[j] == i else 0
 
@@ -144,17 +139,32 @@ class MonomialMatrix:
     def is_diagonal(self) -> bool:
         return all(self.rows[c] == c for c in range(self.dim))
 
-    def apply(self, v: Sequence) -> list:
-        """Matrix-vector product in O(dim)."""
+    def apply(self, v: Sequence, acc: Optional[list] = None, weight=1) -> list:
+        """Add ``weight * (M v)`` into ``acc`` in place and return it, in O(dim).
+
+        ``acc`` None starts from a fresh zero vector.  Zero entries of ``v``
+        are skipped.
+        """
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        out = [0] * self.dim
-        rows, signs = self.rows, self.signs
-        for c in range(self.dim):
-            x = v[c]
+        if acc is None:
+            acc = [0] * self.dim
+        for r, s, x in zip(self.rows, self.signs, v):
             if x:
-                out[rows[c]] = x if signs[c] == 1 else -x
-        return out
+                acc[r] += s * weight * x
+        return acc
+
+    def bilinear(self, u: Sequence, v: Sequence):
+        """``u^T M v`` in O(dim); a term with a zero factor is skipped."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        total = 0
+        for r, s, x in zip(self.rows, self.signs, v):
+            if x:
+                y = u[r]
+                if y:
+                    total += s * y * x
+        return total
 
     def to_dense(self) -> DenseMatrix:
         grid = [[Q(0)] * self.dim for _ in range(self.dim)]

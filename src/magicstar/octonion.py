@@ -90,14 +90,6 @@ def oct_from(coords: Sequence) -> Octonion:
     return tuple(Q(c) for c in coords)
 
 
-def oct_add(x: Octonion, y: Octonion) -> Octonion:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def oct_scale(x: Octonion, c) -> Octonion:
-    return tuple(Q(c) * a for a in x)
-
-
 def oct_mul(x: Octonion, y: Octonion) -> Octonion:
     out = [Q(0)] * 8
     for a in range(8):

@@ -116,7 +116,6 @@ class RootSystem:
     rank: int
     simple_roots: Tuple[Vector, ...]
     roots: Tuple[Vector, ...]
-    bilinear: DenseMatrix
     # integer caches: roots scaled by 2 keep all coordinates integral
     scaled: Tuple[Tuple[int, ...], ...] = field(repr=False)
     index: Dict[Vector, int] = field(repr=False)
@@ -182,13 +181,11 @@ def generate_roots(label: AlgebraLabel) -> RootSystem:
     if any(2 * x != int(2 * x) for r in roots for x in r):
         raise AssertionError("coordinates must be integer or half-integer")
     index = {r: i for i, r in enumerate(roots)}
-    ambient = len(roots[0])
     return RootSystem(
         label=label,
         rank=label.rank,
         simple_roots=tuple(tuple(s) for s in simple),
         roots=roots,
-        bilinear=DenseMatrix.identity(ambient),
         scaled=scaled,
         index=index,
     )

@@ -20,9 +20,10 @@ algebra, and no determinant oracle is wired there.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -41,7 +42,6 @@ from .octonion import (
 )
 
 _FUND = {1: 1, 2: 2, 4: 2, 8: 1}
-_RSYM = {1: "0", 2: "so(2)", 4: "su(2)", 8: "0"}
 
 
 class TAlgebraError(ValueError):
@@ -63,7 +63,6 @@ class TSpace:
     vector_dim: int
     width: int
     fund: int
-    r_symmetry: str
     rep: CliffordRep
     norm_forms: Tuple[MonomialMatrix, ...]  # time-gamma times gamma_nu, all symmetric
     carriers: Tuple[Tuple[int, ...], ...]   # coordinate support per carrier copy
@@ -144,7 +143,6 @@ def make_space(q: int, n: int) -> TSpace:
         vector_dim=q + 8 * n,
         width=width,
         fund=fund,
-        r_symmetry=_RSYM[q],
         rep=rep,
         norm_forms=tuple(forms),
         carriers=carriers,
@@ -190,11 +188,22 @@ class TElement:
 
     @staticmethod
     def from_json(space: TSpace, data: dict) -> "TElement":
+        if not isinstance(data, dict):
+            raise TAlgebraError("element must be a JSON object")
         if data.get("q") != space.q or data.get("n") != space.n:
             raise TAlgebraError("element labeled for a different space")
-        r = [rat_parse(x) for x in data["r"]]
-        v = [rat_parse(x) for x in data["v"]]
-        psi = [[rat_parse(x) for x in col] for col in data["psi"]]
+        r, v, psi = data.get("r"), data.get("v"), data.get("psi")
+        if not (isinstance(r, list) and isinstance(v, list) and isinstance(psi, list)
+                and all(isinstance(col, list) for col in psi)):
+            raise TAlgebraError("element needs list blocks r, v and psi (a list of columns)")
+        try:
+            r = [rat_parse(x) for x in r]
+            v = [rat_parse(x) for x in v]
+            psi = [[rat_parse(x) for x in col] for col in psi]
+        except TypeError as exc:
+            raise TAlgebraError("malformed element entry: %s" % exc) from None
+        if len(r) != 3:
+            raise TAlgebraError("r block needs three entries")
         el = TElement(r[0], r[1], r[2], v, psi)
         _check_shape(space, el)
         return el
@@ -260,21 +269,7 @@ def _carrier_to_flat(space: TSpace, cols: Sequence[Sequence[Q]]) -> List[Q]:
 
 def _bilinears(space: TSpace, cols: Sequence[Sequence[Q]]) -> List[Q]:
     """B_nu = sum over carriers of psi^T (gamma_time gamma_nu) psi."""
-    out = []
-    for m in space.norm_forms:
-        rows, signs = m.rows, m.signs
-        total = Q(0)
-        for col in cols:
-            s = 0
-            for c in range(space.rep.dim):
-                x = col[c]
-                if x:
-                    y = col[rows[c]]
-                    if y:
-                        s += signs[c] * y * x
-            total += s
-        out.append(total)
-    return out
+    return [sum((m.bilinear(col, col) for col in cols), Q(0)) for m in space.norm_forms]
 
 
 def cubic_norm(space: TSpace, el: TElement) -> Q:
@@ -303,18 +298,12 @@ def norm_gradient(space: TSpace, el: TElement) -> List[Q]:
     g_r3 = el.r1 * el.r2 - sum(x * x for x in el.v)
     g_v = [-2 * el.r3 * x + b for x, b in zip(el.v, bil[: space.vector_dim])]
     # spinor part: 2 * sum_nu V^nu (M_nu psi) on each carrier
-    dim = space.rep.dim
     grads = []
     for col in cols:
-        acc = [Q(0)] * dim
+        acc = [Q(0)] * space.rep.dim
         for m, w in zip(space.norm_forms, vec):
-            if not w:
-                continue
-            rows, signs = m.rows, m.signs
-            for c in range(dim):
-                x = col[c]
-                if x:
-                    acc[rows[c]] += w * signs[c] * x
+            if w:
+                m.apply(col, acc, w)
         grads.append([2 * t for t in acc])
     g_psi = _carrier_to_flat(space, grads)
     return [g_r1, g_r2, g_r3] + g_v + g_psi
@@ -362,15 +351,7 @@ def infinitesimal_rotation(space: TSpace, el: TElement, pair: Tuple[int, int]) -
     dv = dvec[: space.vector_dim]
     prod = mat_mul(space.rep.gammas[a], space.rep.gammas[b])
     half = Q(1, 2)
-    dcols = []
-    for col in _carrier_columns(space, el):
-        out = [Q(0)] * space.rep.dim
-        rows, signs = prod.rows, prod.signs
-        for c in range(space.rep.dim):
-            x = col[c]
-            if x:
-                out[rows[c]] += half * signs[c] * x
-        dcols.append(out)
+    dcols = [[half * t for t in prod.apply(col)] for col in _carrier_columns(space, el)]
     for support, out in zip(space.carriers, dcols):
         sset = set(support)
         if any(out[i] for i in range(space.rep.dim) if i not in sset):
@@ -614,52 +595,31 @@ def calibrate_embedding(space: TSpace, screen: int = 4, verify: int = 48, seed: 
     rng = random.Random(seed)
     screens = [_random_hermitian(rng) for _ in range(screen)]
     verifies = [_random_hermitian(rng, -6, 6) for _ in range(verify)]
-    letters = (("A2", "A3"), ("A3", "A2"))
     validated = 0
     winner = None
-    for block in ("high", "low"):
-        for u_letter, w_letter in letters:
-            for u_conj in (True, False):
-                for w_conj in (True, False):
-                    for u_sign in (1, -1):
-                        for w_sign in (1, -1):
-                            cal = Calibration(
-                                v_conj=False,
-                                u_slot=(u_letter, u_conj, u_sign),
-                                w_slot=(w_letter, w_conj, w_sign),
-                                block=block,
-                                intertwiner=s_mat,
-                                solution_space_dim=sol_dim,
-                                candidates_validated=0,
-                            )
-                            for v_conj in (False, True):
-                                cal.v_conj = v_conj
-                                if _embedding_matches(space, cal, screens):
-                                    if _embedding_matches(space, cal, verifies):
-                                        validated += 1
-                                        if winner is None:
-                                            winner = Calibration(
-                                                v_conj=cal.v_conj,
-                                                u_slot=cal.u_slot,
-                                                w_slot=cal.w_slot,
-                                                block=cal.block,
-                                                intertwiner=s_mat,
-                                                solution_space_dim=sol_dim,
-                                                candidates_validated=0,
-                                            )
+    choices = itertools.product(
+        ("high", "low"), (("A2", "A3"), ("A3", "A2")),
+        (True, False), (True, False), (1, -1), (1, -1), (False, True),
+    )
+    for block, (u_letter, w_letter), u_conj, w_conj, u_sign, w_sign, v_conj in choices:
+        cal = Calibration(
+            v_conj=v_conj,
+            u_slot=(u_letter, u_conj, u_sign),
+            w_slot=(w_letter, w_conj, w_sign),
+            block=block,
+            intertwiner=s_mat,
+            solution_space_dim=sol_dim,
+            candidates_validated=0,
+        )
+        if _embedding_matches(space, cal, screens) and _embedding_matches(space, cal, verifies):
+            validated += 1
+            if winner is None:
+                winner = cal
     if winner is None:
         raise TAlgebraError(
             "no slot assignment reproduces the determinant: conventions falsified"
         )
-    return Calibration(
-        v_conj=winner.v_conj,
-        u_slot=winner.u_slot,
-        w_slot=winner.w_slot,
-        block=winner.block,
-        intertwiner=s_mat,
-        solution_space_dim=sol_dim,
-        candidates_validated=validated,
-    )
+    return replace(winner, candidates_validated=validated)
 
 
 def _embedding_matches(space: TSpace, cal: Calibration, samples) -> bool:

@@ -127,3 +127,34 @@ def test_usage_errors_exit_1(capsys):
 
 def test_missing_input_file_exit_3(capsys):
     assert run(["talg", "--q", "8", "--n", "0", "norm", "--input", "/nonexistent.json"]) == 3
+
+
+def _talg_norm(tmp_path, capsys, payload):
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(payload))
+    code = run(["talg", "--q", "2", "--n", "0", "norm", "--input", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_talg_missing_block_exit_1(tmp_path, capsys):
+    payload = {"q": 2, "n": 0, "v": ["1", "0"], "psi": [["1", "0"], ["0", "1"]]}
+    code, out, err = _talg_norm(tmp_path, capsys, payload)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_talg_top_level_list_exit_1(tmp_path, capsys):
+    code, out, err = _talg_norm(tmp_path, capsys, [["1", "2", "3"]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_ep_zero_samples_exit_1(capsys):
+    code = run(["ep", "--level", "der", "--n", "1", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicstar.linalg import (
     DenseMatrix,
@@ -176,3 +177,85 @@ def test_matrix_json_forms():
     m = DenseMatrix.from_rows([[Q(1, 2), Q(-3)], [Q(0), Q(5)]])
     assert m.to_json() == [["1/2", "-3"], ["0", "5"]]
     assert EPS.to_json() == {"dim": 2, "cols": [[1, 1], [0, -1]]}
+
+
+# ---------------------------------------------------------------------------
+# properties of the signed-permutation kernels, against the dense product
+# ---------------------------------------------------------------------------
+
+@st.composite
+def monomials(draw, max_dim=64, dim=None):
+    n = dim if dim is not None else draw(st.integers(1, max_dim))
+    rows = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return MonomialMatrix(n, tuple(rows), tuple(signs))
+
+
+# mostly zeros, as in chiral-block and basis spinors
+SCALARS = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+def vectors(n):
+    return st.lists(SCALARS, min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_dense(data):
+    m = data.draw(monomials())
+    v = data.draw(vectors(m.dim))
+    assert m.apply(v) == m.to_dense().apply(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_accumulates_weighted_in_place(data):
+    m = data.draw(monomials())
+    v = data.draw(vectors(m.dim))
+    acc = data.draw(vectors(m.dim))
+    weight = data.draw(SCALARS)
+    expected = [a + weight * b for a, b in zip(acc, m.to_dense().apply(v))]
+    out = m.apply(v, acc, weight)
+    assert out is acc
+    assert acc == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bilinear_matches_dense(data):
+    m = data.draw(monomials())
+    u = data.draw(vectors(m.dim))
+    v = data.draw(vectors(m.dim))
+    assert m.bilinear(u, v) == dot(u, m.to_dense().apply(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monomial_product_associative(data):
+    a = data.draw(monomials())
+    b = data.draw(monomials(dim=a.dim))
+    c = data.draw(monomials(dim=a.dim))
+    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials())
+def test_monomial_transpose_is_two_sided_inverse(m):
+    ident = MonomialMatrix.identity(m.dim)
+    assert mat_mul(m, m.transpose()) == ident
+    assert mat_mul(m.transpose(), m) == ident
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kron_mixed_product(data):
+    a = data.draw(monomials(max_dim=8))
+    c = data.draw(monomials(dim=a.dim))
+    b = data.draw(monomials(max_dim=8))
+    d = data.draw(monomials(dim=b.dim))
+    assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
