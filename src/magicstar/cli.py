@@ -66,7 +66,7 @@ def _cmd_star(args) -> int:
     chart = star_mod.project(rs, choice)
     counts = star_mod.chart_counts(chart)
     counts["candidates_validated"] = choice.candidates_validated
-    print(_dump(counts))
+    # files first, so a failed write prints no result on stdout
     try:
         if args.svg:
             with open(args.svg, "w") as fh:
@@ -77,6 +77,7 @@ def _cmd_star(args) -> int:
     except OSError as exc:
         print("i/o failure: %s" % exc, file=sys.stderr)
         return 3
+    print(_dump(counts))
     return 0
 
 
@@ -174,7 +175,7 @@ def _cmd_talg(args) -> int:
     elif args.action == "rank":
         print(_dump({"rank": rank(space, el)}))
     elif args.action == "entropy":
-        value, n_abs = entropy(space, el)
+        value, _ = entropy(space, el)
         print(_dump({
             "N": rat_str(cubic_norm(space, el)),
             "rank": rank(space, el),

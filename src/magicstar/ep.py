@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import (
@@ -173,13 +174,25 @@ class EPSpace:
 
 
 class EPElement:
-    """Coordinates per graded block: an antisymmetric pair-dict for the
-    orthogonal part, rationals for scalars, full-length columns for spinors."""
+    """Integer numerators per graded block over one shared positive ``den``:
+    an antisymmetric pair-dict for the orthogonal part, ints for scalars,
+    full-length columns for spinors.  An entry's value is numerator / den.
 
-    __slots__ = ("blocks",)
+    Fraction entries are folded into ``den`` (the lcm of their
+    denominators), so every stored numerator is an int.
+    """
 
-    def __init__(self, blocks: Optional[dict] = None):
-        self.blocks = blocks or {}
+    __slots__ = ("blocks", "den")
+
+    def __init__(self, blocks: Optional[dict] = None, den: int = 1):
+        blocks = blocks or {}
+        dens = [v.denominator for v in _entries(blocks) if isinstance(v, Q)]
+        if dens:
+            m = lcm(*dens)
+            blocks = {name: _map(val, lambda v: int(v * m)) for name, val in blocks.items()}
+            den *= m
+        self.blocks = blocks
+        self.den = den
 
     def is_zero(self) -> bool:
         for name, val in self.blocks.items():
@@ -194,54 +207,89 @@ class EPElement:
         return True
 
     def items(self):
-        """Nonzero components as ((block, key), value) pairs."""
+        """Nonzero components as ((block, key), value) pairs; a value is an
+        int when ``den`` is 1 and a canonical Fraction otherwise."""
+        den = self.den
         for name, val in sorted(self.blocks.items()):
             if name == "so":
-                for key in sorted(val):
-                    if val[key]:
-                        yield (name, key), val[key]
+                entries = ((key, val[key]) for key in sorted(val))
             elif isinstance(val, list):
-                for i, v in enumerate(val):
-                    if v:
-                        yield (name, i), v
-            elif val:
-                yield (name, None), val
+                entries = enumerate(val)
+            else:
+                entries = ((None, val),)
+            for key, v in entries:
+                if v:
+                    yield (name, key), (v if den == 1 else Q(v, den))
+
+
+def _integral(blocks: dict, den: int) -> EPElement:
+    """Wrap blocks whose entries are already int numerators over ``den``."""
+    el = EPElement.__new__(EPElement)
+    el.blocks = blocks
+    el.den = den
+    return el
+
+
+def _entries(blocks: dict):
+    for val in blocks.values():
+        if isinstance(val, dict):
+            yield from val.values()
+        elif isinstance(val, list):
+            yield from val
+        else:
+            yield val
+
+
+def _map(val, f):
+    if isinstance(val, dict):
+        return {k: f(v) for k, v in val.items()}
+    if isinstance(val, list):
+        return [f(v) for v in val]
+    return f(val)
+
+
+def _times(val, c: int):
+    """Block ``val`` with every numerator multiplied by ``c``; ``val`` itself
+    when ``c`` is 1."""
+    if c == 1:
+        return val
+    if isinstance(val, dict):
+        return {k: c * v for k, v in val.items()}
+    if isinstance(val, list):
+        return [c * v for v in val]
+    return c * val
 
 
 def ep_add(a: EPElement, b: EPElement) -> EPElement:
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
     out = {}
-    for name in set(a.blocks) | set(b.blocks):
+    for name in a.blocks.keys() | b.blocks.keys():
         av, bv = a.blocks.get(name), b.blocks.get(name)
-        if av is None:
-            out[name] = bv if not isinstance(bv, list) else list(bv)
-            continue
         if bv is None:
-            out[name] = av if not isinstance(av, list) else list(av)
-            continue
-        if name == "so":
-            merged = dict(av)
-            for k, v in bv.items():
+            out[name] = _times(av, fa)
+        elif av is None:
+            out[name] = _times(bv, fb)
+        elif isinstance(av, dict):
+            merged = dict(_times(av, fa))
+            for k, v in _times(bv, fb).items():
                 merged[k] = merged.get(k, 0) + v
             out[name] = {k: v for k, v in merged.items() if v}
         elif isinstance(av, list):
-            out[name] = [x + y for x, y in zip(av, bv)]
+            out[name] = [x + y for x, y in zip(_times(av, fa), _times(bv, fb))]
         else:
-            out[name] = av + bv
-    return EPElement(out)
+            out[name] = fa * av + fb * bv
+    return _integral(out, den)
 
 
 def ep_scale(a: EPElement, c) -> EPElement:
     if not c:
         return EPElement({})
-    out = {}
-    for name, val in a.blocks.items():
-        if name == "so":
-            out[name] = {k: c * v for k, v in val.items() if v}
-        elif isinstance(val, list):
-            out[name] = [c * x for x in val]
-        else:
-            out[name] = c * val
-    return EPElement(out)
+    c = Q(c)
+    return _integral(
+        {name: _times(val, c.numerator) for name, val in a.blocks.items()},
+        a.den * c.denominator,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +326,12 @@ def _so_commutator(metric, x: dict, y: dict) -> dict:
 
 
 def _act_so(space: EPSpace, x: dict, psi: list) -> list:
-    """Orthogonal action on a spinor column: half the two-gamma products."""
+    """Twice the orthogonal action on a spinor column: the sum of the
+    two-gamma products, whose factor 1/2 the caller puts in the denominator."""
     acc = [0] * space.rep.dim
     for key, v in x.items():
         space.pair_actions[space.pair_index[key]].apply(psi, acc, v)
-    half = Q(1, 2)
-    return [half * t if t else 0 for t in acc]
+    return acc
 
 
 def _pair_so(space: EPSpace, psi: list, phi: list) -> dict:
@@ -299,43 +347,42 @@ def _build_table(level: str) -> dict:
     """Ordered-block channel table: (bx, by) -> [(channel or None, kernel)].
 
     ``None`` marks a structural channel (its coefficient is identically 1
-    and it never enters the coefficient systems).
+    and it never enters the coefficient systems).  A kernel maps two blocks
+    of int numerators to ``(contribution, den_factor)``: int numerators
+    whose value is the product's value times ``den_factor``.
     """
     t = {}
 
     def k_soso(space, x, y):
-        return {"so": _so_commutator(space.rep.metric, x, y)}
+        return {"so": _so_commutator(space.rep.metric, x, y)}, 1
 
     def k_sopsi(block):
         def k(space, x, psi):
-            return {block: _act_so(space, x, psi)}
+            return {block: _act_so(space, x, psi)}, 2
         return k
 
     def k_grade(block, g):
         def k(space, dval, xval):
-            c = g * dval
-            if isinstance(xval, list):
-                return {block: [c * v for v in xval]}
-            return {block: c * xval}
+            return {block: _times(xval, g * dval)}, 1
         return k
 
     def k_pairso(bx, by):
         def k(space, psi, phi):
-            return {"so": _pair_so(space, psi, phi)}
+            return {"so": _pair_so(space, psi, phi)}, 1
         return k
 
     def k_pairscalar(target):
         def k(space, psi, phi):
-            return {target: space.C.C.bilinear(psi, phi)}
+            return {target: space.C.C.bilinear(psi, phi)}, 1
         return k
 
     def k_transfer(target):
         def k(space, kval, psi):
-            return {target: [kval * v for v in psi]}
+            return {target: [kval * v for v in psi]}, 1
         return k
 
     def k_kk(space, a, b):
-        return {"D": a * b}
+        return {"D": a * b}, 1
 
     t[("so", "so")] = [(None, k_soso)]
     if level in ("der", "qconf"):
@@ -465,12 +512,7 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
     """Bracket split by coefficient channel; tags name non-pinned channels."""
     parts: Dict[tuple, EPElement] = {}
     values = space.coeffs.values
-
-    def emit(tag, contribution, sign):
-        el = parts.setdefault(tag, EPElement({}))
-        add = EPElement(contribution) if sign == 1 else ep_scale(EPElement(contribution), -1)
-        parts[tag] = ep_add(el, add)
-
+    den = x.den * y.den
     for bx, xv in x.blocks.items():
         for by, yv in y.blocks.items():
             # the table lists each block pair once; the reversed order is
@@ -480,21 +522,16 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
                 if entry is None:
                     continue
                 for name, kernel in entry:
-                    contrib = kernel(space, *args)
-                    tag, scale = _tag_for(name, unknowns, values)
-                    if scale != 1:
-                        contrib = {k: _scale_val(v, scale) for k, v in contrib.items()}
-                    emit(tag, contrib, sign)
+                    contrib, den_factor = kernel(space, *args)
+                    tag, coeff = _tag_for(name, unknowns, values)
+                    c = sign * coeff  # int or Fraction
+                    el = _integral(
+                        {k: _times(v, c.numerator) for k, v in contrib.items()},
+                        den * den_factor * c.denominator,
+                    )
+                    parts[tag] = ep_add(parts[tag], el) if tag in parts else el
                 break
     return [(tag, el) for tag, el in parts.items() if not el.is_zero()]
-
-
-def _scale_val(v, c):
-    if isinstance(v, list):
-        return [c * t for t in v]
-    if isinstance(v, dict):
-        return {k: c * t for k, t in v.items()}
-    return c * v
 
 
 def _tag_for(name, unknowns, values):
@@ -550,17 +587,17 @@ def random_spinor_element(space: EPSpace, rng: random.Random, lo=-9, hi=9) -> EP
 
 
 def random_element(space: EPSpace, rng: random.Random) -> EPElement:
-    el = random_spinor_element(space, rng, -4, 4)
+    blocks = dict(random_spinor_element(space, rng, -4, 4).blocks)
     so = {}
     for key in space.pairs:
         v = rng.randint(-2, 2)
         if v:
             so[key] = v
-    el.blocks["so"] = so
+    blocks["so"] = so
     for name in space.grades:
         if name in ("D", "K_p", "K_m"):
-            el.blocks[name] = Q(rng.randint(-3, 3))
-    return el
+            blocks[name] = rng.randint(-3, 3)
+    return EPElement(blocks)
 
 
 def basis_spinor(space: EPSpace, block: str, k: int) -> EPElement:
@@ -570,14 +607,17 @@ def basis_spinor(space: EPSpace, block: str, k: int) -> EPElement:
 
 
 def element_to_json(space: EPSpace, el: EPElement) -> dict:
+    def value(v):
+        return rat_str(Q(v, el.den))
+
     out = {}
     for name, val in sorted(el.blocks.items()):
         if name == "so":
-            out[name] = {"%d,%d" % k: rat_str(Q(v)) for k, v in sorted(val.items()) if v}
+            out[name] = {"%d,%d" % k: value(v) for k, v in sorted(val.items()) if v}
         elif isinstance(val, list):
-            out[name] = [rat_str(Q(v)) for v in val]
+            out[name] = [value(v) for v in val]
         else:
-            out[name] = rat_str(Q(val))
+            out[name] = value(val)
     return out
 
 
@@ -608,6 +648,7 @@ class InfeasibilityReport:
     witness_index: Optional[int]
     witness: Optional[dict]
     unknowns: Tuple[tuple, ...]
+    triples_evaluated: int
     rows: List[Tuple[Tuple[int, tuple], List[Q], Q]] = field(default_factory=list, repr=False)
 
 
@@ -753,6 +794,11 @@ def jacobi_infeasibility(
                 }
         if system.certificate is None:
             system.feed(t_idx, tagged)
+        # decided: later triples change neither the certificate nor the
+        # witness, which is only sought when every channel is pinned
+        if system.certificate is not None and (unknown_names or witness is not None):
+            break
+    triples_evaluated = t_idx + 1
     if system.certificate is not None:
         return InfeasibilityReport(
             level=level,
@@ -765,6 +811,7 @@ def jacobi_infeasibility(
             witness_index=witness_index,
             witness=witness,
             unknowns=tuple(tags),
+            triples_evaluated=triples_evaluated,
             rows=system.rows,
         )
     sol = system.red.solution()
@@ -780,6 +827,7 @@ def jacobi_infeasibility(
         witness_index=None,
         witness=None,
         unknowns=tuple(tags),
+        triples_evaluated=triples_evaluated,
         rows=system.rows,
     )
 

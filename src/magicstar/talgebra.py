@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .clifford import CliffordRep, Signature, build_rep, chiral_indices, verify_relations
 from .linalg import MonomialMatrix, mat_mul, rat_parse, rat_str
@@ -37,7 +37,6 @@ from .octonion import (
     oct_mul,
     oct_norm,
     oct_re,
-    oct_unit,
     oct_zero,
 )
 
@@ -481,7 +480,6 @@ def _intertwiner(rep_a: CliffordRep, rep_b: CliffordRep) -> Tuple[MonomialMatrix
     if rep_b.dim != dim or rep_a.sig != rep_b.sig:
         raise TAlgebraError("representations are not compatible")
     gens = list(zip(rep_b.gammas, rep_a.gammas))
-    assign: Dict[Tuple[int, int], int] = {}
     orbits = []
     visited = set()
     for seed in ((r, c) for r in range(dim) for c in range(dim)):

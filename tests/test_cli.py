@@ -35,10 +35,20 @@ def test_star_f4(capsys):
 def test_star_emits_files(tmp_path, capsys):
     svg = tmp_path / "g2.svg"
     csv = tmp_path / "g2.csv"
-    code, _ = capture(capsys, ["star", "G2", "--svg", str(svg), "--csv", str(csv)])
+    _, plain = capture(capsys, ["star", "G2"])
+    code, out = capture(capsys, ["star", "G2", "--svg", str(svg), "--csv", str(csv)])
     assert code == 0
+    assert out == plain
     assert svg.read_text().startswith("<svg")
     assert len(csv.read_text().strip().split("\n")) == 12
+
+
+def test_star_unwritable_svg_prints_nothing_exit_3(tmp_path, capsys):
+    code = run(["star", "F4", "--svg", str(tmp_path / "missing" / "f4.svg")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("i/o failure: ") and captured.err.count("\n") == 1
 
 
 def test_clifford_summary(capsys):

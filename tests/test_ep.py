@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicstar.ep import (
+    BracketCoeffs,
     EPElement,
     EPError,
     basis_spinor,
@@ -207,6 +210,15 @@ def test_der1_certificate_and_witness():
     assert sum(c * row_map[ref][1] for ref, c in cert.items()) != 0
 
 
+def test_der1_stops_once_decided():
+    # at seed 7 triple 0 already gives both the certificate and the witness
+    rep = jacobi_infeasibility("der", 1, samples=6, seed=7)
+    assert rep.samples == 6
+    assert rep.triples_evaluated == 1
+    assert rep.witness_index == 0
+    assert all(ref[0] == 0 for ref, _ in rep.certificate)
+
+
 def test_str01_certificate():
     rep = jacobi_infeasibility("str0", 1, samples=6, seed=7)
     assert rep.status == "violated"
@@ -241,3 +253,124 @@ def test_level_q_correspondence():
     from magicstar.ep import LEVEL_Q
 
     assert LEVEL_Q == {"der": 1, "str0": 2, "conf": 4, "qconf": 8}
+
+
+# ---------------------------------------------------------------------------
+# the element form: int numerators over one shared denominator
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+SPINOR_LEN = 6
+
+
+@st.composite
+def fraction_blocks(draw):
+    """Blocks shaped like an ep element, with int and Fraction entries."""
+    blocks = {}
+    if draw(st.booleans()):
+        blocks["so"] = draw(st.dictionaries(st.sampled_from(PAIRS), RATIONALS, max_size=6))
+    if draw(st.booleans()):
+        blocks["D"] = draw(RATIONALS)
+    for name in ("psi_p", "psi_m"):
+        if draw(st.booleans()):
+            blocks[name] = draw(st.lists(RATIONALS, min_size=SPINOR_LEN, max_size=SPINOR_LEN))
+    return blocks
+
+
+def entrywise(blocks):
+    """Nonzero ((block, key), Fraction) entries of raw blocks."""
+    out = {}
+    for name, val in blocks.items():
+        if isinstance(val, dict):
+            entries = val.items()
+        elif isinstance(val, list):
+            entries = enumerate(val)
+        else:
+            entries = [(None, val)]
+        for key, v in entries:
+            if v:
+                out[(name, key)] = Q(v)
+    return out
+
+
+def numerators(el):
+    for val in el.blocks.values():
+        if isinstance(val, dict):
+            yield from val.values()
+        elif isinstance(val, list):
+            yield from val
+        else:
+            yield val
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_blocks(), st.integers(1, 6))
+def test_element_reads_back_fraction_blocks(blocks, den):
+    el = EPElement(blocks, den)
+    assert all(type(v) is int for v in numerators(el))
+    assert type(el.den) is int and el.den > 0
+    got = list(el.items())
+    assert dict(got) == {k: v / den for k, v in entrywise(blocks).items()}
+    assert [key for key, _ in got] == sorted(key for key, _ in got)
+    for _, v in got:
+        assert type(v) is (int if el.den == 1 else Q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_blocks(), fraction_blocks(), RATIONALS)
+def test_add_and_scale_match_fraction_arithmetic(a_blocks, b_blocks, c):
+    a, b = EPElement(a_blocks), EPElement(b_blocks)
+    ea, eb = entrywise(a_blocks), entrywise(b_blocks)
+    total = {k: ea.get(k, 0) + eb.get(k, 0) for k in ea.keys() | eb.keys()}
+    assert dict(ep_add(a, b).items()) == {k: v for k, v in total.items() if v}
+    scaled = {k: c * v for k, v in ea.items()}
+    assert dict(ep_scale(a, c).items()) == {k: v for k, v in scaled.items() if v}
+
+
+STR0_CLOSING = BracketCoeffs({"pair_so": Q(1), "pair_R": Q(3, 2)}, ("pair_so",))
+
+
+@functools.lru_cache(maxsize=None)
+def space_for(level):
+    return make_ep(level, 0, STR0_CLOSING if level == "str0" else None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["der", "str0"]),
+    st.integers(0, 2 ** 32),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+)
+def test_bracket_bilinear_in_rational_scale(level, seed, c):
+    sp = space_for(level)
+    rng = random.Random(seed)
+    x = ep_scale(random_element(sp, rng), Q(1, 3))
+    y = random_element(sp, rng)
+    left = bracket(sp, ep_scale(x, c), y)
+    right = ep_scale(bracket(sp, x, y), c)
+    assert list(left.items()) == list(right.items())
+
+
+@functools.lru_cache(maxsize=None)
+def calibrated_space(level):
+    return make_ep(level, 0, calibrate(level, 0, seed=7).coeffs)
+
+
+@pytest.mark.parametrize("level", ["str0", "conf"])
+def test_calibrated_bracket_numerators_are_int(level):
+    sp = calibrated_space(level)
+    rng = random.Random(3)
+    dens = set()
+    for _ in range(3):
+        x, y, z = (random_element(sp, rng) for _ in range(3))
+        for el in (bracket(sp, x, y), bracket(sp, bracket(sp, x, y), z), jacobiator(sp, x, y, z)):
+            assert all(type(v) is int for v in numerators(el))
+            assert type(el.den) is int and el.den > 0
+            dens.add(el.den)
+    # the calibrated coefficients put a denominator above 1 somewhere
+    assert max(dens) > 1

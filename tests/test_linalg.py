@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from magicstar.linalg import (
     DenseMatrix,
     MonomialMatrix,
+    RowReducer,
     dot,
     kron,
     mat_mul,
@@ -259,3 +260,73 @@ def test_kron_mixed_product(data):
     b = data.draw(monomials(max_dim=8))
     d = data.draw(monomials(dim=b.dim))
     assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
+
+
+# ---------------------------------------------------------------------------
+# properties of the incremental exact solver
+# ---------------------------------------------------------------------------
+
+SMALL_RATIONALS = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
+
+
+@st.composite
+def rational_systems(draw, consistent=False):
+    """Rows and right-hand sides of a small system.  ``consistent`` takes
+    the right-hand side from a drawn point; otherwise it is drawn, and with
+    a drawn flag one more row combines the others under a drawn (usually
+    contradictory) right-hand side."""
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 6))
+    row = st.lists(SMALL_RATIONALS, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if consistent:
+        point = draw(row)
+        return ncols, rows, [dot(r, point) for r in rows]
+    rhs = draw(st.lists(SMALL_RATIONALS, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        weights = draw(st.lists(SMALL_RATIONALS, min_size=nrows, max_size=nrows))
+        rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)])
+        rhs.append(draw(SMALL_RATIONALS))
+    return ncols, rows, rhs
+
+
+def feed(ncols, rows, rhs):
+    """Feed rows in order; the reducer, the rows fed, and the first certificate."""
+    red = RowReducer(ncols)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        cert = red.add_row(row, b)
+        if cert is not None:
+            return red, i + 1, cert
+    return red, len(rows), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems())
+def test_row_reducer_certificate_is_sound(system):
+    ncols, rows, rhs = system
+    _, fed, cert = feed(ncols, rows, rhs)
+    assume(cert is not None)
+    assert cert and all(0 <= k < fed for k in cert)
+    for j in range(ncols):
+        assert sum(c * rows[k][j] for k, c in cert.items()) == 0
+    assert sum(c * rhs[k] for k, c in cert.items()) != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rational_systems(), rational_systems(consistent=True)))
+def test_row_reducer_solution_satisfies_fed_rows(system):
+    ncols, rows, rhs = system
+    red, _, cert = feed(ncols, rows, rhs)
+    assume(cert is None)
+    x = red.solution()
+    for row, b in zip(rows, rhs):
+        assert dot(row, x) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems(consistent=True))
+def test_row_reducer_gives_no_certificate_for_consistent_system(system):
+    assert feed(*system)[2] is None
