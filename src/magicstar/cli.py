@@ -117,6 +117,7 @@ def _cmd_clifford(args) -> int:
 
 def _cmd_ep(args) -> int:
     level, n = args.level, args.n
+    ep_mod.signature_for(level, n)  # size check before any work
     report = {
         "level": level,
         "n": n,

@@ -134,8 +134,27 @@ def _squares_to(m: MonomialMatrix, sign: int) -> bool:
     return sq.is_diagonal() and all(s == sign for s in sq.signs)
 
 
+# The largest representation any command builds (qconf at n = 1, Cl(20,4)).
+MAX_REP_DIM = 4096
+
+
+def rep_dim(sig: Signature) -> int:
+    """Dimension of the representation ``build_rep`` gives ``sig``, from the
+    signature alone: 2^floor((p+q)/2), doubled for the quaternionic classes
+    p-q = 4, 6 mod 8.  A signature over ``MAX_REP_DIM`` is refused through
+    its exponent, before any large number or matrix exists."""
+    log2 = sig.total // 2 + (1 if (sig.p - sig.q) % 8 in (4, 6) else 0)
+    if log2 >= MAX_REP_DIM.bit_length():
+        raise CliffordConstructionError(
+            "Cl%s needs a representation of dimension 2^%d, over the limit of %d"
+            % (sig, log2, MAX_REP_DIM)
+        )
+    return 1 << log2
+
+
 def build_rep(sig: Signature) -> CliffordRep:
-    """Construct monomial gammas for the signature, or refuse by obstruction."""
+    """Construct monomial gammas for the signature, or refuse by obstruction
+    or by size."""
     p, q = sig.p, sig.q
     d = (p - q) % 8
     if d in (3, 5):
@@ -143,6 +162,7 @@ def build_rep(sig: Signature) -> CliffordRep:
             "Cl%s has p-q = %d mod 8: its minimal representation is "
             "intrinsically complex, no real monomial construction" % (sig, d)
         )
+    rep_dim(sig)
     if (p + q) % 2 == 1:
         if d == 1:
             parent = build_rep(Signature(p - 1, q))

@@ -31,6 +31,7 @@ from .clifford import (
     build_rep,
     chiral_indices,
     conjugation,
+    rep_dim,
 )
 from .linalg import MonomialMatrix, RowReducer, mat_mul, rat_str
 
@@ -49,15 +50,22 @@ def _so_dim(m: int) -> int:
 
 
 def signature_for(level: str, n: int) -> Signature:
+    """The orthogonal signature of the family; refuses one whose spinor
+    representation would exceed the size limit of ``clifford.rep_dim``."""
+    if n < 0:
+        raise EPError("n must be non-negative")
     if level == "der":
-        return Signature(9 + 8 * n, 0)
-    if level == "str0":
-        return Signature(9 + 8 * n, 1)
-    if level == "conf":
-        return Signature(10 + 8 * n, 2)
-    if level == "qconf":
-        return Signature(12 + 8 * n, 4)
-    raise EPError("unknown level %r" % level)
+        sig = Signature(9 + 8 * n, 0)
+    elif level == "str0":
+        sig = Signature(9 + 8 * n, 1)
+    elif level == "conf":
+        sig = Signature(10 + 8 * n, 2)
+    elif level == "qconf":
+        sig = Signature(12 + 8 * n, 4)
+    else:
+        raise EPError("unknown level %r" % level)
+    rep_dim(sig)
+    return sig
 
 
 def dimension(level: str, n: int) -> int:
@@ -303,10 +311,17 @@ def _canon_pair(i: int, j: int):
 
 
 def _so_commutator(metric, x: dict, y: dict) -> dict:
+    """[x, y] of two pair-dicts.  Only pairs that share an index contribute,
+    so y is indexed by its endpoints.  A pair of y that shares both indices
+    with one of x is reached twice but contributes nothing."""
+    ends: dict = {}
+    for key in y:
+        for e in key:
+            ends.setdefault(e, []).append(key)
     out: dict = {}
     for (a, b), xv in x.items():
-        for (c, d), yv in y.items():
-            v = xv * yv
+        for (c, d) in ends.get(a, []) + ends.get(b, []):
+            v = xv * y[(c, d)]
             if not v:
                 continue
             for (i, j, s) in (
@@ -415,13 +430,9 @@ def make_ep(
     polarization: str = "unprimed",
 ) -> EPSpace:
     """Build the representation data and channel tables for one family."""
-    if level not in LEVELS:
-        raise EPError("unknown level %r" % level)
-    if n < 0:
-        raise EPError("n must be non-negative")
+    sig = signature_for(level, n)
     if polarization not in ("unprimed", "primed"):
         raise EPError("polarization must be unprimed or primed")
-    sig = signature_for(level, n)
     rep = build_rep(sig)
     C = conjugation(rep, +1)
     total = sig.total

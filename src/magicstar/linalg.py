@@ -1,7 +1,9 @@
 """Exact rational scalars and the two matrix kinds used everywhere else.
 
-All arithmetic is over `fractions.Fraction` (arbitrary precision, canonical
-form), so nothing here ever rounds.  Two matrix representations:
+All arithmetic is exact: over `fractions.Fraction` (arbitrary precision,
+canonical form), or over Python-int numerators that share one positive
+denominator (see :func:`lift`), so nothing here ever rounds.  Two matrix
+representations:
 
 * ``DenseMatrix`` -- row-major grid of rationals, used for Cartan matrices,
   small solves and serialization.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 
@@ -33,6 +36,13 @@ def rat_str(x: Q) -> str:
 def rat_parse(s: str) -> Q:
     """Inverse of :func:`rat_str`."""
     return Q(s)
+
+
+def lift(xs: Sequence) -> Tuple[List[int], int]:
+    """Int numerators of the rationals ``xs`` over one shared positive
+    denominator, the lcm of theirs: ``xs[i] == nums[i] / den``."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def dot(u: Sequence, v: Sequence):

@@ -25,10 +25,17 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .clifford import CliffordRep, Signature, build_rep, chiral_indices, verify_relations
-from .linalg import MonomialMatrix, mat_mul, rat_parse, rat_str
+from .clifford import (
+    CliffordRep,
+    Signature,
+    build_rep,
+    chiral_indices,
+    rep_dim,
+    verify_relations,
+)
+from .linalg import MonomialMatrix, lift, mat_mul, rat_parse, rat_str
 from .octonion import (
     Octonion,
     left_mult_matrix,
@@ -109,10 +116,12 @@ def make_space(q: int, n: int) -> TSpace:
         raise TAlgebraError("q must be one of 1, 2, 4, 8")
     if n < 0:
         raise TAlgebraError("n must be non-negative")
+    sig = Signature(q + 1 + 8 * n, 1)
+    rep_dim(sig)  # the q = 8 model is built by Kronecker products, not by build_rep
     if q == 8:
         rep = _octonionic_rep(n)
     else:
-        rep = build_rep(Signature(q + 1 + 8 * n, 1))
+        rep = build_rep(sig)
     time = rep.gammas[-1]
     forms = []
     for g in rep.gammas:
@@ -242,70 +251,83 @@ def eta(space: TSpace, a: Sequence, b: Sequence) -> Q:
     return out
 
 
-def _carrier_columns(space: TSpace, el: TElement) -> List[List[Q]]:
-    """Lift the stored spinor block onto full representation columns."""
-    flat: List[Q] = []
-    for col in el.psi:
-        flat.extend(col)
+def _carrier_columns(space: TSpace, el: TElement) -> Tuple[List[List[int]], int]:
+    """Lift the stored spinor block onto full representation columns of int
+    numerators over one shared denominator ``den``."""
+    nums, den = lift([x for col in el.psi for x in col])
     dim = space.rep.dim
     cols = []
     pos = 0
     for support in space.carriers:
-        full = [Q(0)] * dim
+        full = [0] * dim
         for idx in support:
-            full[idx] = flat[pos]
+            full[idx] = nums[pos]
             pos += 1
         cols.append(full)
-    return cols
+    return cols, den
 
 
-def _carrier_to_flat(space: TSpace, cols: Sequence[Sequence[Q]]) -> List[Q]:
+def _carrier_to_flat(space: TSpace, cols: Sequence[Sequence]) -> list:
     flat = []
     for support, col in zip(space.carriers, cols):
         flat.extend(col[i] for i in support)
     return flat
 
 
-def _bilinears(space: TSpace, cols: Sequence[Sequence[Q]]) -> List[Q]:
-    """B_nu = sum over carriers of psi^T (gamma_time gamma_nu) psi."""
-    return [sum((m.bilinear(col, col) for col in cols), Q(0)) for m in space.norm_forms]
+class _Lifted(NamedTuple):
+    """What the norm and its gradient share, computed once per element."""
+
+    cols: List[List[int]]  # carrier columns, numerators over den
+    den: int
+    bil: List[int]         # B_nu = sum of psi^T (gamma_time gamma_nu) psi, over den^2
+    vec: List[int]         # lightcone vector, numerators over vden
+    vden: int
+
+
+def _lift_element(space: TSpace, el: TElement) -> _Lifted:
+    _check_shape(space, el)
+    cols, den = _carrier_columns(space, el)
+    bil = [sum(m.bilinear(col, col) for col in cols) for m in space.norm_forms]
+    vec, vden = lift(_vector_coords(space, el))
+    return _Lifted(cols, den, bil, vec, vden)
+
+
+def _norm(el: TElement, lf: _Lifted) -> Q:
+    vv = sum(x * x for x in el.v)
+    n = el.r3 * (el.r1 * el.r2 - vv)
+    if any(map(any, lf.cols)):
+        n += Q(sum(b * w for b, w in zip(lf.bil, lf.vec)), lf.den * lf.den * lf.vden)
+    return n
+
+
+def _gradient(space: TSpace, el: TElement, lf: _Lifted) -> List[Q]:
+    bden = lf.den * lf.den
+    b_minus, b_plus = lf.bil[-2], lf.bil[-1]
+    g_r1 = el.r2 * el.r3 + Q(b_minus + b_plus, 2 * bden)
+    g_r2 = el.r1 * el.r3 + Q(b_plus - b_minus, 2 * bden)
+    g_r3 = el.r1 * el.r2 - sum(x * x for x in el.v)
+    g_v = [-2 * el.r3 * x + Q(b, bden) for x, b in zip(el.v, lf.bil)]
+    # spinor part: 2 * sum_nu V^nu (M_nu psi) on each carrier
+    grads = []
+    for col in lf.cols:
+        acc = [0] * space.rep.dim
+        for m, w in zip(space.norm_forms, lf.vec):
+            if w:
+                m.apply(col, acc, w)
+        grads.append(acc)
+    sden = lf.den * lf.vden
+    g_psi = [Q(2 * t, sden) for t in _carrier_to_flat(space, grads)]
+    return [g_r1, g_r2, g_r3] + g_v + g_psi
 
 
 def cubic_norm(space: TSpace, el: TElement) -> Q:
     """Degree-3 invariant, normalized so the diagonal gives r1 r2 r3."""
-    _check_shape(space, el)
-    vv = sum(x * x for x in el.v)
-    n = el.r3 * (el.r1 * el.r2 - vv)
-    cols = _carrier_columns(space, el)
-    if any(any(c) for c in cols):
-        bil = _bilinears(space, cols)
-        vec = _vector_coords(space, el)
-        n += sum(b * w for b, w in zip(bil, vec))
-    return n
+    return _norm(el, _lift_element(space, el))
 
 
 def norm_gradient(space: TSpace, el: TElement) -> List[Q]:
     """Exact gradient in the coordinate order (r1, r2, r3, v, psi)."""
-    _check_shape(space, el)
-    cols = _carrier_columns(space, el)
-    bil = _bilinears(space, cols)
-    vec = _vector_coords(space, el)
-    half = Q(1, 2)
-    b_minus, b_plus = bil[-2], bil[-1]
-    g_r1 = el.r2 * el.r3 + half * (b_minus + b_plus)
-    g_r2 = el.r1 * el.r3 + half * (b_plus - b_minus)
-    g_r3 = el.r1 * el.r2 - sum(x * x for x in el.v)
-    g_v = [-2 * el.r3 * x + b for x, b in zip(el.v, bil[: space.vector_dim])]
-    # spinor part: 2 * sum_nu V^nu (M_nu psi) on each carrier
-    grads = []
-    for col in cols:
-        acc = [Q(0)] * space.rep.dim
-        for m, w in zip(space.norm_forms, vec):
-            if w:
-                m.apply(col, acc, w)
-        grads.append([2 * t for t in acc])
-    g_psi = _carrier_to_flat(space, grads)
-    return [g_r1, g_r2, g_r3] + g_v + g_psi
+    return _gradient(space, el, _lift_element(space, el))
 
 
 def rank(space: TSpace, el: TElement) -> int:
@@ -313,10 +335,10 @@ def rank(space: TSpace, el: TElement) -> int:
     coords = el.coords()
     if not any(coords):
         return 0
-    grad = norm_gradient(space, el)
-    if not any(grad):
+    lf = _lift_element(space, el)
+    if not any(_gradient(space, el, lf)):
         return 1
-    if cubic_norm(space, el) == 0:
+    if _norm(el, lf) == 0:
         return 2
     return 3
 
@@ -349,13 +371,13 @@ def infinitesimal_rotation(space: TSpace, el: TElement, pair: Tuple[int, int]) -
     d_r1, d_r2 = lightcone_inverse(d_xplus, d_xminus)
     dv = dvec[: space.vector_dim]
     prod = mat_mul(space.rep.gammas[a], space.rep.gammas[b])
-    half = Q(1, 2)
-    dcols = [[half * t for t in prod.apply(col)] for col in _carrier_columns(space, el)]
+    cols, den = _carrier_columns(space, el)
+    dcols = [prod.apply(col) for col in cols]
     for support, out in zip(space.carriers, dcols):
         sset = set(support)
         if any(out[i] for i in range(space.rep.dim) if i not in sset):
             raise AssertionError("rotation leaks outside the spinor carrier")
-    dpsi = _carrier_to_flat(space, dcols)
+    dpsi = [Q(t, 2 * den) for t in _carrier_to_flat(space, dcols)]
     return [d_r1, d_r2, Q(0)] + dv + dpsi
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from magicstar.cli import run
 
 
@@ -168,3 +170,18 @@ def test_ep_zero_samples_exit_1(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+# requests just past the size limit, so even a missing check would build little
+@pytest.mark.parametrize("argv", [
+    ["clifford", "26", "0"],
+    ["ep", "--level", "str0", "--n", "2", "--samples", "1"],
+    ["talg", "--q", "8", "--n", "2", "norm", "--input", "/nonexistent.json"],
+    ["talg", "--q", "2", "--n", "3", "norm", "--input", "/nonexistent.json"],
+])
+def test_over_size_limit_exit_1(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "over the limit" in captured.err and captured.err.count("\n") == 1

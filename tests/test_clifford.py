@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from magicstar.clifford import (
+    MAX_REP_DIM,
     CliffordConstructionError,
     CliffordNoBilinearError,
     Signature,
@@ -15,6 +16,7 @@ from magicstar.clifford import (
     conjugation,
     fierz_residual,
     reality_class,
+    rep_dim,
     verify_relations,
 )
 from magicstar.linalg import MonomialMatrix, RowReducer, mat_mul
@@ -46,6 +48,26 @@ def test_twelve_four_dim256_chiral_halves():
 def test_dims(p, q, dim):
     rep = build_rep(Signature(p, q))
     assert rep.dim == dim
+
+
+def test_rep_dim_matches_build_rep():
+    for total in range(2, 13):
+        for p in range(total + 1):
+            sig = Signature(p, total - p)
+            try:
+                rep = build_rep(sig)
+            except ValueError:
+                continue
+            assert rep_dim(sig) == rep.dim
+
+
+def test_size_limit_admits_qconf1_and_refuses_beyond():
+    assert rep_dim(Signature(20, 4)) == MAX_REP_DIM
+    for sig in [(26, 0), (21, 5), (10000, 0), (0, 10 ** 12)]:
+        with pytest.raises(CliffordConstructionError, match="over the limit"):
+            rep_dim(Signature(*sig))
+    with pytest.raises(CliffordConstructionError, match="over the limit"):
+        build_rep(Signature(26, 0))
 
 
 def test_relations_verified_on_build():

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magicstar.clifford import Signature
 from magicstar.ep import (
     BracketCoeffs,
     EPElement,
@@ -23,6 +24,7 @@ from magicstar.ep import (
     make_ep,
     random_element,
     random_spinor_element,
+    signature_for,
 )
 
 
@@ -55,6 +57,16 @@ def test_grade_profile_sums_match_dimension():
     for n in (0, 1, 2):
         assert sum(d for _, d in grade_profile("qconf", n, "extended")) == dimension("qconf", n)
         assert sum(d for _, d in grade_profile("conf", n, "extended")) == dimension("conf", n)
+
+
+def test_signature_size_limit():
+    assert signature_for("qconf", 1) == Signature(20, 4)
+    assert signature_for("der", 2) == Signature(25, 0)
+    for level, n in [("str0", 2), ("conf", 2), ("qconf", 2), ("der", 10 ** 9)]:
+        with pytest.raises(ValueError, match="over the limit"):
+            signature_for(level, n)
+    with pytest.raises(ValueError, match="over the limit"):
+        make_ep("str0", 2)
 
 
 def test_make_ep_der0():

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from magicstar.linalg import DenseMatrix
+from magicstar.linalg import DenseMatrix, dot
 from magicstar.octonion import (
     oct_conj,
     oct_from,
@@ -303,3 +304,126 @@ def test_eta_matches_norm_quadratic_part():
         vec = _vector_coords(sp, el)
         assert eta(sp, vec, vec) == 2 * el.r1 * el.r2 - 2 * sum(x * x for x in el.v)
         assert 2 * cubic_norm(sp, el) == el.r3 * eta(sp, vec, vec)
+
+
+# --- properties on rational elements, against a plain Fraction reference ------
+
+PROPERTY_SPACES = {q: make_space(q, 0) for q in (1, 2, 4, 8)}
+DENSE_FORMS = {q: [m.to_dense() for m in sp.norm_forms] for q, sp in PROPERTY_SPACES.items()}
+RATIONALS = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@st.composite
+def rational_elements(draw):
+    """(q, element) at n = 0; a block is zeroed now and then so that ranks
+    below 3 occur."""
+    q = draw(st.sampled_from(sorted(PROPERTY_SPACES)))
+    sp = PROPERTY_SPACES[q]
+
+    def block(size):
+        if draw(st.booleans()) and draw(st.booleans()):
+            return [Q(0)] * size
+        return draw(st.lists(RATIONALS, min_size=size, max_size=size))
+
+    r1, r2, r3 = draw(st.lists(RATIONALS, min_size=3, max_size=3))
+    el = TElement(r1, r2, r3, block(sp.vector_dim), [block(sp.width) for _ in range(sp.fund)])
+    return q, el
+
+
+def reference_columns(sp, el):
+    flat = [x for col in el.psi for x in col]
+    cols, pos = [], 0
+    for support in sp.carriers:
+        full = [Q(0)] * sp.rep.dim
+        for i in support:
+            full[i] = flat[pos]
+            pos += 1
+        cols.append(full)
+    return cols
+
+
+def reference_norm_and_gradient(q, el):
+    """N and its gradient from the dense norm forms, entry by entry:
+    N = r3 (r1 r2 - |v|^2) + sum_nu V_nu B_nu with B_nu = sum psi^T M_nu psi
+    and V = (v, (r1-r2)/2, (r1+r2)/2)."""
+    sp = PROPERTY_SPACES[q]
+    forms = DENSE_FORMS[q]
+    cols = reference_columns(sp, el)
+    vec = list(el.v) + [(el.r1 - el.r2) / 2, (el.r1 + el.r2) / 2]
+    bil = [sum(dot(col, m.apply(col)) for col in cols) for m in forms]
+    vv = sum(x * x for x in el.v)
+    norm = el.r3 * (el.r1 * el.r2 - vv) + sum(w * b for w, b in zip(vec, bil))
+    grad = [
+        el.r2 * el.r3 + (bil[-2] + bil[-1]) / 2,
+        el.r1 * el.r3 + (bil[-1] - bil[-2]) / 2,
+        el.r1 * el.r2 - vv,
+    ]
+    grad += [-2 * el.r3 * x + b for x, b in zip(el.v, bil)]
+    for support, col in zip(sp.carriers, cols):
+        moved = [m.apply(col) for m in forms]
+        grad += [2 * sum(w * mc[i] for w, mc in zip(vec, moved)) for i in support]
+    return norm, grad
+
+
+def scaled(el, lam):
+    return TElement(
+        lam * el.r1, lam * el.r2, lam * el.r3,
+        [lam * x for x in el.v],
+        [[lam * x for x in col] for col in el.psi],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_elements())
+def test_norm_and_gradient_equal_fraction_reference(q_el):
+    q, el = q_el
+    sp = PROPERTY_SPACES[q]
+    norm, grad = reference_norm_and_gradient(q, el)
+    assert cubic_norm(sp, el) == norm
+    assert norm_gradient(sp, el) == grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_elements(), RATIONALS)
+def test_norm_homogeneity_rational_scale(q_el, lam):
+    q, el = q_el
+    sp = PROPERTY_SPACES[q]
+    assert cubic_norm(sp, scaled(el, lam)) == lam ** 3 * cubic_norm(sp, el)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_elements())
+def test_euler_identity_rational(q_el):
+    q, el = q_el
+    sp = PROPERTY_SPACES[q]
+    grad = norm_gradient(sp, el)
+    assert sum(g * c for g, c in zip(grad, el.coords())) == 3 * cubic_norm(sp, el)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_elements(), st.data())
+def test_gradient_annihilates_rotations(q_el, data):
+    q, el = q_el
+    sp = PROPERTY_SPACES[q]
+    pair = data.draw(st.sampled_from(so_generator_pairs(sp)))
+    delta = infinitesimal_rotation(sp, el, pair)
+    assert sum(g * d for g, d in zip(norm_gradient(sp, el), delta)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_elements(), RATIONALS.filter(bool))
+def test_rank_follows_norm_and_gradient(q_el, lam):
+    q, el = q_el
+    sp = PROPERTY_SPACES[q]
+    norm, grad = cubic_norm(sp, el), norm_gradient(sp, el)
+    if not any(el.coords()):
+        expected = 0
+    elif not any(grad):
+        expected = 1
+    else:
+        expected = 2 if norm == 0 else 3
+    assert rank(sp, el) == expected
+    assert rank(sp, scaled(el, lam)) == expected
