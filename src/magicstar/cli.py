@@ -28,7 +28,7 @@ from .talgebra import (
     TAlgebraError,
     TElement,
     cubic_norm,
-    entropy,
+    entropy_of_norm,
     make_space,
     norm_gradient,
     rank,
@@ -118,17 +118,17 @@ def _cmd_clifford(args) -> int:
 def _cmd_ep(args) -> int:
     level, n = args.level, args.n
     ep_mod.signature_for(level, n)  # size check before any work
+    if args.samples < 1:
+        raise ep_mod.EPError("samples must be at least 1")
     report = {
         "level": level,
         "n": n,
         "dimension": ep_mod.dimension(level, n),
-        "grade_profile": {"canonical": ep_mod.grade_profile(level, n)},
+        "grade_profile": {v: ep_mod.grade_profile(level, n, v) for v in ep_mod.gradings(level)},
         "polarization": args.polarization,
         "seed": args.seed,
         "samples": args.samples,
     }
-    if level in ("conf", "qconf"):
-        report["grade_profile"]["extended"] = ep_mod.grade_profile(level, n, "extended")
     matched = False
     if n == 0:
         try:
@@ -176,12 +176,9 @@ def _cmd_talg(args) -> int:
     elif args.action == "rank":
         print(_dump({"rank": rank(space, el)}))
     elif args.action == "entropy":
-        value, _ = entropy(space, el)
-        print(_dump({
-            "N": rat_str(cubic_norm(space, el)),
-            "rank": rank(space, el),
-            "entropy": value,
-        }))
+        norm = cubic_norm(space, el)
+        value, _ = entropy_of_norm(norm)
+        print(_dump({"N": rat_str(norm), "rank": rank(space, el), "entropy": value}))
     else:  # grad
         print(_dump({"grad": [rat_str(x) for x in norm_gradient(space, el)]}))
     return 0

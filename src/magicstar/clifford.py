@@ -138,12 +138,18 @@ def _squares_to(m: MonomialMatrix, sign: int) -> bool:
 MAX_REP_DIM = 4096
 
 
+def _rep_log2(sig: Signature) -> int:
+    """log2 of the dimension of the representation ``build_rep`` gives
+    ``sig``: floor((p+q)/2), plus one for the quaternionic classes
+    p-q = 4, 6 mod 8.  No size limit."""
+    return sig.total // 2 + (1 if (sig.p - sig.q) % 8 in (4, 6) else 0)
+
+
 def rep_dim(sig: Signature) -> int:
     """Dimension of the representation ``build_rep`` gives ``sig``, from the
-    signature alone: 2^floor((p+q)/2), doubled for the quaternionic classes
-    p-q = 4, 6 mod 8.  A signature over ``MAX_REP_DIM`` is refused through
+    signature alone.  A signature over ``MAX_REP_DIM`` is refused through
     its exponent, before any large number or matrix exists."""
-    log2 = sig.total // 2 + (1 if (sig.p - sig.q) % 8 in (4, 6) else 0)
+    log2 = _rep_log2(sig)
     if log2 >= MAX_REP_DIM.bit_length():
         raise CliffordConstructionError(
             "Cl%s needs a representation of dimension 2^%d, over the limit of %d"

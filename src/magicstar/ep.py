@@ -21,21 +21,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
-from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from math import lcm, prod
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import (
     BilinearForm,
     CliffordRep,
     Signature,
+    _rep_log2,
     build_rep,
     chiral_indices,
     conjugation,
     rep_dim,
 )
 from .linalg import MonomialMatrix, RowReducer, mat_mul, rat_str
-
-LEVELS = ("der", "str0", "conf", "qconf")
 
 # the division-algebra parameter each level corresponds to
 LEVEL_Q = {"der": 1, "str0": 2, "conf": 4, "qconf": 8}
@@ -49,62 +49,198 @@ def _so_dim(m: int) -> int:
     return m * (m - 1) // 2
 
 
+@dataclass(frozen=True)
+class _Level:
+    """The one description of a family; the bracket table, the pinned
+    channels, the coefficient tags, the dimension and the grades derive
+    from it.
+
+    ``blocks`` are the components beside ``so`` as (name, grade, support):
+    support "full", "plus" or "minus" for a spinor (the primed polarization
+    swaps plus and minus), None for a scalar.  ``channels`` are the
+    coefficient-carrying bilinears as (bx, by, name, target), in the order
+    in which rescaling pins them.
+    """
+
+    offset: Tuple[int, int]  # the signature is (p + 8n, q)
+    blocks: Tuple[Tuple[str, int, Optional[str]], ...]
+    symmetry: int  # of the conjugation matrix
+    swap: Optional[bool]  # does conjugation swap chiralities; None: no chiral split
+    channels: Tuple[Tuple[str, str, str, str], ...]
+    extended: Optional[Callable[[str, int], List[Tuple[int, int]]]] = None
+
+    def signature(self, n: int) -> Signature:
+        if n < 0:
+            raise EPError("n must be non-negative")
+        return Signature(self.offset[0] + 8 * n, self.offset[1])
+
+    def components(self, n: int) -> List[Tuple[int, int]]:
+        """(grade, dimension) of so and of each block; builds nothing, so it
+        answers past the size limit too."""
+        sig = self.signature(n)
+        log2 = _rep_log2(sig)
+        out = [(0, _so_dim(sig.total))]
+        for _, grade, support in self.blocks:
+            out.append((grade, 1 if support is None else 1 << (log2 - (support != "full"))))
+        return out
+
+    @cached_property
+    def table(self) -> dict:
+        """Ordered-block channel table: (bx, by) -> [(channel, target, kernel)].
+
+        Channel ``None`` marks a structural entry (coefficient identically 1,
+        never in the coefficient systems): so-so, so-spinor, and D-X with
+        factor grade(X).  A channel's kernel follows from the kinds of its
+        blocks and target.
+        """
+        kind = {"so": "so"}
+        t = {("so", "so"): [(None, "so", _k_commutator)]}
+        for name, grade, support in self.blocks:
+            kind[name] = "scalar" if support is None else "spinor"
+            if support is not None:
+                t[("so", name)] = [(None, name, _k_act)]
+            if grade:
+                t[("D", name)] = [(None, name, _k_grade(grade))]
+        for bx, by, name, target in self.channels:
+            kernel = _CHANNEL_KERNELS[kind[bx], kind[by], kind[target]]
+            t.setdefault((bx, by), []).append((name, target, kernel))
+        return t
+
+    @cached_property
+    def rescaled(self) -> Tuple[str, ...]:
+        """Blocks with a free scale: all but so and D ([D, X] = grade(X) X)."""
+        return tuple(name for name, _, _ in self.blocks if name != "D")
+
+    @cached_property
+    def weights(self) -> Dict[str, Tuple[int, ...]]:
+        """Each channel's rescaling weight e_bx + e_by - e_target."""
+        return {
+            name: tuple((b == bx) + (b == by) - (b == target) for b in self.rescaled)
+            for bx, by, name, target in self.channels
+        }
+
+    @cached_property
+    def pinned(self) -> Tuple[str, ...]:
+        """In channel order, each channel whose weight is independent of the
+        weights before it; rescaling sets these to 1."""
+        red = RowReducer(len(self.rescaled))
+        out = []
+        for name, w in self.weights.items():
+            rank = red.rank()
+            red.add_row(w, 0)
+            if red.rank() > rank:
+                out.append(name)
+        return tuple(out)
+
+    @cached_property
+    def unknowns(self) -> Tuple[str, ...]:
+        return tuple(name for name in self.weights if name not in self.pinned)
+
+    def tags(self, inputs: Sequence[str]) -> Tuple[tuple, ...]:
+        """Unknown-channel combinations along every nested bracket
+        [[b1, b2], b3] over the input blocks, sorted by (length, names)."""
+        def products(a, b):
+            for name, target, _ in self.table.get((a, b)) or self.table.get((b, a)) or ():
+                yield target, ((name,) if name in self.unknowns else ())
+
+        found = set()
+        for b1 in inputs:
+            for b2 in inputs:
+                for mid, t1 in products(b1, b2):
+                    for b3 in inputs:
+                        found.update(tuple(sorted(t1 + t2)) for _, t2 in products(mid, b3))
+        found.discard(())
+        return tuple(sorted(found, key=lambda tag: (len(tag), tag)))
+
+
+def _canonical(level: str, n: int) -> List[Tuple[int, int]]:
+    by_grade: Dict[int, int] = {}
+    for grade, d in _describe(level).components(n):
+        by_grade[grade] = by_grade.get(grade, 0) + d
+    return sorted(by_grade.items())
+
+
+def _qconf_extended(level: str, n: int) -> List[Tuple[int, int]]:
+    """qconf branched through so(11+8n,3): vectors at grades -2/+2, spinors
+    at -1/+1, a quarter of the representation each."""
+    sig = _describe(level).signature(n)
+    v, s = sig.total - 2, 1 << (_rep_log2(sig) - 2)
+    return [(-2, v), (-1, s), (0, _so_dim(v) + 1), (1, s), (2, v)]
+
+
+_LEVELS = {
+    "der": _Level(
+        (9, 0), (("psi", 0, "full"),), symmetry=1, swap=None,
+        channels=(("psi", "psi", "pair_so", "so"),),
+    ),
+    "str0": _Level(
+        (9, 1),
+        (("D", 0, None), ("psi_p", 1, "plus"), ("psi_m", -1, "minus")),
+        symmetry=1,
+        swap=True,
+        channels=(("psi_p", "psi_m", "pair_so", "so"), ("psi_p", "psi_m", "pair_R", "D")),
+    ),
+    # five-graded already: the extended view is the canonical one
+    "conf": _Level(
+        (10, 2),
+        (("D", 0, None), ("K_p", 2, None), ("K_m", -2, None),
+         ("psi_p", 1, "plus"), ("psi_m", -1, "plus")),
+        symmetry=-1,
+        swap=False,
+        channels=(
+            ("psi_p", "psi_p", "apex_up", "K_p"),
+            ("K_p", "psi_m", "transfer_up", "psi_p"),
+            ("K_m", "psi_p", "transfer_down", "psi_m"),
+            ("psi_m", "psi_m", "apex_down", "K_m"),
+            ("K_p", "K_m", "k_pair", "D"),
+            ("psi_p", "psi_m", "pair_so", "so"),
+            ("psi_p", "psi_m", "pair_R", "D"),
+        ),
+        extended=_canonical,
+    ),
+    "qconf": _Level(
+        (12, 4), (("psi", 0, "plus"),), symmetry=1, swap=False,
+        channels=(("psi", "psi", "pair_so", "so"),), extended=_qconf_extended,
+    ),
+}
+
+LEVELS = tuple(_LEVELS)
+
+
+def _describe(level: str) -> _Level:
+    try:
+        return _LEVELS[level]
+    except KeyError:
+        raise EPError("unknown level %r" % level) from None
+
+
 def signature_for(level: str, n: int) -> Signature:
     """The orthogonal signature of the family; refuses one whose spinor
     representation would exceed the size limit of ``clifford.rep_dim``."""
-    if n < 0:
-        raise EPError("n must be non-negative")
-    if level == "der":
-        sig = Signature(9 + 8 * n, 0)
-    elif level == "str0":
-        sig = Signature(9 + 8 * n, 1)
-    elif level == "conf":
-        sig = Signature(10 + 8 * n, 2)
-    elif level == "qconf":
-        sig = Signature(12 + 8 * n, 4)
-    else:
-        raise EPError("unknown level %r" % level)
+    sig = _describe(level).signature(n)
     rep_dim(sig)
     return sig
 
 
 def dimension(level: str, n: int) -> int:
     """Total dimension of the graded space."""
-    if n < 0:
-        raise EPError("n must be non-negative")
-    if level == "der":
-        return _so_dim(9 + 8 * n) + 2 ** (4 + 4 * n)
-    if level == "str0":
-        return _so_dim(10 + 8 * n) + 1 + 2 * 2 ** (4 + 4 * n)
-    if level == "conf":
-        return _so_dim(12 + 8 * n) + 3 + 2 * 2 ** (5 + 4 * n)
-    if level == "qconf":
-        return _so_dim(16 + 8 * n) + 2 ** (7 + 4 * n)
-    raise EPError("unknown level %r" % level)
+    return sum(d for _, d in _describe(level).components(n))
+
+
+def gradings(level: str) -> Tuple[str, ...]:
+    """The grading views ``grade_profile`` defines for the level."""
+    return ("canonical",) if _describe(level).extended is None else ("canonical", "extended")
 
 
 def grade_profile(level: str, n: int, variant: str = "canonical") -> List[Tuple[int, int]]:
     """List of (grade, component dimension) for the chosen grading view."""
     if variant not in ("canonical", "extended"):
         raise EPError("variant must be canonical or extended")
-    if level not in LEVELS:
-        raise EPError("unknown level %r" % level)
-    if variant == "extended" and level in ("der", "str0"):
-        raise EPError("extended grading is defined for conf and qconf only")
-    w = 2 ** (4 + 4 * n)
-    if level == "der":
-        return [(0, dimension(level, n))]
-    if level == "str0":
-        return [(-1, w), (0, _so_dim(10 + 8 * n) + 1), (1, w)]
-    if level == "conf":
-        s = 2 ** (5 + 4 * n)
-        return [(-2, 1), (-1, s), (0, _so_dim(12 + 8 * n) + 1), (1, s), (2, 1)]
-    if variant == "canonical":
-        return [(0, dimension(level, n))]
-    # qconf, extended: branch through so(11+8n,3)
-    v = 14 + 8 * n
-    s = 2 ** (6 + 4 * n)
-    return [(-2, v), (-1, s), (0, _so_dim(14 + 8 * n) + 1), (1, s), (2, v)]
+    view = _canonical if variant == "canonical" else _describe(level).extended
+    if view is None:
+        defined = [lv for lv, desc in _LEVELS.items() if desc.extended]
+        raise EPError("extended grading is defined for %s only" % " and ".join(defined))
+    return view(level, n)
 
 
 @dataclass
@@ -118,43 +254,9 @@ class BracketCoeffs:
         return self.values[name]
 
 
-# channel names that carry coefficients, per level, with the rescaling-pinned
-# subset listed second
-_CHANNELS = {
-    "der": (("pair_so",), ("pair_so",)),
-    "str0": (("pair_so", "pair_R"), ("pair_so",)),
-    "conf": (
-        ("apex_up", "apex_down", "transfer_up", "transfer_down", "k_pair", "pair_so", "pair_R"),
-        ("apex_up", "transfer_up", "transfer_down"),
-    ),
-    "qconf": (("pair_so",), ("pair_so",)),
-}
-
-# tags (non-normalized channel combinations) that may appear in jacobiators
-_CALIBRATE_TAGS = {
-    "der": (),
-    "str0": (("pair_R",),),
-    "conf": (
-        ("apex_down",),
-        ("k_pair",),
-        ("pair_R",),
-        ("pair_so",),
-        ("apex_down", "k_pair"),
-    ),
-    "qconf": (),
-}
-
-_SPINOR_TAGS = {
-    "der": (),
-    "str0": (("pair_R",),),
-    "conf": (("apex_down",), ("pair_R",), ("pair_so",)),
-    "qconf": (),
-}
-
-
 def default_coeffs(level: str) -> BracketCoeffs:
-    channels, normalized = _CHANNELS[level]
-    return BracketCoeffs({name: Q(1) for name in channels}, normalized)
+    desc = _describe(level)
+    return BracketCoeffs({name: Q(1) for name in desc.weights}, desc.pinned)
 
 
 @dataclass
@@ -178,7 +280,7 @@ class EPSpace:
         return dimension(self.level, self.n)
 
     def spinor_blocks(self) -> Tuple[str, ...]:
-        return tuple(b for b in self.grades if b.startswith("psi"))
+        return tuple(self.spinor_support)
 
 
 class EPElement:
@@ -301,7 +403,8 @@ def ep_scale(a: EPElement, c) -> EPElement:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernels: each maps two blocks of int numerators to ``(value, den_factor)``,
+# int numerators whose value is the product's value times ``den_factor``
 # ---------------------------------------------------------------------------
 
 def _canon_pair(i: int, j: int):
@@ -310,10 +413,11 @@ def _canon_pair(i: int, j: int):
     return ((i, j), 1) if i < j else ((j, i), -1)
 
 
-def _so_commutator(metric, x: dict, y: dict) -> dict:
+def _k_commutator(space: EPSpace, x: dict, y: dict):
     """[x, y] of two pair-dicts.  Only pairs that share an index contribute,
     so y is indexed by its endpoints.  A pair of y that shares both indices
     with one of x is reached twice but contributes nothing."""
+    metric = space.rep.metric
     ends: dict = {}
     for key in y:
         for e in key:
@@ -337,90 +441,38 @@ def _so_commutator(metric, x: dict, y: dict) -> dict:
                     continue
                 key, flip = cp
                 out[key] = out.get(key, 0) + s * flip * v
-    return {k: v for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v}, 1
 
 
-def _act_so(space: EPSpace, x: dict, psi: list) -> list:
-    """Twice the orthogonal action on a spinor column: the sum of the
-    two-gamma products, whose factor 1/2 the caller puts in the denominator."""
+def _k_act(space: EPSpace, x: dict, psi: list):
+    """The orthogonal action on a spinor column: the sum of the two-gamma
+    products, over 2."""
     acc = [0] * space.rep.dim
     for key, v in x.items():
         space.pair_actions[space.pair_index[key]].apply(psi, acc, v)
-    return acc
+    return acc, 2
 
 
-def _pair_so(space: EPSpace, psi: list, phi: list) -> dict:
+def _k_grade(grade: int):
+    return lambda space, d, val: (_times(val, grade * d), 1)
+
+
+def _k_pair_so(space: EPSpace, psi: list, phi: list):
     out = {}
     for key, m in zip(space.pairs, space.pair_forms):
         s = m.bilinear(psi, phi)
         if s:
             out[key] = s
-    return out
+    return out, 1
 
 
-def _build_table(level: str) -> dict:
-    """Ordered-block channel table: (bx, by) -> [(channel or None, kernel)].
-
-    ``None`` marks a structural channel (its coefficient is identically 1
-    and it never enters the coefficient systems).  A kernel maps two blocks
-    of int numerators to ``(contribution, den_factor)``: int numerators
-    whose value is the product's value times ``den_factor``.
-    """
-    t = {}
-
-    def k_soso(space, x, y):
-        return {"so": _so_commutator(space.rep.metric, x, y)}, 1
-
-    def k_sopsi(block):
-        def k(space, x, psi):
-            return {block: _act_so(space, x, psi)}, 2
-        return k
-
-    def k_grade(block, g):
-        def k(space, dval, xval):
-            return {block: _times(xval, g * dval)}, 1
-        return k
-
-    def k_pairso(bx, by):
-        def k(space, psi, phi):
-            return {"so": _pair_so(space, psi, phi)}, 1
-        return k
-
-    def k_pairscalar(target):
-        def k(space, psi, phi):
-            return {target: space.C.C.bilinear(psi, phi)}, 1
-        return k
-
-    def k_transfer(target):
-        def k(space, kval, psi):
-            return {target: [kval * v for v in psi]}, 1
-        return k
-
-    def k_kk(space, a, b):
-        return {"D": a * b}, 1
-
-    t[("so", "so")] = [(None, k_soso)]
-    if level in ("der", "qconf"):
-        t[("so", "psi")] = [(None, k_sopsi("psi"))]
-        t[("psi", "psi")] = [("pair_so", k_pairso("psi", "psi"))]
-        return t
-    t[("so", "psi_p")] = [(None, k_sopsi("psi_p"))]
-    t[("so", "psi_m")] = [(None, k_sopsi("psi_m"))]
-    t[("D", "psi_p")] = [(None, k_grade("psi_p", 1))]
-    t[("D", "psi_m")] = [(None, k_grade("psi_m", -1))]
-    t[("psi_p", "psi_m")] = [
-        ("pair_so", k_pairso("psi_p", "psi_m")),
-        ("pair_R", k_pairscalar("D")),
-    ]
-    if level == "conf":
-        t[("D", "K_p")] = [(None, k_grade("K_p", 2))]
-        t[("D", "K_m")] = [(None, k_grade("K_m", -2))]
-        t[("K_p", "K_m")] = [("k_pair", k_kk)]
-        t[("K_p", "psi_m")] = [("transfer_up", k_transfer("psi_p"))]
-        t[("K_m", "psi_p")] = [("transfer_down", k_transfer("psi_m"))]
-        t[("psi_p", "psi_p")] = [("apex_up", k_pairscalar("K_p"))]
-        t[("psi_m", "psi_m")] = [("apex_down", k_pairscalar("K_m"))]
-    return t
+# a coefficient channel's kernel, by the kinds of (bx, by, target)
+_CHANNEL_KERNELS = {
+    ("spinor", "spinor", "so"): _k_pair_so,
+    ("spinor", "spinor", "scalar"): lambda space, psi, phi: (space.C.C.bilinear(psi, phi), 1),
+    ("scalar", "spinor", "spinor"): lambda space, k, psi: ([k * v for v in psi], 1),
+    ("scalar", "scalar", "scalar"): lambda space, a, b: (a * b, 1),
+}
 
 
 def make_ep(
@@ -429,7 +481,8 @@ def make_ep(
     coeffs: Optional[BracketCoeffs] = None,
     polarization: str = "unprimed",
 ) -> EPSpace:
-    """Build the representation data and channel tables for one family."""
+    """Build the representation data for one family from its description."""
+    desc = _describe(level)
     sig = signature_for(level, n)
     if polarization not in ("unprimed", "primed"):
         raise EPError("polarization must be unprimed or primed")
@@ -442,47 +495,26 @@ def make_ep(
     forms = []
     actions = []
     for (a, b) in pairs:
-        prod = mat_mul(rep.gammas[a], rep.gammas[b])
-        actions.append(prod)
-        raised = mat_mul(C.C, prod)
+        action = mat_mul(rep.gammas[a], rep.gammas[b])
+        actions.append(action)
+        raised = mat_mul(C.C, action)
         if metric[a] * metric[b] == -1:
             raised = raised.neg()
         forms.append(raised)
 
-    grades: Dict[str, int] = {"so": 0}
-    support: Dict[str, Tuple[int, ...]] = {}
-    full = tuple(range(rep.dim))
-    if level == "der":
-        grades["psi"] = 0
-        support["psi"] = full
-        expect_sym, expect_swap = 1, None
-    elif level == "qconf":
-        grades["psi"] = 0
-        plus, minus = chiral_indices(rep)
-        support["psi"] = tuple(plus if polarization == "unprimed" else minus)
-        expect_sym, expect_swap = 1, False
-    elif level == "str0":
-        grades.update({"D": 0, "psi_p": 1, "psi_m": -1})
-        plus, minus = chiral_indices(rep)
-        if polarization == "unprimed":
-            support["psi_p"], support["psi_m"] = tuple(plus), tuple(minus)
-        else:
-            support["psi_p"], support["psi_m"] = tuple(minus), tuple(plus)
-        expect_sym, expect_swap = 1, True
-    else:  # conf
-        grades.update({"D": 0, "K_p": 2, "K_m": -2, "psi_p": 1, "psi_m": -1})
-        plus, minus = chiral_indices(rep)
-        block = tuple(plus if polarization == "unprimed" else minus)
-        support["psi_p"] = support["psi_m"] = block
-        expect_sym, expect_swap = -1, False
-
-    if C.symmetry != expect_sym:
+    if C.symmetry != desc.symmetry:
         raise AssertionError("conjugation symmetry does not match the level")
-    if expect_swap is not None:
-        omega = _volume_diag(rep)
-        swaps = all(omega[C.C.rows[c]] == -omega[c] for c in range(rep.dim))
-        if swaps != expect_swap:
+    halves = {"full": tuple(range(rep.dim))}
+    if desc.swap is not None:
+        plus, minus = map(tuple, chiral_indices(rep))
+        is_plus = set(plus)
+        swaps = all((C.C.rows[c] in is_plus) != (c in is_plus) for c in range(rep.dim))
+        if swaps != desc.swap:
             raise AssertionError("conjugation chirality behavior does not match the level")
+        if polarization == "primed":
+            plus, minus = minus, plus
+        halves.update(plus=plus, minus=minus)
+    support = {name: halves[s] for name, _, s in desc.blocks if s is not None}
 
     space = EPSpace(
         level=level,
@@ -495,24 +527,16 @@ def make_ep(
         pair_forms=tuple(forms),
         pair_actions=tuple(actions),
         coeffs=coeffs or default_coeffs(level),
-        grades=grades,
+        grades={"so": 0, **{name: grade for name, grade, _ in desc.blocks}},
         spinor_support=support,
-        table=_build_table(level),
+        table=desc.table,
     )
-    counted = len(pairs) + sum(1 for b in grades if b in ("D", "K_p", "K_m"))
-    counted += sum(len(support[b]) for b in space.spinor_blocks())
+    counted = len(pairs) + sum(
+        len(support[name]) if name in support else 1 for name, _, _ in desc.blocks
+    )
     if counted != space.dim:
         raise AssertionError("component bookkeeping disagrees with the dimension formula")
     return space
-
-
-def _volume_diag(rep: CliffordRep) -> List[int]:
-    from .clifford import chirality
-
-    omega = chirality(rep)
-    if not omega.is_diagonal():
-        raise AssertionError("chirality is not diagonal")
-    return list(omega.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +556,12 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
                 entry = space.table.get(key)
                 if entry is None:
                     continue
-                for name, kernel in entry:
-                    contrib, den_factor = kernel(space, *args)
+                for name, target, kernel in entry:
+                    value, den_factor = kernel(space, *args)
                     tag, coeff = _tag_for(name, unknowns, values)
                     c = sign * coeff  # int or Fraction
                     el = _integral(
-                        {k: _times(v, c.numerator) for k, v in contrib.items()},
+                        {target: _times(value, c.numerator)},
                         den * den_factor * c.denominator,
                     )
                     parts[tag] = ep_add(parts[tag], el) if tag in parts else el
@@ -548,11 +572,9 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
 def _tag_for(name, unknowns, values):
     if name is None:
         return (), 1
-    if unknowns is None:
-        # numeric mode: fold the coefficient in
-        return (), values[name]
-    if name in unknowns:
+    if unknowns is not None and name in unknowns:
         return (name,), 1
+    # pinned, or numeric mode (no unknowns): fold the coefficient in
     return (), values[name]
 
 
@@ -606,7 +628,7 @@ def random_element(space: EPSpace, rng: random.Random) -> EPElement:
             so[key] = v
     blocks["so"] = so
     for name in space.grades:
-        if name in ("D", "K_p", "K_m"):
+        if name != "so" and name not in space.spinor_support:
             blocks[name] = rng.randint(-3, 3)
     return EPElement(blocks)
 
@@ -706,10 +728,8 @@ def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> Calib
     Fails loudly when no solution exists or freedom extends beyond rescaling.
     """
     space = make_ep(level, n)
-    unknown_names = tuple(
-        c for c in _CHANNELS[level][0] if c not in _CHANNELS[level][1]
-    )
-    tags = _CALIBRATE_TAGS[level]
+    desc = _describe(level)
+    unknown_names, tags = desc.unknowns, desc.tags(tuple(space.grades))
     rng = random.Random(seed)
     system = _System(tags)
     for t_idx in range(triples):
@@ -729,18 +749,12 @@ def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> Calib
             % (len(tags) - system.red.rank())
         )
     sol = system.red.solution()
-    values = {name: Q(1) for name in _CHANNELS[level][0]}
+    values = dict(default_coeffs(level).values)
+    values.update((tag[0], sol[col]) for tag, col in system.col.items() if len(tag) == 1)
     for tag, col in system.col.items():
-        if len(tag) == 1:
-            values[tag[0]] = sol[col]
-    for tag, col in system.col.items():
-        if len(tag) > 1:
-            prod = Q(1)
-            for name in tag:
-                prod *= values[name]
-            if sol[col] != prod:
-                raise EPError("coefficient products are inconsistent; construction bug")
-    coeffs = BracketCoeffs(values, _CHANNELS[level][1])
+        if sol[col] != prod(values[name] for name in tag):
+            raise EPError("coefficient products are inconsistent; construction bug")
+    coeffs = BracketCoeffs(values, desc.pinned)
     # independent re-verification on fresh random triples; the rep is
     # deterministic, so only the coefficients change
     space2 = replace(space, coeffs=coeffs)
@@ -781,10 +795,8 @@ def jacobi_infeasibility(
     if samples < 1:
         raise EPError("samples must be at least 1")
     space = make_ep(level, n, polarization=polarization)
-    unknown_names = tuple(
-        c for c in _CHANNELS[level][0] if c not in _CHANNELS[level][1]
-    )
-    tags = _SPINOR_TAGS[level]
+    desc = _describe(level)
+    unknown_names, tags = desc.unknowns, desc.tags(space.spinor_blocks())
     rng = random.Random(seed)
     system = _System(tags)
     witness_index = None
@@ -809,36 +821,22 @@ def jacobi_infeasibility(
         # witness, which is only sought when every channel is pinned
         if system.certificate is not None and (unknown_names or witness is not None):
             break
-    triples_evaluated = t_idx + 1
-    if system.certificate is not None:
-        return InfeasibilityReport(
-            level=level,
-            n=n,
-            samples=samples,
-            seed=seed,
-            status="violated",
-            certificate=system.certificate,
-            assignment=None,
-            witness_index=witness_index,
-            witness=witness,
-            unknowns=tuple(tags),
-            triples_evaluated=triples_evaluated,
-            rows=system.rows,
-        )
-    sol = system.red.solution()
-    assignment = {repr(tag): val for tag, val in zip(system.tags, sol)}
+    # a witness makes a row 0 = nonzero, so a satisfiable system has none
+    violated = system.certificate is not None
     return InfeasibilityReport(
         level=level,
         n=n,
         samples=samples,
         seed=seed,
-        status="satisfiable",
-        certificate=None,
-        assignment=assignment,
-        witness_index=None,
-        witness=None,
+        status="violated" if violated else "satisfiable",
+        certificate=system.certificate,
+        assignment=None if violated else {
+            repr(tag): val for tag, val in zip(system.tags, system.red.solution())
+        },
+        witness_index=witness_index,
+        witness=witness,
         unknowns=tuple(tags),
-        triples_evaluated=triples_evaluated,
+        triples_evaluated=t_idx + 1,
         rows=system.rows,
     )
 

@@ -345,7 +345,11 @@ def rank(space: TSpace, el: TElement) -> int:
 
 def entropy(space: TSpace, el: TElement) -> Tuple[float, Q]:
     """Black-string entropy pi * sqrt(|N|), with the exact |N| alongside."""
-    n = cubic_norm(space, el)
+    return entropy_of_norm(cubic_norm(space, el))
+
+
+def entropy_of_norm(n: Q) -> Tuple[float, Q]:
+    """``entropy`` from an already computed cubic norm N."""
     a = abs(n)
     return (math.pi * math.sqrt(a.numerator / a.denominator), a)
 

@@ -165,11 +165,59 @@ def test_talg_top_level_list_exit_1(tmp_path, capsys):
 
 
 def test_ep_zero_samples_exit_1(capsys):
-    code = run(["ep", "--level", "der", "--n", "1", "--samples", "0"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    # n = 0 never samples, but the count is still refused
+    for n in ("1", "0"):
+        code = run(["ep", "--level", "der", "--n", n, "--samples", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+# exact stdout of ``ep --level L --n 0`` with the defaults: the grade
+# profiles, the calibrated values and the pinned (normalized) channels
+EP_N0_STDOUT = {
+    "der": (
+        '{"level":"der","n":0,"dimension":52,"grade_profile":{"canonical":[[0,'
+        '52]]},"polarization":"unprimed","seed":7,"samples":50,'
+        '"calibration":{"values":{"pair_so":"1"},"normalized":["pair_so"],'
+        '"verified_triples":12},"jacobi_status":"lie-algebra"}'
+        "\n"
+    ),
+    "str0": (
+        '{"level":"str0","n":0,"dimension":78,"grade_profile":{"canonical":[[-1,'
+        '16],[0,46],[1,16]]},"polarization":"unprimed","seed":7,"samples":50,'
+        '"calibration":{"values":{"pair_R":"3/2","pair_so":"1"},'
+        '"normalized":["pair_so"],"verified_triples":12},'
+        '"jacobi_status":"lie-algebra"}'
+        "\n"
+    ),
+    "conf": (
+        '{"level":"conf","n":0,"dimension":133,"grade_profile":{"canonical":[[-2,'
+        '1],[-1,32],[0,67],[1,32],[2,1]],"extended":[[-2,1],[-1,32],[0,67],[1,'
+        '32],[2,1]]},"polarization":"unprimed","seed":7,"samples":50,'
+        '"calibration":{"values":{"apex_down":"-1","apex_up":"1","k_pair":"1",'
+        '"pair_R":"-1/2","pair_so":"-1/2","transfer_down":"1","transfer_up":"1"},'
+        '"normalized":["apex_up","transfer_up","transfer_down"],'
+        '"verified_triples":12},"jacobi_status":"lie-algebra"}'
+        "\n"
+    ),
+    "qconf": (
+        '{"level":"qconf","n":0,"dimension":248,"grade_profile":{"canonical":[[0,'
+        '248]],"extended":[[-2,14],[-1,64],[0,92],[1,64],[2,14]]},'
+        '"polarization":"unprimed","seed":7,"samples":50,'
+        '"calibration":{"values":{"pair_so":"1"},"normalized":["pair_so"],'
+        '"verified_triples":12},"jacobi_status":"lie-algebra"}'
+        "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("level", sorted(EP_N0_STDOUT))
+def test_ep_n0_stdout_bytes(capsys, level):
+    code, out = capture(capsys, ["ep", "--level", level, "--n", "0"])
+    assert code == 0
+    assert out == EP_N0_STDOUT[level]
 
 
 # requests just past the size limit, so even a missing check would build little

@@ -25,7 +25,9 @@ from magicstar.ep import (
     random_element,
     random_spinor_element,
     signature_for,
+    _describe,
 )
+from magicstar.linalg import RowReducer
 
 
 def test_dimension_values():
@@ -47,6 +49,9 @@ def test_grade_profiles():
         grade_profile("der", 0, "extended")
     with pytest.raises(EPError):
         grade_profile("str0", 0, "extended")
+    for variant in ("canonical", "extended"):
+        with pytest.raises(EPError, match="non-negative"):
+            grade_profile("qconf", -1, variant)
 
 
 def test_grade_profile_sums_match_dimension():
@@ -265,6 +270,59 @@ def test_level_q_correspondence():
     from magicstar.ep import LEVEL_Q
 
     assert LEVEL_Q == {"der": 1, "str0": 2, "conf": 4, "qconf": 8}
+
+
+# ---------------------------------------------------------------------------
+# channel bookkeeping derived from the level descriptions
+# ---------------------------------------------------------------------------
+
+# each level's channel bookkeeping written out: pinned channels, unknown
+# channels, calibration tags, spinor-sector tags
+EXPECTED_CHANNELS = {
+    "der": (("pair_so",), (), (), ()),
+    "str0": (("pair_so",), ("pair_R",), (("pair_R",),), (("pair_R",),)),
+    "conf": (
+        ("apex_up", "transfer_up", "transfer_down"),
+        ("apex_down", "k_pair", "pair_so", "pair_R"),
+        (("apex_down",), ("k_pair",), ("pair_R",), ("pair_so",), ("apex_down", "k_pair")),
+        (("apex_down",), ("pair_R",), ("pair_so",)),
+    ),
+    "qconf": (("pair_so",), (), (), ()),
+}
+
+
+@pytest.mark.parametrize("level", sorted(EXPECTED_CHANNELS))
+def test_derived_channels_match_literals(level):
+    desc = _describe(level)
+    blocks = [name for name, _, _ in desc.blocks]
+    spinors = [name for name, _, support in desc.blocks if support]
+    got = (desc.pinned, desc.unknowns, desc.tags(["so"] + blocks), desc.tags(spinors))
+    assert got == EXPECTED_CHANNELS[level]
+    assert default_coeffs(level).normalized == desc.pinned
+
+
+def weight_rank(desc):
+    red = RowReducer(len(desc.rescaled))
+    for w in desc.weights.values():
+        red.add_row(w, 0)
+    return red.rank()
+
+
+@pytest.mark.parametrize("level,rank,kernel", [
+    ("conf", 3, {"psi_p": 1, "psi_m": -1, "K_p": 2, "K_m": -2}),
+    ("str0", 1, {"psi_p": 1, "psi_m": -1}),
+    ("der", 1, None),
+    ("qconf", 1, None),
+])
+def test_rescaling_weight_rank(level, rank, kernel):
+    # rank = number of pinned channels; the kernel is the rescaling that
+    # moves no channel, so it pins nothing
+    desc = _describe(level)
+    assert weight_rank(desc) == rank == len(desc.pinned)
+    if kernel is not None:
+        assert sorted(desc.rescaled) == sorted(kernel)
+        for w in desc.weights.values():
+            assert sum(kernel[b] * x for b, x in zip(desc.rescaled, w)) == 0
 
 
 # ---------------------------------------------------------------------------
