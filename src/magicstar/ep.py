@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from functools import cached_property
 from math import lcm, prod
+from operator import add, itemgetter, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import (
@@ -100,7 +101,7 @@ class _Level:
             if support is not None:
                 t[("so", name)] = [(None, name, _k_act)]
             if grade:
-                t[("D", name)] = [(None, name, _k_grade(grade))]
+                t[("D", name)] = [(None, name, _k_grade)]
         for bx, by, name, target in self.channels:
             kernel = _CHANNEL_KERNELS[kind[bx], kind[by], kind[target]]
             t.setdefault((bx, by), []).append((name, target, kernel))
@@ -259,6 +260,41 @@ def default_coeffs(level: str) -> BracketCoeffs:
     return BracketCoeffs({name: Q(1) for name in desc.weights}, desc.pinned)
 
 
+def _reader(m: MonomialMatrix, cols, pos=None) -> Callable[[list], list]:
+    """v -> (m^T v) at ``cols``: m.signs[c] * v[m.rows[c]], with v indexed
+    through ``pos`` when given.  One gather, no loop in Python."""
+    get = itemgetter(*(m.rows[c] if pos is None else pos[m.rows[c]] for c in cols))
+    signs = tuple(m.signs[c] for c in cols)
+    return lambda v: list(map(mul, signs, get(v)))
+
+
+class _Gathers:
+    """Per gamma a, for a spinor on ``support``, which every gamma maps onto
+    its image (the other chiral half, or everything): ``out[a]`` reads
+    gamma_a v, ``raised[a]`` (C gamma_a)^T v on the image from a full column;
+    ``back[a]`` reads gamma_a r on ``support`` from r on the image.
+    ``expand`` spreads a vector on ``support``, then one 0, over a column."""
+
+    __slots__ = ("support", "expand", "out", "raised", "back")
+
+    def __init__(self, support, expand, out, raised, back):
+        self.support, self.expand = support, expand
+        self.out, self.raised, self.back = out, raised, back
+
+
+def _gathers(gammas, raised, support) -> _Gathers:
+    pos = {c: k for k, c in enumerate(support)}
+    image = tuple(c for c in range(gammas[0].dim) if c not in pos) or support
+    transposed = [g.transpose() for g in gammas]
+    return _Gathers(
+        support,
+        itemgetter(*(pos.get(c, len(support)) for c in range(gammas[0].dim))),
+        tuple(_reader(t, image) for t in transposed),
+        tuple(_reader(m, image) for m in raised),
+        tuple(_reader(t, support, {c: k for k, c in enumerate(image)}) for t in transposed),
+    )
+
+
 @dataclass
 class EPSpace:
     level: str
@@ -267,20 +303,21 @@ class EPSpace:
     rep: CliffordRep
     C: BilinearForm
     pairs: Tuple[Tuple[int, int], ...]
-    pair_index: Dict[Tuple[int, int], int]
-    pair_forms: Tuple[MonomialMatrix, ...]
-    pair_actions: Tuple[MonomialMatrix, ...]
     coeffs: BracketCoeffs
     grades: Dict[str, int]
-    spinor_support: Dict[str, Tuple[int, ...]]
+    gathers: Dict[str, _Gathers] = field(repr=False)
     table: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return dimension(self.level, self.n)
 
+    @property
+    def spinor_support(self) -> Dict[str, Tuple[int, ...]]:
+        return {name: g.support for name, g in self.gathers.items()}
+
     def spinor_blocks(self) -> Tuple[str, ...]:
-        return tuple(self.spinor_support)
+        return tuple(self.gathers)
 
 
 class EPElement:
@@ -305,16 +342,7 @@ class EPElement:
         self.den = den
 
     def is_zero(self) -> bool:
-        for name, val in self.blocks.items():
-            if name == "so":
-                if any(v for v in val.values()):
-                    return False
-            elif isinstance(val, list):
-                if any(val):
-                    return False
-            elif val:
-                return False
-        return True
+        return not any(_entries(self.blocks))
 
     def items(self):
         """Nonzero components as ((block, key), value) pairs; a value is an
@@ -403,75 +431,71 @@ def ep_scale(a: EPElement, c) -> EPElement:
 
 
 # ---------------------------------------------------------------------------
-# kernels: each maps two blocks of int numerators to ``(value, den_factor)``,
-# int numerators whose value is the product's value times ``den_factor``
+# kernels: each maps two blocks of int numerators, named by ``key``, to
+# ``(value, den_factor)``, int numerators whose value is the product's value
+# times ``den_factor``; spinor kernels gather through the m single gammas
 # ---------------------------------------------------------------------------
 
-def _canon_pair(i: int, j: int):
-    if i == j:
-        return None
-    return ((i, j), 1) if i < j else ((j, i), -1)
-
-
-def _k_commutator(space: EPSpace, x: dict, y: dict):
-    """[x, y] of two pair-dicts.  Only pairs that share an index contribute,
-    so y is indexed by its endpoints.  A pair of y that shares both indices
-    with one of x is reached twice but contributes nothing."""
+def _k_commutator(space: EPSpace, key, x: dict, y: dict):
+    """[x, y] of two pair-dicts: the upper triangle of M - M^T, M = X eta Y
+    for the antisymmetric matrices X, Y; M[i][j] = -(X eta)_i . Y_j."""
     metric = space.rep.metric
-    ends: dict = {}
-    for key in y:
-        for e in key:
-            ends.setdefault(e, []).append(key)
-    out: dict = {}
-    for (a, b), xv in x.items():
-        for (c, d) in ends.get(a, []) + ends.get(b, []):
-            v = xv * y[(c, d)]
-            if not v:
-                continue
-            for (i, j, s) in (
-                (a, d, metric[b] if b == c else 0),
-                (b, d, -metric[a] if a == c else 0),
-                (a, c, -metric[b] if b == d else 0),
-                (b, c, metric[a] if a == d else 0),
-            ):
-                if not s:
-                    continue
-                cp = _canon_pair(i, j)
-                if cp is None:
-                    continue
-                key, flip = cp
-                out[key] = out.get(key, 0) + s * flip * v
-    return {k: v for k, v in out.items() if v}, 1
-
-
-def _k_act(space: EPSpace, x: dict, psi: list):
-    """The orthogonal action on a spinor column: the sum of the two-gamma
-    products, over 2."""
-    acc = [0] * space.rep.dim
-    for key, v in x.items():
-        space.pair_actions[space.pair_index[key]].apply(psi, acc, v)
-    return acc, 2
-
-
-def _k_grade(grade: int):
-    return lambda space, d, val: (_times(val, grade * d), 1)
-
-
-def _k_pair_so(space: EPSpace, psi: list, phi: list):
+    xe = [[0] * len(metric) for _ in metric]
+    ym = [[0] * len(metric) for _ in metric]
+    for (a, b), v in x.items():
+        xe[a][b], xe[b][a] = v * metric[b], -v * metric[a]
+    for (a, b), v in y.items():
+        ym[a][b], ym[b][a] = v, -v
     out = {}
-    for key, m in zip(space.pairs, space.pair_forms):
-        s = m.bilinear(psi, phi)
+    for i, j in space.pairs:
+        v = sum(map(mul, xe[j], ym[i])) - sum(map(mul, xe[i], ym[j]))
+        if v:
+            out[(i, j)] = v
+    return out, 1
+
+
+def _k_act(space: EPSpace, key, x: dict, psi: list):
+    """The orthogonal action on a spinor column, sum over a < b of
+    x_ab gamma_a gamma_b psi, over 2, as sum over a of
+    gamma_a (sum over b of x_ab gamma_b psi)."""
+    g = space.gathers[key[1]]
+    moved = {b: g.out[b](psi) for b in {b for _, b in x}}
+    rows: Dict[int, list] = {}
+    for (a, b), v in x.items():
+        term = map(v.__mul__, moved[b])
+        rows[a] = list(map(add, rows[a], term)) if a in rows else list(term)
+    acc = [0] * len(g.support)
+    for a, r in rows.items():
+        acc = list(map(add, acc, g.back[a](r)))
+    return list(g.expand(acc + [0])), 2
+
+
+def _k_grade(space: EPSpace, key, d: int, val):
+    return _times(val, space.grades[key[1]] * d), 1
+
+
+def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
+    """Per pair a < b, psi^T (eta_a eta_b C gamma_a gamma_b) phi
+    = eta_a eta_b ((C gamma_a)^T psi) . (gamma_b phi), on the image of
+    phi's support."""
+    g = space.gathers[key[1]]
+    metric = space.rep.metric
+    raised = [f(psi) for f in g.raised]
+    moved = [f(phi) for f in g.out]
+    out = {}
+    for a, b in space.pairs:
+        s = sum(map(mul, raised[a], moved[b]))
         if s:
-            out[key] = s
+            out[(a, b)] = metric[a] * metric[b] * s
     return out, 1
 
 
 # a coefficient channel's kernel, by the kinds of (bx, by, target)
 _CHANNEL_KERNELS = {
     ("spinor", "spinor", "so"): _k_pair_so,
-    ("spinor", "spinor", "scalar"): lambda space, psi, phi: (space.C.C.bilinear(psi, phi), 1),
-    ("scalar", "spinor", "spinor"): lambda space, k, psi: ([k * v for v in psi], 1),
-    ("scalar", "scalar", "scalar"): lambda space, a, b: (a * b, 1),
+    ("spinor", "spinor", "scalar"): lambda space, key, psi, phi: (space.C.C.bilinear(psi, phi), 1),
+    ("scalar", "spinor", "spinor"): lambda space, key, k, psi: ([k * v for v in psi], 1),
+    ("scalar", "scalar", "scalar"): lambda space, key, a, b: (a * b, 1),
 }
 
 
@@ -490,17 +514,6 @@ def make_ep(
     C = conjugation(rep, +1)
     total = sig.total
     pairs = tuple((a, b) for a in range(total) for b in range(a + 1, total))
-    pair_index = {key: i for i, key in enumerate(pairs)}
-    metric = rep.metric
-    forms = []
-    actions = []
-    for (a, b) in pairs:
-        action = mat_mul(rep.gammas[a], rep.gammas[b])
-        actions.append(action)
-        raised = mat_mul(C.C, action)
-        if metric[a] * metric[b] == -1:
-            raised = raised.neg()
-        forms.append(raised)
 
     if C.symmetry != desc.symmetry:
         raise AssertionError("conjugation symmetry does not match the level")
@@ -514,7 +527,8 @@ def make_ep(
         if polarization == "primed":
             plus, minus = minus, plus
         halves.update(plus=plus, minus=minus)
-    support = {name: halves[s] for name, _, s in desc.blocks if s is not None}
+    raised = [mat_mul(C.C, g) for g in rep.gammas]
+    built = {s: _gathers(rep.gammas, raised, halves[s]) for s in {s for _, _, s in desc.blocks if s}}
 
     space = EPSpace(
         level=level,
@@ -523,14 +537,12 @@ def make_ep(
         rep=rep,
         C=C,
         pairs=pairs,
-        pair_index=pair_index,
-        pair_forms=tuple(forms),
-        pair_actions=tuple(actions),
         coeffs=coeffs or default_coeffs(level),
         grades={"so": 0, **{name: grade for name, grade, _ in desc.blocks}},
-        spinor_support=support,
+        gathers={name: built[s] for name, _, s in desc.blocks if s is not None},
         table=desc.table,
     )
+    support = space.spinor_support
     counted = len(pairs) + sum(
         len(support[name]) if name in support else 1 for name, _, _ in desc.blocks
     )
@@ -557,7 +569,7 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
                 if entry is None:
                     continue
                 for name, target, kernel in entry:
-                    value, den_factor = kernel(space, *args)
+                    value, den_factor = kernel(space, key, *args)
                     tag, coeff = _tag_for(name, unknowns, values)
                     c = sign * coeff  # int or Fraction
                     el = _integral(
@@ -840,21 +852,3 @@ def jacobi_infeasibility(
         rows=system.rows,
     )
 
-
-def find_basis_witness(space: EPSpace, limit: int = 4096) -> Optional[Tuple[int, int, int]]:
-    """Search basis-spinor triples for a nonzero jacobiator, in fixed order."""
-    block = space.spinor_blocks()[0]
-    width = len(space.spinor_support[block])
-    count = 0
-    for a in range(width):
-        for b in range(a + 1, width):
-            for c in range(b + 1, width):
-                x = basis_spinor(space, block, a)
-                y = basis_spinor(space, block, b)
-                z = basis_spinor(space, block, c)
-                if not jacobiator(space, x, y, z).is_zero():
-                    return (a, b, c)
-                count += 1
-                if count >= limit:
-                    return None
-    return None

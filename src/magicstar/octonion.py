@@ -91,7 +91,8 @@ def oct_from(coords: Sequence) -> Octonion:
 
 
 def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    out = [Q(0)] * 8
+    """The product; int coordinates give int coordinates."""
+    out = [0] * 8
     for a in range(8):
         xa = x[a]
         if not xa:

@@ -421,9 +421,12 @@ def jordan_determinant(j: OctonionHermitian3) -> Q:
     """r1 r2 r3 - r1 n(A3) - r2 n(A2) - r3 n(A1) + 2 Re((A1 A3) A2).
 
     The trilinear arrangement is fixed so the all-real restriction equals
-    the classical symmetric 3x3 determinant.
+    the classical symmetric 3x3 determinant.  The octonion product runs on
+    int numerators over one shared denominator.
     """
-    tri = oct_re(oct_mul(oct_mul(j.a1, j.a3), j.a2))
+    nums, den = lift(j.a1 + j.a2 + j.a3)
+    a1, a2, a3 = nums[:8], nums[8:16], nums[16:]
+    tri = Q(oct_re(oct_mul(oct_mul(a1, a3), a2)), den ** 3)
     return (
         j.r1 * j.r2 * j.r3
         - j.r1 * oct_norm(j.a3)

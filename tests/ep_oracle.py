@@ -1,0 +1,99 @@
+"""Reference kernels for ``magicstar.ep``, kept as the oracle that the
+property tests compare the production kernels against.
+
+They materialise one signed permutation per generator pair: the action
+gamma_a gamma_b and the form +-C gamma_a gamma_b, and they index the
+commutator by the endpoints of its second operand.  Each returns
+``(value, den_factor)`` like the kernel it mirrors.
+"""
+
+from magicstar.ep import basis_spinor, jacobiator
+from magicstar.linalg import mat_mul
+
+
+def pair_actions(space) -> dict:
+    """(a, b) -> gamma_a gamma_b."""
+    g = space.rep.gammas
+    return {(a, b): mat_mul(g[a], g[b]) for a, b in space.pairs}
+
+
+def pair_forms(space) -> dict:
+    """(a, b) -> C gamma_a gamma_b, negated when eta_a eta_b = -1."""
+    metric = space.rep.metric
+    out = {}
+    for (a, b), action in pair_actions(space).items():
+        form = mat_mul(space.C.C, action)
+        out[(a, b)] = form.neg() if metric[a] * metric[b] == -1 else form
+    return out
+
+
+def act(space, actions: dict, x: dict, psi: list):
+    acc = [0] * space.rep.dim
+    for key, v in x.items():
+        actions[key].apply(psi, acc, v)
+    return acc, 2
+
+
+def pair_so(space, forms: dict, psi: list, phi: list):
+    out = {}
+    for key in space.pairs:
+        s = forms[key].bilinear(psi, phi)
+        if s:
+            out[key] = s
+    return out, 1
+
+
+def _canon_pair(i: int, j: int):
+    if i == j:
+        return None
+    return ((i, j), 1) if i < j else ((j, i), -1)
+
+
+def commutator(space, x: dict, y: dict):
+    """[x, y] of two pair-dicts.  Only pairs that share an index contribute,
+    so y is indexed by its endpoints.  A pair of y that shares both indices
+    with one of x is reached twice but contributes nothing."""
+    metric = space.rep.metric
+    ends: dict = {}
+    for key in y:
+        for e in key:
+            ends.setdefault(e, []).append(key)
+    out: dict = {}
+    for (a, b), xv in x.items():
+        for (c, d) in ends.get(a, []) + ends.get(b, []):
+            v = xv * y[(c, d)]
+            if not v:
+                continue
+            for (i, j, s) in (
+                (a, d, metric[b] if b == c else 0),
+                (b, d, -metric[a] if a == c else 0),
+                (a, c, -metric[b] if b == d else 0),
+                (b, c, metric[a] if a == d else 0),
+            ):
+                if not s:
+                    continue
+                cp = _canon_pair(i, j)
+                if cp is None:
+                    continue
+                key, flip = cp
+                out[key] = out.get(key, 0) + s * flip * v
+    return {k: v for k, v in out.items() if v}, 1
+
+
+def find_basis_witness(space, limit: int = 4096):
+    """Search basis-spinor triples for a nonzero jacobiator, in fixed order."""
+    block = space.spinor_blocks()[0]
+    width = len(space.spinor_support[block])
+    count = 0
+    for a in range(width):
+        for b in range(a + 1, width):
+            for c in range(b + 1, width):
+                x = basis_spinor(space, block, a)
+                y = basis_spinor(space, block, b)
+                z = basis_spinor(space, block, c)
+                if not jacobiator(space, x, y, z).is_zero():
+                    return (a, b, c)
+                count += 1
+                if count >= limit:
+                    return None
+    return None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,25 @@ def test_ep_n0_stdout_bytes(capsys, level):
     code, out = capture(capsys, ["ep", "--level", level, "--n", "0"])
     assert code == 0
     assert out == EP_N0_STDOUT[level]
+
+
+# sha256 of the stdout of ``ep --n 1`` (50 samples, seed 7): the
+# certificates, rows and witnesses behind it must not change with the kernels
+EP_N1_STDOUT_SHA256 = [
+    (["--level", "der"], "7a0ad7b4ba84026ebaa0e4f9a76489d6a3927a2f22d0cab810445f5517510155"),
+    (["--level", "str0"], "396fd3835ba14486adb9fa000cd596415cf1313806977f8751fb6c85ce7401d5"),
+    (["--level", "conf"], "44760065c89e0775e0c3c5ad2be6f950a0c909e737fdc91078de6b238bc89365"),
+    (["--level", "qconf"], "5a83183249e5915636f8718676a0c71e17a475a47b3f93d6e2b5da275b938748"),
+    (["--level", "str0", "--polarization", "primed"],
+     "d8204080bc2a1e6a9bb6cd1ec687dbe931aadf883d5942edbb3d2d1540add39f"),
+]
+
+
+@pytest.mark.parametrize("args,digest", EP_N1_STDOUT_SHA256)
+def test_ep_n1_stdout_digest(capsys, args, digest):
+    code, out = capture(capsys, ["ep", "--n", "1"] + args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # requests just past the size limit, so even a missing check would build little

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ep_oracle
 from magicstar.clifford import Signature
 from magicstar.ep import (
     BracketCoeffs,
@@ -17,7 +18,6 @@ from magicstar.ep import (
     dimension,
     ep_add,
     ep_scale,
-    find_basis_witness,
     grade_profile,
     jacobi_infeasibility,
     jacobiator,
@@ -26,8 +26,11 @@ from magicstar.ep import (
     random_spinor_element,
     signature_for,
     _describe,
+    _k_act,
+    _k_commutator,
+    _k_pair_so,
 )
-from magicstar.linalg import RowReducer
+from magicstar.linalg import RowReducer, mat_mul
 
 
 def test_dimension_values():
@@ -135,10 +138,12 @@ def test_der_basis_spinor_bracket_reads_off_gammas():
     y = basis_spinor(sp, "psi", 1)
     out = bracket(sp, x, y)
     so = out.blocks["so"]
-    for idx, key in enumerate(sp.pairs):
-        m = sp.pair_forms[idx]
-        expected = m.entry(0, 1)
-        assert so.get(key, 0) == expected
+    g, metric = sp.rep.gammas, sp.rep.metric
+    for a, b in sp.pairs:
+        # the pair form +-C gamma_a gamma_b, with the sign eta_a eta_b
+        m = mat_mul(sp.C.C, mat_mul(g[a], g[b]))
+        expected = metric[a] * metric[b] * m.entry(0, 1)
+        assert so.get((a, b), 0) == expected
     assert any(so.values())
 
 
@@ -213,18 +218,31 @@ def test_infeasibility_rejects_n0():
         jacobi_infeasibility("der", 0, samples=1, seed=7)
 
 
+def assert_certificate_sound(rep):
+    """y^T A = 0 and y^T b != 0 over the sampled rows."""
+    cert = dict(rep.certificate)
+    row_map = {ref: (coeffs, rhs) for ref, coeffs, rhs in rep.rows}
+    for j in range(len(rep.unknowns)):
+        assert sum(c * row_map[ref][0][j] for ref, c in cert.items()) == 0
+    assert sum(c * row_map[ref][1] for ref, c in cert.items()) != 0
+
+
 def test_der1_certificate_and_witness():
     rep = jacobi_infeasibility("der", 1, samples=6, seed=7)
     assert rep.status == "violated"
     assert rep.witness_index is not None
     assert rep.witness is not None
-    # certificate soundness: y^T A = 0 and y^T b != 0 over the sampled rows
-    cert = dict(rep.certificate)
-    row_map = {ref: (coeffs, rhs) for ref, coeffs, rhs in rep.rows}
-    width = len(rep.unknowns)
-    for j in range(width):
-        assert sum(c * row_map[ref][0][j] for ref, c in cert.items()) == 0
-    assert sum(c * row_map[ref][1] for ref, c in cert.items()) != 0
+    assert_certificate_sound(rep)
+
+
+def test_der2_certificate_and_witness():
+    # Cl(25,0), dimension 4096: the one level inside the size limit at n = 2
+    rep = jacobi_infeasibility("der", 2, samples=1)
+    assert rep.status == "violated"
+    assert rep.witness_index == 0
+    assert set(rep.witness) == {"x", "y", "z"}
+    assert len(rep.witness["x"]["psi"]) == 4096
+    assert_certificate_sound(rep)
 
 
 def test_der1_stops_once_decided():
@@ -239,16 +257,12 @@ def test_der1_stops_once_decided():
 def test_str01_certificate():
     rep = jacobi_infeasibility("str0", 1, samples=6, seed=7)
     assert rep.status == "violated"
-    cert = dict(rep.certificate)
-    row_map = {ref: (coeffs, rhs) for ref, coeffs, rhs in rep.rows}
-    for j in range(len(rep.unknowns)):
-        assert sum(c * row_map[ref][0][j] for ref, c in cert.items()) == 0
-    assert sum(c * row_map[ref][1] for ref, c in cert.items()) != 0
+    assert_certificate_sound(rep)
 
 
 def test_der1_basis_witness_search():
     sp = make_ep("der", 1)
-    hit = find_basis_witness(sp, limit=200)
+    hit = ep_oracle.find_basis_witness(sp, limit=200)
     assert hit is not None
     a, b, c = hit
     x = basis_spinor(sp, "psi", a)
@@ -444,3 +458,87 @@ def test_calibrated_bracket_numerators_are_int(level):
             dens.add(el.den)
     # the calibrated coefficients put a denominator above 1 somewhere
     assert max(dens) > 1
+
+
+# ---------------------------------------------------------------------------
+# the gamma-gather kernels against the per-pair reference kernels
+# ---------------------------------------------------------------------------
+
+KERNEL_SPACES = [
+    ("der", 0, "unprimed"),
+    ("str0", 0, "unprimed"),
+    ("str0", 0, "primed"),
+    ("conf", 0, "unprimed"),
+    ("qconf", 0, "unprimed"),
+    ("der", 1, "unprimed"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_space(level, n, polarization):
+    sp = make_ep(level, n, polarization=polarization)
+    return sp, ep_oracle.pair_actions(sp), ep_oracle.pair_forms(sp)
+
+
+def draw_so(data, sp):
+    """An so pair-dict: empty, a single pair, sparse or dense."""
+    shape = data.draw(st.sampled_from(["empty", "single", "sparse", "dense"]))
+    if shape == "empty":
+        return {}
+    if shape == "single":
+        return {data.draw(st.sampled_from(sp.pairs)): data.draw(st.integers(-9, 9).filter(bool))}
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    keep = 0.1 if shape == "sparse" else 1.0
+    so = {key: rng.randint(-9, 9) for key in sp.pairs if rng.random() < keep}
+    return {key: v for key, v in so.items() if v}
+
+
+def draw_spinor(data, sp, block):
+    """A full column on the block's support: zero, one-hot, sparse or dense."""
+    support = sp.spinor_support[block]
+    col = [0] * sp.rep.dim
+    shape = data.draw(st.sampled_from(["zero", "one-hot", "sparse", "dense"]))
+    if shape == "one-hot":
+        col[data.draw(st.sampled_from(support))] = data.draw(st.integers(-9, 9).filter(bool))
+    elif shape != "zero":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        keep = 0.05 if shape == "sparse" else 1.0
+        for i in support:
+            if rng.random() < keep:
+                col[i] = rng.randint(-99, 99)
+    return col
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_SPACES), st.data())
+def test_act_matches_pair_actions(case, data):
+    sp, actions, _ = oracle_space(*case)
+    x = draw_so(data, sp)
+    for block in sp.spinor_blocks():
+        psi = draw_spinor(data, sp, block)
+        assert _k_act(sp, ("so", block), x, psi) == ep_oracle.act(sp, actions, x, psi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_SPACES), st.data())
+def test_pair_so_matches_pair_forms(case, data):
+    sp, _, forms = oracle_space(*case)
+    blocks = sp.spinor_blocks()
+    for bx in blocks:
+        for by in blocks:
+            psi, phi = draw_spinor(data, sp, bx), draw_spinor(data, sp, by)
+            got = _k_pair_so(sp, (bx, by), psi, phi)
+            assert got == ep_oracle.pair_so(sp, forms, psi, phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_SPACES), st.data())
+def test_commutator_matches_endpoint_index(case, data):
+    sp, _, _ = oracle_space(*case)
+    x, y = draw_so(data, sp), draw_so(data, sp)
+    assert _k_commutator(sp, ("so", "so"), x, y) == ep_oracle.commutator(sp, x, y)
+
+
+def test_space_holds_no_pair_tables():
+    sp = make_ep("qconf", 0)
+    assert not any(hasattr(sp, name) for name in ("pair_actions", "pair_forms", "pair_index"))

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as Q
@@ -256,6 +257,27 @@ def test_jordan_determinant_unit_triple():
     tri = oct_re(oct_mul(oct_mul(oct_unit(1), oct_unit(2)), oct_unit(3)))
     assert jordan_determinant(j) == 2 * tri
     assert jordan_determinant(j) in (Q(2), Q(-2))
+
+
+@functools.lru_cache(maxsize=None)
+def embedding_t80():
+    sp = make_space(8, 0)
+    return sp, calibrate_embedding(sp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=27, max_size=27),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+def test_jordan_determinant_on_rational_entries(coords, lam):
+    # rational octonion entries reach the int-numerator product with den > 1
+    sp, cal = embedding_t80()
+    j = OctonionHermitian3.from_coords(coords)
+    det = jordan_determinant(j)
+    assert type(det) is Q
+    assert det == cubic_norm(sp, embed_jordan(sp, j, cal))
+    assert jordan_determinant(OctonionHermitian3.from_coords([lam * c for c in coords])) == lam ** 3 * det
 
 
 def test_calibration_and_oracle_sweep():
