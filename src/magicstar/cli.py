@@ -30,6 +30,7 @@ from .talgebra import (
     cubic_norm,
     entropy_of_norm,
     make_space,
+    norm_and_rank,
     norm_gradient,
     rank,
 )
@@ -176,9 +177,9 @@ def _cmd_talg(args) -> int:
     elif args.action == "rank":
         print(_dump({"rank": rank(space, el)}))
     elif args.action == "entropy":
-        norm = cubic_norm(space, el)
+        norm, rk = norm_and_rank(space, el)
         value, _ = entropy_of_norm(norm)
-        print(_dump({"N": rat_str(norm), "rank": rank(space, el), "entropy": value}))
+        print(_dump({"N": rat_str(norm), "rank": rk, "entropy": value}))
     else:  # grad
         print(_dump({"grad": [rat_str(x) for x in norm_gradient(space, el)]}))
     return 0

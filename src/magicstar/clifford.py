@@ -15,12 +15,19 @@ type 4 and 6 mod 8 (quaternion left-multiplications are signed permutations).
 The remaining classes 3 and 5 mod 8 have no representation here: their
 minimal representations carry an invariant complex structure, and the
 constructor refuses them by name.
+
+Every base generator is a Pauli string s X^a Z^b on the bits of the basis
+index, and Kronecker products, products and volume elements keep that form,
+so every gamma ``build_rep`` makes has a label (s, a, b).  The relations and
+the conjugations are checked on these labels, after a check of every column
+proves each label (see ``_pauli``): O(m dim + m^2) for m gammas.  A gamma
+that is not a Pauli string, as in the octonionic model of ``talgebra``, is
+checked by the column loop over every pair, O(m^2 dim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import MonomialMatrix, kron, mat_mul, mat_prod
@@ -160,7 +167,15 @@ def rep_dim(sig: Signature) -> int:
 
 def build_rep(sig: Signature) -> CliffordRep:
     """Construct monomial gammas for the signature, or refuse by obstruction
-    or by size."""
+    or by size.  The relations of the result are verified."""
+    rep = _construct(sig)
+    verify_relations(rep)
+    return rep
+
+
+def _construct(sig: Signature) -> CliffordRep:
+    """``build_rep`` without the final check; the odd route extends an
+    unverified parent whose gammas the final check covers."""
     p, q = sig.p, sig.q
     d = (p - q) % 8
     if d in (3, 5):
@@ -171,7 +186,7 @@ def build_rep(sig: Signature) -> CliffordRep:
     rep_dim(sig)
     if (p + q) % 2 == 1:
         if d == 1:
-            parent = build_rep(Signature(p - 1, q))
+            parent = _construct(Signature(p - 1, q))
             omega = _volume(parent.gammas) if parent.gammas else MonomialMatrix.identity(1)
             if not _squares_to(omega, 1):
                 raise CliffordConstructionError(
@@ -181,7 +196,7 @@ def build_rep(sig: Signature) -> CliffordRep:
             plus = list(parent.gammas[: p - 1]) + [omega]
             minus = list(parent.gammas[p - 1:])
         elif d == 7:
-            parent = build_rep(Signature(p, q - 1))
+            parent = _construct(Signature(p, q - 1))
             omega = _volume(parent.gammas) if parent.gammas else MonomialMatrix.identity(1)
             if not _squares_to(omega, -1):
                 raise CliffordConstructionError(
@@ -194,9 +209,7 @@ def build_rep(sig: Signature) -> CliffordRep:
             raise CliffordConstructionError(
                 "odd total dimension with p-q = %d mod 8 is not reachable" % d
             )
-        rep = CliffordRep(sig, parent.dim, tuple(plus + minus), (1,) * p + (-1,) * q)
-        verify_relations(rep)
-        return rep
+        return CliffordRep(sig, parent.dim, tuple(plus + minus), (1,) * p + (-1,) * q)
 
     # even total dimension
     (bp, bq), plus, minus = _base(d)
@@ -221,26 +234,71 @@ def build_rep(sig: Signature) -> CliffordRep:
             plus, minus = _flip_down(plus, minus)
     if len(plus) != p or len(minus) != q:
         raise AssertionError("route planner produced the wrong signature")
-    rep = CliffordRep(sig, dim, tuple(plus + minus), (1,) * p + (-1,) * q)
-    verify_relations(rep)
-    return rep
+    return CliffordRep(sig, dim, tuple(plus + minus), (1,) * p + (-1,) * q)
+
+
+def _sign(x: int) -> int:
+    """(-1)^popcount(x)."""
+    return -1 if x.bit_count() & 1 else 1
+
+
+def _pauli_columns(dim: int, label: Tuple[int, int, int]) -> Tuple[tuple, tuple]:
+    """Rows and signs of s X^a Z^b on ``dim`` = 2^k: column c holds
+    s (-1)^popcount(c & b) at row c ^ a."""
+    s, a, b = label
+    signs = [s]
+    while len(signs) < dim:
+        bit = len(signs)
+        signs = signs + ([-x for x in signs] if b & bit else signs)
+    return tuple(c ^ a for c in range(dim)), tuple(signs)
+
+
+def _pauli(m: MonomialMatrix) -> Optional[Tuple[int, int, int]]:
+    """The label (s, a, b) with m = s X^a Z^b, or None when m is no Pauli
+    string.  Column 0 and the power-of-two columns fix the label; comparing
+    every column against it makes the label a proof, not a sample."""
+    dim = m.dim
+    if dim & (dim - 1):
+        return None
+    s = m.signs[0]
+    b = sum(1 << k for k in range(dim.bit_length() - 1) if m.signs[1 << k] != s)
+    label = (s, m.rows[0], b)
+    return label if _pauli_columns(dim, label) == (m.rows, m.signs) else None
 
 
 def verify_relations(rep: CliffordRep) -> None:
-    """Exact anticommutator check for every generator pair."""
+    """Exact check of g_i^2 = metric_i and of anticommutation for every pair.
+
+    On labels, (s X^a Z^b)^2 = (-1)^popcount(a & b), and two gammas
+    anticommute when popcount(a_i & b_j) + popcount(b_i & a_j) is odd.  A
+    pair with a gamma that is not a Pauli string is compared column by
+    column.
+    """
     n = rep.sig.total
-    dim = rep.dim
+    if any(g.dim != rep.dim for g in rep.gammas):
+        raise AssertionError("a gamma does not act on the representation space")
+    labels = [_pauli(g) for g in rep.gammas]
     for i in range(n):
-        gi = rep.gammas[i]
-        sq = mat_mul(gi, gi)
-        if not (sq.is_diagonal() and all(s == rep.metric[i] for s in sq.signs)):
+        gi, li = rep.gammas[i], labels[i]
+        if li is not None:
+            squares = _sign(li[1] & li[2]) == rep.metric[i]
+        else:
+            squares = _squares_to(gi, rep.metric[i])
+        if not squares:
             raise AssertionError("gamma_%d squares to the wrong value" % i)
         ri, si = gi.rows, gi.signs
         for j in range(i + 1, n):
-            rj, sj = rep.gammas[j].rows, rep.gammas[j].signs
-            for c in range(dim):
-                if ri[rj[c]] != rj[ri[c]] or si[rj[c]] * sj[c] != -sj[ri[c]] * si[c]:
-                    raise AssertionError("gamma_%d and gamma_%d fail to anticommute" % (i, j))
+            lj = labels[j]
+            if li is not None and lj is not None:
+                anticommute = _sign((li[1] & lj[2]) ^ (li[2] & lj[1])) == -1
+            else:
+                rj, sj = rep.gammas[j].rows, rep.gammas[j].signs
+                anticommute = all(
+                    ri[rj[c]] == rj[ri[c]] and si[rj[c]] * sj[c] == -sj[ri[c]] * si[c]
+                    for c in range(rep.dim)
+                )
+            if not anticommute:
+                raise AssertionError("gamma_%d and gamma_%d fail to anticommute" % (i, j))
 
 
 def chirality(rep: CliffordRep) -> MonomialMatrix:
@@ -267,20 +325,24 @@ def chiral_indices(rep: CliffordRep) -> Tuple[List[int], List[int]]:
     return plus, minus
 
 
-def _normalize_sign(m: MonomialMatrix) -> MonomialMatrix:
-    return m.neg() if m.signs[0] == -1 else m
-
-
 def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     """Find C with C g C^-1 = transpose_sign * g^T for every generator.
 
     Because the gammas are orthogonal signed permutations, plus generators
     are symmetric and minus generators antisymmetric, so C must commute or
     anticommute uniformly with each class; candidates are products of the
-    plus block, the minus block, both, or neither, checked exactly.
+    plus block, the minus block, both, or neither, signed so that C[0][0]
+    is not -1.  They are composed and tested on the Pauli labels of the
+    gammas: C = X^a_C Z^b_C intertwines g = s X^a Z^b exactly when
+    (-1)^popcount(a_C & b + b_C & a + a & b) = transpose_sign, and
+    C^T = (-1)^popcount(a_C & b_C) C.  Gammas that are not Pauli strings
+    raise ValueError.
     """
     if transpose_sign not in (1, -1):
         raise ValueError("transpose_sign must be +1 or -1")
+    labels = [_pauli(g) for g in rep.gammas]
+    if None in labels:
+        raise ValueError("conjugation needs gammas that are Pauli strings")
     p, q = rep.sig.p, rep.sig.q
     t = transpose_sign
     candidates = []
@@ -295,32 +357,16 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     ):
         candidates.append(tuple(range(p + q)))
     for subset in candidates:
-        mats = [rep.gammas[i] for i in subset]
-        c = mat_prod(mats) if mats else MonomialMatrix.identity(rep.dim)
-        c = _normalize_sign(c)
-        if _is_intertwiner(rep, c, t):
-            ct = c.transpose()
-            if ct == c:
-                sym = 1
-            elif ct == c.neg():
-                sym = -1
-            else:
-                raise AssertionError("conjugation candidate is neither symmetric nor antisymmetric")
-            return BilinearForm(c, sym, t)
+        ac = bc = 0
+        for i in subset:
+            ac ^= labels[i][1]
+            bc ^= labels[i][2]
+        if all(_sign((ac & b) ^ (bc & a) ^ (a & b)) == t for _, a, b in labels):
+            c = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, (1, ac, bc)))
+            return BilinearForm(c, _sign(ac & bc), t)
     raise CliffordNoBilinearError(
         "no conjugation with transpose sign %+d exists in signature %s" % (t, rep.sig)
     )
-
-
-def _is_intertwiner(rep: CliffordRep, c: MonomialMatrix, t: int) -> bool:
-    for g in rep.gammas:
-        lhs = mat_mul(c, g)
-        rhs = mat_mul(g.transpose(), c)
-        if t == -1:
-            rhs = rhs.neg()
-        if lhs != rhs:
-            return False
-    return True
 
 
 _REALITY = {
@@ -339,77 +385,3 @@ def reality_class(sig: Signature) -> RealityClass:
     """Minimal-spinor reality type, a function of (p - q) mod 8 only."""
     name, chiral = _REALITY[(sig.p - sig.q) % 8]
     return RealityClass(name, chiral)
-
-
-def _index_tuples(n: int, k: int):
-    if k == 0:
-        yield ()
-        return
-    idx = list(range(k))
-    while True:
-        yield tuple(idx)
-        for pos in reversed(range(k)):
-            if idx[pos] != pos + n - k:
-                break
-        else:
-            return
-        idx[pos] += 1
-        for p2 in range(pos + 1, k):
-            idx[p2] = idx[p2 - 1] + 1
-
-
-def antisym_gamma(rep: CliffordRep, k: int) -> List[MonomialMatrix]:
-    """Antisymmetrized k-fold gamma products, lexicographic in the indices.
-
-    For distinct monomial generators the alternating sum collapses to the
-    plain ordered product, so each output is again monomial.
-    """
-    if not 0 <= k <= rep.sig.total:
-        raise ValueError("k out of range")
-    out = []
-    for idx in _index_tuples(rep.sig.total, k):
-        if not idx:
-            out.append(MonomialMatrix.identity(rep.dim))
-        else:
-            out.append(mat_prod([rep.gammas[i] for i in idx]))
-    return out
-
-
-def antisym_gamma_indexed(rep: CliffordRep, k: int):
-    return list(zip(_index_tuples(rep.sig.total, k), antisym_gamma(rep, k)))
-
-
-def fierz_residual(
-    rep: CliffordRep,
-    C: BilinearForm,
-    k: int,
-    psi: Sequence,
-    block: Optional[Sequence[int]] = None,
-) -> list:
-    """Cubic contraction sum over gamma^(k) psi * (psi^T C gamma_(k) psi).
-
-    Indices are raised with the diagonal metric.  ``block`` optionally embeds
-    a chiral-length column at the given coordinate support.
-    """
-    if block is not None:
-        full = [Q(0)] * rep.dim
-        if len(psi) != len(block):
-            raise ValueError("column does not match the chirality block")
-        for pos, val in zip(block, psi):
-            full[pos] = val
-        psi = full
-    if len(psi) != rep.dim:
-        raise ValueError("spinor column has length %d, expected %d" % (len(psi), rep.dim))
-    out = [Q(0)] * rep.dim
-    for idx, gm in antisym_gamma_indexed(rep, k):
-        raise_sign = 1
-        for mu in idx:
-            raise_sign *= rep.metric[mu]
-        w = gm.apply(psi)
-        s = C.C.bilinear(psi, w)
-        if s:
-            coeff = raise_sign * s
-            for i in range(rep.dim):
-                if w[i]:
-                    out[i] += coeff * w[i]
-    return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 
@@ -125,7 +126,7 @@ class MonomialMatrix:
             raise ValueError("column map does not cover every column")
         if sorted(self.rows) != list(range(self.dim)):
             raise ValueError("row indices must form a permutation")
-        if any(s not in (1, -1) for s in self.signs):
+        if not set(self.signs) <= {1, -1}:
             raise ValueError("monomial entries restricted to +1/-1")
 
     @staticmethod
@@ -136,18 +137,14 @@ class MonomialMatrix:
         return self.signs[j] if self.rows[j] == i else 0
 
     def transpose(self) -> "MonomialMatrix":
-        rows = [0] * self.dim
-        signs = [1] * self.dim
-        for c in range(self.dim):
-            rows[self.rows[c]] = c
-            signs[self.rows[c]] = self.signs[c]
-        return MonomialMatrix(self.dim, tuple(rows), tuple(signs))
+        inverse = sorted(range(self.dim), key=self.rows.__getitem__)
+        return MonomialMatrix(self.dim, tuple(inverse), _gather(self.signs, inverse))
 
     def neg(self) -> "MonomialMatrix":
         return MonomialMatrix(self.dim, self.rows, tuple(-s for s in self.signs))
 
     def is_diagonal(self) -> bool:
-        return all(self.rows[c] == c for c in range(self.dim))
+        return self.rows == tuple(range(self.dim))
 
     def apply(self, v: Sequence, acc: Optional[list] = None, weight=1) -> list:
         """Add ``weight * (M v)`` into ``acc`` in place and return it, in O(dim).
@@ -200,14 +197,20 @@ class MonomialMatrix:
 Matrix = Union[DenseMatrix, MonomialMatrix]
 
 
+def _gather(seq: Sequence, idx: Sequence[int]) -> tuple:
+    """``seq[i]`` for each ``i`` in ``idx``, as a tuple."""
+    if len(idx) == 1:
+        return (seq[idx[0]],)
+    return itemgetter(*idx)(seq)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product; a monomial pair stays monomial and costs O(dim)."""
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix):
         if a.dim != b.dim:
             raise ValueError("dimension mismatch")
-        rows = tuple(a.rows[b.rows[c]] for c in range(b.dim))
-        signs = tuple(a.signs[b.rows[c]] * b.signs[c] for c in range(b.dim))
-        return MonomialMatrix(a.dim, rows, signs)
+        signs = tuple(map(mul, _gather(a.signs, b.rows), b.signs))
+        return MonomialMatrix(a.dim, _gather(a.rows, b.rows), signs)
     if isinstance(a, MonomialMatrix):
         a = a.to_dense()
     if isinstance(b, MonomialMatrix):
@@ -234,17 +237,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, a-index major; monomial inputs give monomial output."""
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix):
         n = b.dim
-        dim = a.dim * n
-        rows = [0] * dim
-        signs = [1] * dim
-        for ca in range(a.dim):
-            ra, sa = a.rows[ca], a.signs[ca]
-            base_c = ca * n
-            base_r = ra * n
-            for cb in range(n):
-                rows[base_c + cb] = base_r + b.rows[cb]
-                signs[base_c + cb] = sa * b.signs[cb]
-        return MonomialMatrix(dim, tuple(rows), tuple(signs))
+        rows = tuple(ra * n + rb for ra in a.rows for rb in b.rows)
+        signs = tuple(sa * sb for sa in a.signs for sb in b.signs)
+        return MonomialMatrix(a.dim * n, rows, signs)
     ad = a.to_dense() if isinstance(a, MonomialMatrix) else a
     bd = b.to_dense() if isinstance(b, MonomialMatrix) else b
     data = []

@@ -330,17 +330,24 @@ def norm_gradient(space: TSpace, el: TElement) -> List[Q]:
     return _gradient(space, el, _lift_element(space, el))
 
 
+def norm_and_rank(space: TSpace, el: TElement) -> Tuple[Q, int]:
+    """Cubic norm N and rank from one lift of the element.  The gradient is
+    computed only when N = 0: by Euler's identity grad . x = 3N, a nonzero
+    norm has a nonzero gradient, hence rank 3."""
+    lf = _lift_element(space, el)
+    norm = _norm(el, lf)
+    if norm:
+        return norm, 3
+    if not any(el.coords()):
+        return norm, 0
+    if not any(_gradient(space, el, lf)):
+        return norm, 1
+    return norm, 2
+
+
 def rank(space: TSpace, el: TElement) -> int:
     """0 for zero, 1 when the gradient vanishes, 2 when only the norm does."""
-    coords = el.coords()
-    if not any(coords):
-        return 0
-    lf = _lift_element(space, el)
-    if not any(_gradient(space, el, lf)):
-        return 1
-    if _norm(el, lf) == 0:
-        return 2
-    return 3
+    return norm_and_rank(space, el)[1]
 
 
 def entropy(space: TSpace, el: TElement) -> Tuple[float, Q]:

@@ -1,0 +1,156 @@
+"""Reference code for ``magicstar.clifford`` that only the tests use.
+
+``verify_relations`` and ``conjugation`` are the column-loop relation check
+and the candidate-product conjugation that the label-based production code
+is compared against: they multiply whole signed permutations and compare
+every column, whatever form the gammas have.  ``antisym_gamma`` and
+``fierz_residual`` are the antisymmetrized gamma products and the cubic
+spinor contraction of the Fierz tests.
+"""
+
+from fractions import Fraction as Q
+from typing import List, Optional, Sequence
+
+from magicstar.clifford import (
+    BilinearForm,
+    CliffordNoBilinearError,
+    CliffordRep,
+)
+from magicstar.linalg import MonomialMatrix, mat_mul, mat_prod
+
+
+def verify_relations(rep: CliffordRep) -> None:
+    """Exact anticommutator check for every generator pair, column by column."""
+    n = rep.sig.total
+    dim = rep.dim
+    for i in range(n):
+        gi = rep.gammas[i]
+        sq = mat_mul(gi, gi)
+        if not (sq.is_diagonal() and all(s == rep.metric[i] for s in sq.signs)):
+            raise AssertionError("gamma_%d squares to the wrong value" % i)
+        ri, si = gi.rows, gi.signs
+        for j in range(i + 1, n):
+            rj, sj = rep.gammas[j].rows, rep.gammas[j].signs
+            for c in range(dim):
+                if ri[rj[c]] != rj[ri[c]] or si[rj[c]] * sj[c] != -sj[ri[c]] * si[c]:
+                    raise AssertionError("gamma_%d and gamma_%d fail to anticommute" % (i, j))
+
+
+def _is_intertwiner(rep: CliffordRep, c: MonomialMatrix, t: int) -> bool:
+    for g in rep.gammas:
+        lhs = mat_mul(c, g)
+        rhs = mat_mul(g.transpose(), c)
+        if t == -1:
+            rhs = rhs.neg()
+        if lhs != rhs:
+            return False
+    return True
+
+
+def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
+    """C with C g C^-1 = transpose_sign * g^T, from the same candidate
+    subsets as the production code, multiplied out and checked as matrices."""
+    p, q = rep.sig.p, rep.sig.q
+    t = transpose_sign
+    candidates = []
+    if (p == 0 or t == 1) and (q == 0 or t == -1):
+        candidates.append(())
+    if q > 0 and t == (-1) ** q:
+        candidates.append(tuple(range(p, p + q)))
+    if p > 0 and t == (-1) ** (p - 1):
+        candidates.append(tuple(range(p)))
+    if (q == 0 or p == 0) and p + q > 0 and (
+        (q == 0 and t == (-1) ** (p + q - 1)) or (p == 0 and -t == (-1) ** (p + q - 1))
+    ):
+        candidates.append(tuple(range(p + q)))
+    for subset in candidates:
+        mats = [rep.gammas[i] for i in subset]
+        c = mat_prod(mats) if mats else MonomialMatrix.identity(rep.dim)
+        if c.signs[0] == -1:
+            c = c.neg()
+        if _is_intertwiner(rep, c, t):
+            ct = c.transpose()
+            if ct == c:
+                sym = 1
+            elif ct == c.neg():
+                sym = -1
+            else:
+                raise AssertionError("conjugation candidate is neither symmetric nor antisymmetric")
+            return BilinearForm(c, sym, t)
+    raise CliffordNoBilinearError(
+        "no conjugation with transpose sign %+d exists in signature %s" % (t, rep.sig)
+    )
+
+
+def _index_tuples(n: int, k: int):
+    if k == 0:
+        yield ()
+        return
+    idx = list(range(k))
+    while True:
+        yield tuple(idx)
+        for pos in reversed(range(k)):
+            if idx[pos] != pos + n - k:
+                break
+        else:
+            return
+        idx[pos] += 1
+        for p2 in range(pos + 1, k):
+            idx[p2] = idx[p2 - 1] + 1
+
+
+def antisym_gamma(rep: CliffordRep, k: int) -> List[MonomialMatrix]:
+    """Antisymmetrized k-fold gamma products, lexicographic in the indices.
+
+    For distinct monomial generators the alternating sum collapses to the
+    plain ordered product, so each output is again monomial.
+    """
+    if not 0 <= k <= rep.sig.total:
+        raise ValueError("k out of range")
+    out = []
+    for idx in _index_tuples(rep.sig.total, k):
+        if not idx:
+            out.append(MonomialMatrix.identity(rep.dim))
+        else:
+            out.append(mat_prod([rep.gammas[i] for i in idx]))
+    return out
+
+
+def antisym_gamma_indexed(rep: CliffordRep, k: int):
+    return list(zip(_index_tuples(rep.sig.total, k), antisym_gamma(rep, k)))
+
+
+def fierz_residual(
+    rep: CliffordRep,
+    C: BilinearForm,
+    k: int,
+    psi: Sequence,
+    block: Optional[Sequence[int]] = None,
+) -> list:
+    """Cubic contraction sum over gamma^(k) psi * (psi^T C gamma_(k) psi).
+
+    Indices are raised with the diagonal metric.  ``block`` optionally embeds
+    a chiral-length column at the given coordinate support.
+    """
+    if block is not None:
+        full = [Q(0)] * rep.dim
+        if len(psi) != len(block):
+            raise ValueError("column does not match the chirality block")
+        for pos, val in zip(block, psi):
+            full[pos] = val
+        psi = full
+    if len(psi) != rep.dim:
+        raise ValueError("spinor column has length %d, expected %d" % (len(psi), rep.dim))
+    out = [Q(0)] * rep.dim
+    for idx, gm in antisym_gamma_indexed(rep, k):
+        raise_sign = 1
+        for mu in idx:
+            raise_sign *= rep.metric[mu]
+        w = gm.apply(psi)
+        s = C.C.bilinear(psi, w)
+        if s:
+            coeff = raise_sign * s
+            for i in range(rep.dim):
+                if w[i]:
+                    out[i] += coeff * w[i]
+    return out

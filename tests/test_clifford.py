@@ -1,20 +1,24 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import clifford_oracle
+from clifford_oracle import antisym_gamma, antisym_gamma_indexed, fierz_residual
+from magicstar import talgebra
 from magicstar.clifford import (
     MAX_REP_DIM,
     CliffordConstructionError,
     CliffordNoBilinearError,
+    CliffordRep,
     Signature,
-    antisym_gamma,
-    antisym_gamma_indexed,
+    _pauli,
     build_rep,
     chiral_indices,
     chirality,
     conjugation,
-    fierz_residual,
     reality_class,
     rep_dim,
     verify_relations,
@@ -291,3 +295,119 @@ def test_fierz_chiral_block_embedding():
     for pos, val in zip(plus, short):
         full[pos] = val
     assert fierz_residual(rep, C, 1, short, block=plus) == fierz_residual(rep, C, 1, full)
+
+
+# --- Pauli-label checks against the column-loop oracles ---------------------
+
+def _pauli_string(dim, s, a, b):
+    """s X^a Z^b, column by column: s (-1)^popcount(c & b) at row c ^ a."""
+    return MonomialMatrix(
+        dim,
+        tuple(c ^ a for c in range(dim)),
+        tuple(s * (-1) ** bin(c & b).count("1") for c in range(dim)),
+    )
+
+
+SMALL_REPS = [build_rep(Signature(*sig)) for sig in [(1, 1), (2, 0), (0, 2), (2, 1), (3, 1), (4, 0), (5, 1)]]
+
+
+@st.composite
+def gamma_families(draw):
+    """A built family or random Pauli strings, with the true squares or a
+    random metric, and now and then one entry of one gamma mutated."""
+    if draw(st.booleans()):
+        rep = draw(st.sampled_from(SMALL_REPS))
+        dim, gammas, metric = rep.dim, list(rep.gammas), list(rep.metric)
+    else:
+        dim = 1 << draw(st.integers(0, 4))
+        index = st.integers(0, dim - 1)
+        labels = draw(st.lists(st.tuples(st.sampled_from((1, -1)), index, index), min_size=1, max_size=4))
+        gammas = [_pauli_string(dim, *label) for label in labels]
+        metric = [(-1) ** bin(a & b).count("1") for _, a, b in labels]
+    if draw(st.booleans()):
+        metric = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gammas), max_size=len(gammas)))
+    mutation = draw(st.sampled_from([None, "sign", "rows"]))
+    if mutation is not None:
+        i = draw(st.integers(0, len(gammas) - 1))
+        c, d = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        rows, signs = list(gammas[i].rows), list(gammas[i].signs)
+        if mutation == "sign":
+            signs[c] = -signs[c]
+        else:
+            rows[c], rows[d] = rows[d], rows[c]
+        gammas[i] = MonomialMatrix(dim, tuple(rows), tuple(signs))
+    sig = Signature(metric.count(1), metric.count(-1))
+    return CliffordRep(sig, dim, tuple(gammas), tuple(metric))
+
+
+def _accepts(check, rep):
+    try:
+        check(rep)
+    except AssertionError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_families())
+def test_verify_relations_matches_column_loop(rep):
+    assert _accepts(verify_relations, rep) == _accepts(clifford_oracle.verify_relations, rep)
+
+
+def _with_gamma(rep, i, g):
+    return replace(rep, gammas=rep.gammas[:i] + (g,) + rep.gammas[i + 1:])
+
+
+def _sign_flipped(g, c):
+    signs = list(g.signs)
+    signs[c] = -signs[c]
+    return MonomialMatrix(g.dim, g.rows, tuple(signs))
+
+
+def test_mutated_gamma_rejected_on_label_and_column_paths():
+    rep = build_rep(Signature(20, 4))
+    # times Z on the lowest index bit: still a Pauli string, so the label check rejects it
+    z1 = _pauli_string(rep.dim, 1, 0, 1)
+    relabelled = mat_mul(rep.gammas[3], z1)
+    assert _pauli(relabelled) is not None
+    with pytest.raises(AssertionError):
+        verify_relations(_with_gamma(rep, 3, relabelled))
+    with pytest.raises(AssertionError):
+        verify_relations(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 1234)))
+    model = talgebra.model_rep()
+    assert _pauli(model.gammas[1]) is None
+    with pytest.raises(AssertionError):
+        verify_relations(_with_gamma(model, 1, _sign_flipped(model.gammas[1], 5)))
+
+
+def test_verify_relations_refuses_a_gamma_of_another_dimension():
+    rep = build_rep(Signature(3, 1))
+    with pytest.raises(AssertionError, match="representation space"):
+        verify_relations(_with_gamma(rep, 0, build_rep(Signature(1, 1)).gammas[0]))
+
+
+def test_conjugation_matches_oracle_on_every_small_signature():
+    # 119 signatures with p + q <= 14; 75 are buildable, the rest are refused
+    built = 0
+    for total in range(1, 15):
+        for p in range(total + 1):
+            try:
+                rep = build_rep(Signature(p, total - p))
+            except ValueError:
+                continue
+            built += 1
+            for t in (1, -1):
+                try:
+                    want = clifford_oracle.conjugation(rep, t)
+                except CliffordNoBilinearError:
+                    with pytest.raises(CliffordNoBilinearError):
+                        conjugation(rep, t)
+                    continue
+                got = conjugation(rep, t)
+                assert (got.C.rows, got.C.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)
+    assert built == 75
+
+
+def test_conjugation_refuses_gammas_that_are_not_pauli_strings():
+    with pytest.raises(ValueError, match="Pauli"):
+        conjugation(talgebra.model_rep(), 1)

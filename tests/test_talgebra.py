@@ -31,6 +31,7 @@ from magicstar.talgebra import (
     lightcone_inverse,
     lightcone_map,
     make_space,
+    norm_and_rank,
     norm_gradient,
     rank,
     so_generator_pairs,
@@ -448,4 +449,5 @@ def test_rank_follows_norm_and_gradient(q_el, lam):
     else:
         expected = 2 if norm == 0 else 3
     assert rank(sp, el) == expected
+    assert norm_and_rank(sp, el) == (norm, expected)
     assert rank(sp, scaled(el, lam)) == expected
