@@ -20,14 +20,16 @@ Every base generator is a Pauli string s X^a Z^b on the bits of the basis
 index, and Kronecker products, products and volume elements keep that form,
 so every gamma ``build_rep`` makes has a label (s, a, b).  The relations and
 the conjugations are checked on these labels, after a check of every column
-proves each label (see ``_pauli``): O(m dim + m^2) for m gammas.  A gamma
-that is not a Pauli string, as in the octonionic model of ``talgebra``, is
-checked by the column loop over every pair, O(m^2 dim).
+proves each label once per rep (see ``_pauli`` and ``CliffordRep.labels``):
+O(m dim + m^2) for m gammas.  A gamma that is not a Pauli string, as in the
+octonionic model of ``talgebra``, is checked by the column loop over every
+pair, O(m^2 dim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import MonomialMatrix, kron, mat_mul, mat_prod
@@ -64,6 +66,13 @@ class CliffordRep:
     dim: int
     gammas: Tuple[MonomialMatrix, ...]
     metric: Tuple[int, ...]  # +1 for the first p generators, then -1
+
+    @cached_property
+    def labels(self) -> Tuple[Optional[Tuple[int, int, int]], ...]:
+        """The Pauli label of each gamma (None for a gamma that is no Pauli
+        string), proven once per rep; ``dataclasses.replace`` makes a new rep,
+        whose labels are proven afresh."""
+        return tuple(_pauli(g) for g in self.gammas)
 
 
 @dataclass(frozen=True)
@@ -277,7 +286,7 @@ def verify_relations(rep: CliffordRep) -> None:
     n = rep.sig.total
     if any(g.dim != rep.dim for g in rep.gammas):
         raise AssertionError("a gamma does not act on the representation space")
-    labels = [_pauli(g) for g in rep.gammas]
+    labels = rep.labels
     for i in range(n):
         gi, li = rep.gammas[i], labels[i]
         if li is not None:
@@ -340,7 +349,7 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     """
     if transpose_sign not in (1, -1):
         raise ValueError("transpose_sign must be +1 or -1")
-    labels = [_pauli(g) for g in rep.gammas]
+    labels = rep.labels
     if None in labels:
         raise ValueError("conjugation needs gammas that are Pauli strings")
     p, q = rep.sig.p, rep.sig.q

@@ -3,18 +3,18 @@
 Roots are generated as the closure of the simple roots under all simple
 reflections, with exact rational coordinates in the standard orthonormal
 models (the E family lives inside the 8-dimensional even/half-integer
-lattice model).  Output ordering is lexicographic so every downstream
-artifact is reproducible byte for byte.
+lattice model).  Doubled, every coordinate is an integer: the closure and
+the coroot pairing table run on those integers.  Output ordering is
+lexicographic so every downstream artifact is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Dict, List, Tuple
-
-from .linalg import DenseMatrix, dot
 
 Vector = Tuple[Q, ...]
 
@@ -116,91 +116,61 @@ class RootSystem:
     rank: int
     simple_roots: Tuple[Vector, ...]
     roots: Tuple[Vector, ...]
-    # integer caches: roots scaled by 2 keep all coordinates integral
+    # the roots doubled, in the same order: every coordinate an integer
     scaled: Tuple[Tuple[int, ...], ...] = field(repr=False)
     index: Dict[Vector, int] = field(repr=False)
 
-    def norm2_scaled(self, i: int) -> int:
-        """4*(r_i, r_i) as an integer."""
-        s = self.scaled[i]
-        return sum(x * x for x in s)
+    @cached_property
+    def pairings(self) -> Tuple[Tuple[int, ...], ...]:
+        """pairings[j][i] = 2(r_i, r_j)/(r_j, r_j), exact integers.
 
-    def dot_scaled(self, i: int, j: int) -> int:
-        """4*(r_i, r_j) as an integer."""
-        return sum(a * b for a, b in zip(self.scaled[i], self.scaled[j]))
-
-    def pairing_by_index(self, i: int, j: int) -> int:
-        """2(r_i, r_j)/(r_j, r_j), exact integer."""
-        num = 2 * self.dot_scaled(i, j)
-        den = self.norm2_scaled(j)
-        q, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError("pairing is not integral; not a root system")
-        return q
-
-
-def cartan_matrix(label: AlgebraLabel) -> DenseMatrix:
-    """Integer Cartan matrix a_ij = 2(s_i, s_j)/(s_j, s_j), diagonal 2."""
-    simple = _simple_roots(label)
-    n = len(simple)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = 2 * dot(simple[i], simple[j])
-            den = dot(simple[j], simple[j])
-            row.append(num / den)
-        rows.append(row)
-    m = DenseMatrix.from_rows(rows)
-    for i in range(n):
-        if m.at(i, i) != 2:
-            raise AssertionError("Cartan diagonal must be 2")
-        for j in range(n):
-            if m.at(i, j).denominator != 1:
-                raise AssertionError("Cartan entries must be integers")
-    return m
+        Built once per system; a pairing that is not integral raises
+        ArithmeticError, as no root system has one.
+        """
+        scaled = self.scaled
+        cols = []
+        for sj in scaled:
+            nums = [2 * sum(map(mul, si, sj)) for si in scaled]
+            nj = sum(map(mul, sj, sj))
+            if any(x % nj for x in nums):
+                raise ArithmeticError("pairing is not integral; not a root system")
+            cols.append(tuple(x // nj for x in nums))
+        return tuple(cols)
 
 
 @lru_cache(maxsize=None)
 def generate_roots(label: AlgebraLabel) -> RootSystem:
-    """Close the simple roots under all simple reflections."""
+    """Close the simple roots under all simple reflections.
+
+    The closure runs on the doubled coordinates, which are integers in every
+    model; doubling keeps the lexicographic order, so sorting the integer
+    tuples sorts the roots.
+    """
     simple = _simple_roots(label)
-    norms = [dot(a, a) for a in simple]
-    seen = set(tuple(s) for s in simple)
+    if any((2 * x).denominator != 1 for s in simple for x in s):
+        raise AssertionError("coordinates must be integer or half-integer")
+    simple2 = [tuple(int(2 * x) for x in s) for s in simple]
+    norms = [sum(map(mul, a, a)) for a in simple2]
+    seen = set(simple2)
     queue = list(seen)
     while queue:
         beta = queue.pop()
-        for alpha, n2 in zip(simple, norms):
-            c = 2 * dot(beta, alpha) / n2
-            refl = tuple(b - c * a for b, a in zip(beta, alpha))
-            if refl not in seen:
-                seen.add(refl)
-                queue.append(refl)
-    roots = tuple(sorted(seen))
-    scaled = tuple(tuple(int(2 * x) for x in r) for r in roots)
-    if any(2 * x != int(2 * x) for r in roots for x in r):
-        raise AssertionError("coordinates must be integer or half-integer")
-    index = {r: i for i, r in enumerate(roots)}
+        for alpha, n2 in zip(simple2, norms):
+            c, rem = divmod(2 * sum(map(mul, beta, alpha)), n2)
+            if rem:
+                raise ArithmeticError("pairing is not integral; not a root system")
+            if c:
+                refl = tuple(b - c * a for b, a in zip(beta, alpha))
+                if refl not in seen:
+                    seen.add(refl)
+                    queue.append(refl)
+    scaled = tuple(sorted(seen))
+    roots = tuple(tuple(Q(x, 2) for x in s) for s in scaled)
     return RootSystem(
         label=label,
         rank=label.rank,
         simple_roots=tuple(tuple(s) for s in simple),
         roots=roots,
         scaled=scaled,
-        index=index,
+        index={r: i for i, r in enumerate(roots)},
     )
-
-
-def coroot_pairing(rs: RootSystem, gamma: Vector, alpha: Vector) -> int:
-    """2(gamma, alpha)/(alpha, alpha); rejects vectors outside the root set."""
-    gi = rs.index.get(tuple(gamma))
-    ai = rs.index.get(tuple(alpha))
-    if gi is None or ai is None:
-        raise ValueError("inputs must be roots of the system")
-    return rs.pairing_by_index(gi, ai)
-
-
-EXPECTED_COUNTS = {
-    "A2": 6, "G2": 12, "B3": 18, "D4": 24,
-    "F4": 48, "E6": 72, "E7": 126, "E8": 240,
-}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import add
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .linalg import rat_str
 from .roots import AlgebraLabel, RootSystem, Vector
@@ -36,6 +37,8 @@ class A2Choice:
     beta: Vector
     a2_roots: Tuple[Vector, ...]
     candidates_validated: int
+    # (center, sorted tip sizes) of every candidate that validated
+    validated_counts: FrozenSet[Tuple[int, Tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -52,100 +55,91 @@ class MagicStarChart:
         return "tip(%d,%d)" % w
 
 
-def _pairing_columns(rs: RootSystem) -> List[List[int]]:
-    """cols[j][i] = coroot pairing of root i against root j."""
-    n = len(rs.roots)
-    norms = [rs.norm2_scaled(j) for j in range(n)]
-    scaled = rs.scaled
-    cols: List[List[int]] = []
-    for j in range(n):
-        sj = scaled[j]
-        nj = norms[j]
-        col = []
-        for i in range(n):
-            si = scaled[i]
-            num = 2 * sum(a * b for a, b in zip(si, sj))
-            col.append(num // nj)
-        cols.append(col)
-    return cols
+# The scan keys a weight (a, b) as the int 7a + b: pairings lie in [-3, 3],
+# so the key is one to one.
+def _key(w: Weight) -> int:
+    return 7 * w[0] + w[1]
 
 
-def _valid_counter(counter: Counter) -> bool:
-    if not set(counter) <= LEGAL:
-        return False
-    if any(counter.get(h, 0) != 1 for h in HEX_WEIGHTS):
-        return False
-    tips = [counter.get(t, 0) for t in TIP_WEIGHTS]
-    return len(set(tips)) == 1
+_LEGAL_KEYS = frozenset(map(_key, LEGAL))
+_HEX_KEYS = tuple(map(_key, HEX_WEIGHTS))
+_TIP_KEYS = tuple(map(_key, TIP_WEIGHTS))
+_CENTER_KEY = _key(CENTER)
 
 
 def find_a2(rs: RootSystem) -> A2Choice:
-    """Scan ordered root pairs at 120 degrees with equal length; keep the
-    first pair whose projection buckets are legal with six equal tips.
+    """Scan root pairs with both coroot pairings -1 (equal length, 120
+    degrees); keep the first ordered pair whose projection buckets are legal
+    with six equal tips.
 
-    The number of candidates that validate is recorded on the result.
+    LEGAL, HEX_WEIGHTS and TIP_WEIGHTS are invariant under (a, b) -> (b, a),
+    so (i, j) validates exactly when (j, i) does: the scan visits i < j,
+    counts each valid pair twice, and its first valid pair is the first
+    ordered one.  The number of ordered candidates that validate, and the
+    count multisets they give, are recorded on the result.
     """
     if str(rs.label) not in STAR_HOSTS:
         raise MagicStarError("host %s has no hexagram projection" % rs.label)
-    n = len(rs.roots)
-    cols = _pairing_columns(rs)
-    norms = [rs.norm2_scaled(i) for i in range(n)]
+    cols = rs.pairings
+    if min(map(min, cols)) < -3 or max(map(max, cols)) > 3:
+        raise MagicStarError("pairing outside [-3, 3] in %s" % rs.label)
+    n = len(cols)
     validated = 0
+    counts = set()
     first: Optional[Tuple[int, int]] = None
     for i in range(n):
         coli = cols[i]
-        ni = norms[i]
-        for j in range(n):
-            if i == j or norms[j] != ni:
-                continue
+        col7 = [7 * x for x in coli]
+        for j in range(i + 1, n):
             if coli[j] != -1 or cols[j][i] != -1:
                 continue
-            counter = Counter(zip(coli, cols[j]))
-            if _valid_counter(counter):
-                validated += 1
-                if first is None:
-                    first = (i, j)
+            counter = Counter(map(add, col7, cols[j]))
+            if counter.keys() <= _LEGAL_KEYS and all(counter[h] == 1 for h in _HEX_KEYS):
+                tips = sorted(counter[t] for t in _TIP_KEYS)
+                if tips[0] == tips[-1]:
+                    validated += 2
+                    counts.add((counter[_CENTER_KEY], tuple(tips)))
+                    if first is None:
+                        first = (i, j)
     if first is None:
         raise MagicStarError("no valid a2 pair found in %s" % rs.label)
-    i, j = first
-    alpha, beta = rs.roots[i], rs.roots[j]
-    rootset = set(rs.roots)
+    sa, sb = rs.scaled[first[0]], rs.scaled[first[1]]
+    position = {s: k for k, s in enumerate(rs.scaled)}
     six = []
     for ca, cb in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
-        v = tuple(ca * a + cb * b for a, b in zip(alpha, beta))
-        if v not in rootset:
+        k = position.get(tuple(ca * a + cb * b for a, b in zip(sa, sb)))
+        if k is None:
             raise MagicStarError("a2 combination escaped the root set")
-        six.append(v)
-    return A2Choice(alpha, beta, tuple(six), validated)
+        six.append(rs.roots[k])
+    return A2Choice(six[0], six[2], tuple(six), validated, frozenset(counts))
 
 
 def project(rs: RootSystem, choice: A2Choice) -> MagicStarChart:
     """Bucket every root by its weight pair against (alpha, beta)."""
-    ai = rs.index[choice.alpha]
-    bi = rs.index[choice.beta]
-    a2set = set(choice.a2_roots)
-    buckets: Dict[Weight, List[Vector]] = {}
-    for gi, root in enumerate(rs.roots):
-        w = (rs.pairing_by_index(gi, ai), rs.pairing_by_index(gi, bi))
-        if root in a2set:
+    cols = rs.pairings
+    a2 = {rs.index[r] for r in choice.a2_roots}
+    buckets: Dict[Weight, List[int]] = {}
+    for g, w in enumerate(zip(cols[rs.index[choice.alpha]], cols[rs.index[choice.beta]])):
+        if g in a2:
             if w not in HEX_WEIGHTS:
                 raise MagicStarError("a2 root fell outside the hexagon")
         elif w != CENTER and w not in TIP_WEIGHTS:
             raise MagicStarError("weight %r outside the legal set" % (w,))
-        buckets.setdefault(w, []).append(root)
+        buckets.setdefault(w, []).append(g)
     tips = [len(buckets.get(t, ())) for t in TIP_WEIGHTS]
     if len(set(tips)) != 1:
         raise MagicStarError("tips are not balanced")
     # center roots must close among themselves under reflection
     center = buckets.get(CENTER, [])
-    cset = set(center)
+    scaled = rs.scaled
+    cset = {scaled[g] for g in center}
     for g in center:
+        sg = scaled[g]
         for a in center:
-            c = rs.pairing_by_index(rs.index[g], rs.index[a])
-            refl = tuple(x - c * y for x, y in zip(g, a))
-            if refl not in cset:
+            c = cols[a][g]
+            if tuple(x - c * y for x, y in zip(sg, scaled[a])) not in cset:
                 raise MagicStarError("center bucket is not a closed subsystem")
-    frozen = {w: tuple(lst) for w, lst in buckets.items()}
+    frozen = {w: tuple(rs.roots[g] for g in idx) for w, idx in buckets.items()}
     return MagicStarChart(rs.label, choice, frozen)
 
 

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -52,22 +51,7 @@ def test_criterion_02_magic_star_buckets():
         assert counts["tips"] == [tip] * 6, name
         assert counts["hexagon"] == 6
         # every validated candidate yields the identical count multiset
-        cols = star_mod._pairing_columns(rs)
-        norms = [rs.norm2_scaled(i) for i in range(len(rs.roots))]
-        seen = set()
-        n = len(rs.roots)
-        for i in range(n):
-            coli = cols[i]
-            ni = norms[i]
-            for j in range(n):
-                if i == j or norms[j] != ni or coli[j] != -1 or cols[j][i] != -1:
-                    continue
-                counter = Counter(zip(coli, cols[j]))
-                if star_mod._valid_counter(counter):
-                    c = counter.get(star_mod.CENTER, 0)
-                    tips = tuple(sorted(counter.get(t, 0) for t in star_mod.TIP_WEIGHTS))
-                    seen.add((c, tips))
-        assert seen == {(center, (tip,) * 6)}, name
+        assert choice.validated_counts == {(center, (tip,) * 6)}, name
     _report(2, "hexagram buckets, all validated choices agree", t0, 30)
 
 

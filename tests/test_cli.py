@@ -240,6 +240,38 @@ def test_ep_n1_stdout_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of ``star HOST`` and of E8's chart files, captured
+# before the hexagram scan moved onto the integer pairing table
+STAR_STDOUT_SHA256 = {
+    "G2": "498307e14265c6f3645e209b7e864c39665771ba4e34966ca85fc59d7c150d06",
+    "D4": "adf0ca874f766f555cdb0050acdee2f1fead75948a329b12306da971a599e204",
+    "F4": "d02bd12fd4225eaa328da71baeddf8020949bbb560c3a3c30a0b45b6b3567f71",
+    "E6": "64b1ded49a1d27bd09070a5ee7e402868fa1b126a1b5aae0a6794109dc7682a2",
+    "E7": "5a841691e259df2ed55c2c22e4bec04da39992b85e9994a196c56f32fdf7e75b",
+    "E8": "6874b025b5b00c835285521e3d34ef86c5169d76defb619311d5e1e1646b0781",
+}
+E8_CHART_SHA256 = {
+    "e8.csv": "d86960f82f0b646839ae04502886a67d5430302f438c727f49e64c9cbfb22bbb",
+    "e8.svg": "4cad14d2df9fc5f16dc2636b15eb931ad2397c7fc6295eee35d7a2fe23ed7863",
+}
+
+
+@pytest.mark.parametrize("host", sorted(STAR_STDOUT_SHA256))
+def test_star_stdout_digest(capsys, host):
+    code, out = capture(capsys, ["star", host])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STAR_STDOUT_SHA256[host]
+
+
+def test_star_e8_chart_digests(tmp_path, capsys):
+    code, out = capture(capsys, ["star", "E8", "--svg", str(tmp_path / "e8.svg"),
+                                 "--csv", str(tmp_path / "e8.csv")])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STAR_STDOUT_SHA256["E8"]
+    for name, digest in E8_CHART_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 # requests just past the size limit, so even a missing check would build little
 @pytest.mark.parametrize("argv", [
     ["clifford", "26", "0"],

@@ -380,6 +380,22 @@ def test_mutated_gamma_rejected_on_label_and_column_paths():
         verify_relations(_with_gamma(model, 1, _sign_flipped(model.gammas[1], 5)))
 
 
+def test_cached_labels_do_not_carry_over_to_a_mutated_rep():
+    rep = build_rep(Signature(9, 1))
+    verify_relations(rep)
+    conjugation(rep, 1)
+    assert rep.labels == tuple(_pauli(g) for g in rep.gammas)
+    z1 = _pauli_string(rep.dim, 1, 0, 1)
+    for bad in (_with_gamma(rep, 3, mat_mul(rep.gammas[3], z1)),
+                _with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 5))):
+        assert bad.labels[3] != rep.labels[3]
+        with pytest.raises(AssertionError):
+            verify_relations(bad)
+    # a gamma that is no Pauli string: the conjugation refuses it
+    with pytest.raises(ValueError, match="Pauli"):
+        conjugation(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 5)), 1)
+
+
 def test_verify_relations_refuses_a_gamma_of_another_dimension():
     rep = build_rep(Signature(3, 1))
     with pytest.raises(AssertionError, match="representation space"):

@@ -4,13 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from magicstar.linalg import dot
-from magicstar.roots import (
-    EXPECTED_COUNTS,
-    AlgebraLabel,
-    cartan_matrix,
-    coroot_pairing,
-    generate_roots,
-)
+from magicstar.roots import AlgebraLabel, RootSystem, generate_roots
+from roots_oracle import EXPECTED_COUNTS, cartan_matrix, coroot_pairing
 
 
 def test_label_parse_and_validation():
@@ -131,3 +126,20 @@ def test_deterministic_ordering():
     a = generate_roots(AlgebraLabel.parse("F4")).roots
     b = generate_roots(AlgebraLabel.parse("F4")).roots
     assert a == b == tuple(sorted(a))
+
+
+def test_pairing_table_refuses_non_integral_pairings():
+    # (1, 0) against (1, 1/2): 2 * 1 / (5/4) = 8/5
+    roots = ((Q(1), Q(0)), (Q(1), Q(1, 2)))
+    rs = RootSystem(
+        label=AlgebraLabel.parse("G2"),
+        rank=2,
+        simple_roots=roots,
+        roots=roots,
+        scaled=((2, 0), (2, 1)),
+        index={r: i for i, r in enumerate(roots)},
+    )
+    with pytest.raises(ArithmeticError, match="not integral"):
+        rs.pairings
+    with pytest.raises(ArithmeticError, match="not integral"):
+        coroot_pairing(rs, roots[0], roots[1])

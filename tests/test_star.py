@@ -1,10 +1,12 @@
+from fractions import Fraction as Q
+
 import pytest
 
-from magicstar.roots import AlgebraLabel, generate_roots
+import star_oracle
+from magicstar.roots import AlgebraLabel, RootSystem, generate_roots
 from magicstar.star import (
-    CENTER,
     HEX_WEIGHTS,
-    TIP_WEIGHTS,
+    STAR_HOSTS,
     MagicStarError,
     chart_counts,
     emit_chart,
@@ -60,27 +62,49 @@ def test_a2_host_is_rejected():
 
 
 def test_all_validated_choices_give_identical_counts_f4():
-    # re-run the scan keeping every valid candidate, not just the first
-    from collections import Counter
-    from magicstar.star import _pairing_columns, _valid_counter
-
     rs = generate_roots(AlgebraLabel.parse("F4"))
-    cols = _pairing_columns(rs)
-    norms = [rs.norm2_scaled(i) for i in range(len(rs.roots))]
-    seen = set()
-    n = len(rs.roots)
-    for i in range(n):
-        for j in range(n):
-            if i == j or norms[i] != norms[j]:
-                continue
-            if cols[i][j] != -1 or cols[j][i] != -1:
-                continue
-            counter = Counter(zip(cols[i], cols[j]))
-            if _valid_counter(counter):
-                center = counter.get(CENTER, 0)
-                tips = tuple(sorted(counter.get(t, 0) for t in TIP_WEIGHTS))
-                seen.add((center, tips))
-    assert seen == {(6, (6,) * 6)}
+    assert find_a2(rs).validated_counts == {(6, (6,) * 6)}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_HOSTS))
+def test_matches_the_rational_oracle(name):
+    label = AlgebraLabel.parse(name)
+    rs = generate_roots(label)
+    roots = star_oracle.generate_roots(label)
+    assert rs.roots == roots
+    cols = star_oracle.pairing_columns(roots)
+    assert rs.pairings == tuple(map(tuple, cols))
+    (i, j), validated, counts = star_oracle.scan(roots, cols)
+    choice = find_a2(rs)
+    assert (choice.alpha, choice.beta) == (roots[i], roots[j])
+    assert choice.a2_roots == star_oracle.a2_roots(roots, roots[i], roots[j])
+    assert choice.candidates_validated == validated
+    assert choice.validated_counts == counts
+    assert project(rs, choice).buckets == star_oracle.project(roots, cols, i, j)
+
+
+def _hand_built(scaled):
+    roots = tuple(tuple(Q(x, 2) for x in s) for s in scaled)
+    return RootSystem(
+        label=AlgebraLabel.parse("G2"),
+        rank=2,
+        simple_roots=roots,
+        roots=roots,
+        scaled=scaled,
+        index={r: i for i, r in enumerate(roots)},
+    )
+
+
+def test_scan_refuses_non_integral_pairings():
+    # (1, 0) against (1, 1/2): 2 * 1 / (5/4) = 8/5
+    with pytest.raises(ArithmeticError, match="not integral"):
+        find_a2(_hand_built(((2, 0), (2, 1))))
+
+
+def test_scan_refuses_pairings_past_three():
+    # (2, 0) against (1, 0): 4, which the weight key 7a + b cannot hold
+    with pytest.raises(MagicStarError, match=r"outside \[-3, 3\]"):
+        find_a2(_hand_built(((2, 0), (4, 0))))
 
 
 def test_hexagon_is_the_a2_image():
