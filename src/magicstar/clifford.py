@@ -10,11 +10,12 @@ a signed permutation:
 * adjoining the total volume element when one extra generator of the right
   square is needed (odd total dimension).
 
-Bases cover the real matrix types (p-q = 0,1,2,7 mod 8) and the quaternionic
+Bases cover the real matrix types (p-q = 0,1,2 mod 8) and the quaternionic
 type 4 and 6 mod 8 (quaternion left-multiplications are signed permutations).
-The remaining classes 3 and 5 mod 8 have no representation here: their
-minimal representations carry an invariant complex structure, and the
-constructor refuses them by name.
+The remaining classes 3, 5 and 7 mod 8 have no representation here, and the
+constructor refuses them by name.  Classes 3 and 7 are complex matrix
+algebras; class 7 would adjoin the volume element of a p-q = 0 parent as a
+minus generator, but that element squares to +1.
 
 Every base generator is a Pauli string s X^a Z^b on the bits of the basis
 index, and Kronecker products, products and volume elements keep that form,
@@ -187,43 +188,23 @@ def _construct(sig: Signature) -> CliffordRep:
     unverified parent whose gammas the final check covers."""
     p, q = sig.p, sig.q
     d = (p - q) % 8
-    if d in (3, 5):
+    if d in (3, 5, 7):
         raise CliffordConstructionError(
             "Cl%s has p-q = %d mod 8: its minimal representation is "
             "intrinsically complex, no real monomial construction" % (sig, d)
         )
     rep_dim(sig)
-    if (p + q) % 2 == 1:
-        if d == 1:
-            parent = _construct(Signature(p - 1, q))
-            omega = _volume(parent.gammas) if parent.gammas else MonomialMatrix.identity(1)
-            if not _squares_to(omega, 1):
-                raise CliffordConstructionError(
-                    "volume element of Cl(%d,%d) squares to -1; cannot extend to Cl%s"
-                    % (p - 1, q, sig)
-                )
-            plus = list(parent.gammas[: p - 1]) + [omega]
-            minus = list(parent.gammas[p - 1:])
-        elif d == 7:
-            parent = _construct(Signature(p, q - 1))
-            omega = _volume(parent.gammas) if parent.gammas else MonomialMatrix.identity(1)
-            if not _squares_to(omega, -1):
-                raise CliffordConstructionError(
-                    "volume element of Cl(%d,%d) squares to +1; cannot extend to Cl%s"
-                    % (p, q - 1, sig)
-                )
-            plus = list(parent.gammas[:p])
-            minus = list(parent.gammas[p:]) + [omega]
-        else:
-            raise CliffordConstructionError(
-                "odd total dimension with p-q = %d mod 8 is not reachable" % d
-            )
-        return CliffordRep(sig, parent.dim, tuple(plus + minus), (1,) * p + (-1,) * q)
+    if (p, q) == (1, 0):
+        return CliffordRep(sig, 1, (MonomialMatrix.identity(1),), (1,))
+    if d == 1:
+        # the parent has p-q = 0 mod 8, so its volume element squares to +1
+        parent = _construct(Signature(p - 1, q))
+        omega = _volume(parent.gammas)
+        gammas = parent.gammas[: p - 1] + (omega,) + parent.gammas[p - 1:]
+        return CliffordRep(sig, parent.dim, gammas, (1,) * p + (-1,) * q)
 
     # even total dimension
     (bp, bq), plus, minus = _base(d)
-    if p == q == 0:
-        return CliffordRep(sig, 1, (), ())
     flips = (p - q - (bp - bq)) // 8
     steps = (p + q - bp - bq) // 2
     if steps < 0:

@@ -35,7 +35,7 @@ from .clifford import (
     rep_dim,
     verify_relations,
 )
-from .linalg import MonomialMatrix, lift, mat_mul, rat_parse, rat_str
+from .linalg import MonomialMatrix, kron, lift, mat_mul, rat_parse, rat_str
 from .octonion import (
     Octonion,
     left_mult_matrix,
@@ -99,8 +99,6 @@ def _octonionic_rep(n: int) -> CliffordRep:
         omega = base[0]
         for g in base[1:]:
             omega = mat_mul(omega, g)
-        from .linalg import kron
-
         gammas = [kron(g, iu) for g in base[:8]]
         gammas += [kron(omega, d) for d in extra.gammas]
         gammas += [kron(base[8], iu), kron(base[9], iu)]
@@ -208,7 +206,7 @@ class TElement:
             r = [rat_parse(x) for x in r]
             v = [rat_parse(x) for x in v]
             psi = [[rat_parse(x) for x in col] for col in psi]
-        except TypeError as exc:
+        except ValueError as exc:
             raise TAlgebraError("malformed element entry: %s" % exc) from None
         if len(r) != 3:
             raise TAlgebraError("r block needs three entries")

@@ -1,12 +1,12 @@
 """Reference code for ``magicstar.roots`` that only the tests use.
 
 ``cartan_matrix`` builds the Cartan matrix of a label from its simple roots
-in exact rationals, ``coroot_pairing`` reads one entry of a root system's
-pairing table by root vector, and ``EXPECTED_COUNTS`` holds the textbook
-root counts.
+as nested lists of exact rationals, ``coroot_pairing`` reads one entry of a
+root system's pairing table by root vector, and ``EXPECTED_COUNTS`` holds
+the textbook root counts.
 """
 
-from magicstar.linalg import DenseMatrix, dot
+from linalg_oracle import dot
 from magicstar.roots import AlgebraLabel, RootSystem, Vector, _simple_roots
 
 EXPECTED_COUNTS = {
@@ -15,7 +15,7 @@ EXPECTED_COUNTS = {
 }
 
 
-def cartan_matrix(label: AlgebraLabel) -> DenseMatrix:
+def cartan_matrix(label: AlgebraLabel) -> list:
     """Integer Cartan matrix a_ij = 2(s_i, s_j)/(s_j, s_j), diagonal 2."""
     simple = _simple_roots(label)
     n = len(simple)
@@ -27,14 +27,12 @@ def cartan_matrix(label: AlgebraLabel) -> DenseMatrix:
             den = dot(simple[j], simple[j])
             row.append(num / den)
         rows.append(row)
-    m = DenseMatrix.from_rows(rows)
     for i in range(n):
-        if m.at(i, i) != 2:
+        if rows[i][i] != 2:
             raise AssertionError("Cartan diagonal must be 2")
-        for j in range(n):
-            if m.at(i, j).denominator != 1:
-                raise AssertionError("Cartan entries must be integers")
-    return m
+        if any(x.denominator != 1 for x in rows[i]):
+            raise AssertionError("Cartan entries must be integers")
+    return rows
 
 
 def coroot_pairing(rs: RootSystem, gamma: Vector, alpha: Vector) -> int:

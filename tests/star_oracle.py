@@ -11,7 +11,7 @@ the weight constants with the production code.
 from collections import Counter
 from typing import Dict, List, Tuple
 
-from magicstar.linalg import dot
+from linalg_oracle import dot
 from magicstar.roots import AlgebraLabel, _simple_roots
 from magicstar.star import CENTER, HEX_WEIGHTS, LEGAL, TIP_WEIGHTS
 

@@ -9,11 +9,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from linalg_oracle import det3
 from magicstar import clifford as cl
 from magicstar import ep as ep_mod
 from magicstar import star as star_mod
 from magicstar import talgebra as tg
-from magicstar.linalg import DenseMatrix
 from magicstar.octonion import oct_from
 from magicstar.roots import AlgebraLabel, generate_roots
 
@@ -143,13 +143,6 @@ def test_criterion_07_talgebra_dimension_formula():
     _report(7, "cubic-space dimensions 27/15/9/275", t0, 5)
 
 
-def _classical_det3(m: DenseMatrix) -> Q:
-    a, b, c = m.data[0]
-    d, e, f = m.data[1]
-    g, h, i = m.data[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def test_criterion_08_norm_oracle():
     t0 = time.monotonic()
     sp = tg.make_space(8, 0)
@@ -165,8 +158,7 @@ def test_criterion_08_norm_oracle():
             r1, r2, r3,
             oct_from([a1] + [0] * 7), oct_from([a2] + [0] * 7), oct_from([a3] + [0] * 7),
         )
-        m = DenseMatrix.from_rows([[r1, a1, a2], [a1, r2, a3], [a2, a3, r3]])
-        assert tg.jordan_determinant(j) == _classical_det3(m)
+        assert tg.jordan_determinant(j) == det3([[r1, a1, a2], [a1, r2, a3], [a2, a3, r3]])
     _report(8, "determinant oracle: 100+100 exact equalities", t0, 60)
 
 

@@ -64,6 +64,24 @@ def test_clifford_summary(capsys):
     assert data["bilinears"]["-1"] is None
 
 
+def test_clifford_one_zero_is_one_dimensional(capsys):
+    code, out = capture(capsys, ["clifford", "1", "0", "--check"])
+    assert code == 0
+    assert out == (
+        '{"p":1,"q":0,"dim":1,"reality_class":"Majorana","chiral":false,'
+        '"bilinears":{"+1":{"symmetry":1},"-1":null}}\n'
+    )
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (10, 3)])
+def test_clifford_class_seven_exit_1(capsys, p, q):
+    code = run(["clifford", str(p), str(q), "--check"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "p-q = 7 mod 8" in captured.err and captured.err.count("\n") == 1
+
+
 def test_clifford_emit(tmp_path, capsys):
     path = tmp_path / "g.txt"
     code, _ = capture(capsys, ["clifford", "1", "1", "--emit", str(path)])
@@ -160,6 +178,16 @@ def test_talg_missing_block_exit_1(tmp_path, capsys):
 
 def test_talg_top_level_list_exit_1(tmp_path, capsys):
     code, out, err = _talg_norm(tmp_path, capsys, [["1", "2", "3"]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# entries outside "p", "p/q" (q nonzero) and JSON integers
+@pytest.mark.parametrize("entry", ["1/0", float("inf"), True, "1e9", "0.5", " 3"])
+def test_talg_malformed_entry_exit_1(tmp_path, capsys, entry):
+    payload = {"q": 2, "n": 0, "r": [entry, "2", "3"], "v": ["1", "0"], "psi": [["1", "0"], ["0", "1"]]}
+    code, out, err = _talg_norm(tmp_path, capsys, payload)
     assert code == 1
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1

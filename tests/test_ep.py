@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ep_oracle
+from linalg_oracle import grid
 from magicstar.clifford import Signature
 from magicstar.ep import (
     BracketCoeffs,
@@ -142,7 +143,7 @@ def test_der_basis_spinor_bracket_reads_off_gammas():
     for a, b in sp.pairs:
         # the pair form +-C gamma_a gamma_b, with the sign eta_a eta_b
         m = mat_mul(sp.C.C, mat_mul(g[a], g[b]))
-        expected = metric[a] * metric[b] * m.entry(0, 1)
+        expected = metric[a] * metric[b] * grid(m)[0][1]
         assert so.get((a, b), 0) == expected
     assert any(so.values())
 

@@ -4,47 +4,30 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from magicstar.linalg import (
-    DenseMatrix,
-    MonomialMatrix,
-    RowReducer,
-    dot,
-    kron,
-    mat_mul,
-    rat_parse,
-    rat_str,
-    solve_linear,
-)
+import linalg_oracle as oracle
+from magicstar.linalg import MonomialMatrix, RowReducer, kron, mat_mul, rat_parse, rat_str
 
 
 EPS = MonomialMatrix(2, (1, 0), (1, -1))  # the 2x2 antisymmetric unit
 
 
-def random_dense(rng, n, m):
-    return DenseMatrix.from_rows(
-        [[Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)] for _ in range(n)]
-    )
-
-
-def schoolbook(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    out = [[Q(0)] * b.cols for _ in range(a.rows)]
-    for i in range(a.rows):
-        for k in range(a.cols):
-            for j in range(b.cols):
-                out[i][j] += a.data[i][k] * b.data[k][j]
-    return DenseMatrix.from_rows(out)
+def random_monomial(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MonomialMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
 
 
 def test_rat_roundtrip():
     assert rat_str(Q(3, 4)) == "3/4"
     assert rat_str(Q(-5)) == "-5"
     assert rat_parse("7/2") == Q(7, 2)
+    assert rat_parse("-5") == rat_parse(-5) == Q(-5)
+    assert rat_parse("6/04") == Q(3, 2)
 
 
 def test_identity_times_matrix():
-    rng = random.Random(1)
-    m = random_dense(rng, 3, 3)
-    assert mat_mul(DenseMatrix.identity(3), m) == m
+    m = random_monomial(random.Random(1), 3)
+    assert mat_mul(MonomialMatrix.identity(3), m) == m
 
 
 def test_eps_squares_to_minus_identity():
@@ -53,38 +36,16 @@ def test_eps_squares_to_minus_identity():
     assert sq.signs == (-1, -1)
 
 
-def test_dense_mul_matches_schoolbook():
-    rng = random.Random(7)
-    for _ in range(5):
-        a = random_dense(rng, 4, 4)
-        b = random_dense(rng, 4, 4)
-        assert mat_mul(a, b) == schoolbook(a, b)
-
-
-def test_mul_associative_spot_checks():
-    rng = random.Random(11)
-    for _ in range(5):
-        a = random_dense(rng, 3, 3)
-        b = random_dense(rng, 3, 3)
-        c = random_dense(rng, 3, 3)
-        assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
-
-
 def test_monomial_closure_under_product_and_kron():
     rng = random.Random(3)
     for _ in range(20):
-        n = rng.randint(1, 6)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        a = MonomialMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
-        rng.shuffle(perm)
-        b = MonomialMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
-        ab = mat_mul(a, b)
-        assert isinstance(ab, MonomialMatrix)
-        assert ab.to_dense() == mat_mul(a.to_dense(), b.to_dense())
-        k = kron(a, b)
-        assert isinstance(k, MonomialMatrix)
-        assert k.to_dense() == kron(a.to_dense(), b.to_dense())
+        a = random_monomial(rng, rng.randint(1, 6))
+        b = random_monomial(rng, a.dim)
+        c = random_monomial(rng, rng.randint(1, 6))
+        assert oracle.grid(mat_mul(a, b)) == oracle.matmul(oracle.grid(a), oracle.grid(b))
+        assert oracle.grid(kron(a, c)) == oracle.kron(oracle.grid(a), oracle.grid(c))
+    with pytest.raises(ValueError):
+        mat_mul(MonomialMatrix.identity(2), MonomialMatrix.identity(3))
 
 
 def test_kron_identity_block_diagonal():
@@ -108,12 +69,8 @@ def test_kron_dims_multiply():
 
 
 def test_monomial_transpose_is_inverse():
-    rng = random.Random(5)
-    n = 8
-    perm = list(range(n))
-    rng.shuffle(perm)
-    m = MonomialMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
-    assert mat_mul(m.transpose(), m) == MonomialMatrix.identity(n)
+    m = random_monomial(random.Random(5), 8)
+    assert mat_mul(m.transpose(), m) == MonomialMatrix.identity(8)
 
 
 def test_monomial_rejects_bad_entries():
@@ -125,18 +82,17 @@ def test_monomial_rejects_bad_entries():
 
 def test_solve_identity():
     b = [Q(3), Q(-1, 2), Q(7)]
-    res = solve_linear(DenseMatrix.identity(3), b)
-    assert res.status == "solved"
-    assert res.particular == b
-    assert res.nullspace == []
+    red, _, cert = feed(3, [[Q(int(i == j)) for j in range(3)] for i in range(3)], b)
+    assert cert is None
+    assert red.solution() == b
+    assert oracle.kernel(red) == []
 
 
 def test_solve_underdetermined():
-    res = solve_linear([[Q(1), Q(1)]], [Q(0)])
-    assert res.status == "solved"
-    assert res.particular == [Q(0), Q(0)]
-    assert len(res.nullspace) == 1
-    v = res.nullspace[0]
+    red, _, cert = feed(2, [[Q(1), Q(1)]], [Q(0)])
+    assert cert is None
+    assert red.solution() == [Q(0), Q(0)]
+    (v,) = oracle.kernel(red)
     assert v[0] + v[1] == 0 and v != [Q(0), Q(0)]
 
 
@@ -144,13 +100,12 @@ def test_solve_random_invertible_multiply_back():
     rng = random.Random(13)
     for _ in range(3):
         while True:
-            a = random_dense(rng, 6, 6)
+            a = [[Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)] for _ in range(6)]
             b = [Q(rng.randint(-9, 9)) for _ in range(6)]
-            res = solve_linear(a, b)
-            if res.status == "solved" and not res.nullspace:
+            red, _, cert = feed(6, a, b)
+            if cert is None and red.rank() == 6:
                 break
-        x = res.particular
-        assert a.apply(x) == b
+        assert oracle.apply(a, red.solution()) == b
 
 
 def test_infeasible_certificate_soundness():
@@ -161,27 +116,15 @@ def test_infeasible_certificate_soundness():
         rows.append([rows[0][j] + rows[1][j] for j in range(3)])
         b = [Q(rng.randint(-4, 4)), Q(rng.randint(-4, 4))]
         b.append(b[0] + b[1] + 1)
-        res = solve_linear(rows, b)
-        assert res.status == "infeasible"
-        y = res.certificate
+        _, _, cert = feed(3, rows, b)
+        assert cert is not None
         for j in range(3):
-            assert sum(y[i] * rows[i][j] for i in range(3)) == 0
-        assert sum(y[i] * b[i] for i in range(3)) != 0
-
-
-def test_dot_mismatch_raises():
-    with pytest.raises(ValueError):
-        dot([Q(1)], [Q(1), Q(2)])
-
-
-def test_matrix_json_forms():
-    m = DenseMatrix.from_rows([[Q(1, 2), Q(-3)], [Q(0), Q(5)]])
-    assert m.to_json() == [["1/2", "-3"], ["0", "5"]]
-    assert EPS.to_json() == {"dim": 2, "cols": [[1, 1], [0, -1]]}
+            assert sum(c * rows[k][j] for k, c in cert.items()) == 0
+        assert sum(c * b[k] for k, c in cert.items()) != 0
 
 
 # ---------------------------------------------------------------------------
-# properties of the signed-permutation kernels, against the dense product
+# properties of the signed-permutation kernels, against the entry grid
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -210,7 +153,7 @@ def vectors(n):
 def test_apply_matches_dense(data):
     m = data.draw(monomials())
     v = data.draw(vectors(m.dim))
-    assert m.apply(v) == m.to_dense().apply(v)
+    assert m.apply(v) == oracle.apply(oracle.grid(m), v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +163,7 @@ def test_apply_accumulates_weighted_in_place(data):
     v = data.draw(vectors(m.dim))
     acc = data.draw(vectors(m.dim))
     weight = data.draw(SCALARS)
-    expected = [a + weight * b for a, b in zip(acc, m.to_dense().apply(v))]
+    expected = [a + weight * b for a, b in zip(acc, oracle.apply(oracle.grid(m), v))]
     out = m.apply(v, acc, weight)
     assert out is acc
     assert acc == expected
@@ -232,7 +175,7 @@ def test_bilinear_matches_dense(data):
     m = data.draw(monomials())
     u = data.draw(vectors(m.dim))
     v = data.draw(vectors(m.dim))
-    assert m.bilinear(u, v) == dot(u, m.to_dense().apply(v))
+    assert m.bilinear(u, v) == oracle.dot(u, oracle.apply(oracle.grid(m), v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,7 +227,7 @@ def rational_systems(draw, consistent=False):
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
     if consistent:
         point = draw(row)
-        return ncols, rows, [dot(r, point) for r in rows]
+        return ncols, rows, [oracle.dot(r, point) for r in rows]
     rhs = draw(st.lists(SMALL_RATIONALS, min_size=nrows, max_size=nrows))
     if draw(st.booleans()):
         weights = draw(st.lists(SMALL_RATIONALS, min_size=nrows, max_size=nrows))
@@ -323,7 +266,7 @@ def test_row_reducer_solution_satisfies_fed_rows(system):
     assume(cert is None)
     x = red.solution()
     for row, b in zip(rows, rhs):
-        assert dot(row, x) == b
+        assert oracle.dot(row, x) == b
 
 
 @settings(max_examples=60, deadline=None)

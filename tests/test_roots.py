@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from magicstar.linalg import dot
+from linalg_oracle import dot
 from magicstar.roots import AlgebraLabel, RootSystem, generate_roots
 from roots_oracle import EXPECTED_COUNTS, cartan_matrix, coroot_pairing
 
@@ -19,12 +19,12 @@ def test_label_parse_and_validation():
 
 def test_cartan_a2():
     m = cartan_matrix(AlgebraLabel("A", 2))
-    assert m.to_json() == [["2", "-1"], ["-1", "2"]]
+    assert m == [[2, -1], [-1, 2]]
 
 
 def test_cartan_g2_offdiagonal():
     m = cartan_matrix(AlgebraLabel("G", 2))
-    off = sorted([m.at(0, 1), m.at(1, 0)])
+    off = sorted([m[0][1], m[1][0]])
     assert off == [Q(-3), Q(-1)]
 
 
@@ -33,11 +33,11 @@ def test_cartan_e8_has_seven_bonds():
     bonds = 0
     for i in range(8):
         for j in range(i + 1, 8):
-            assert m.at(i, j) == m.at(j, i)
-            if m.at(i, j) == Q(-1):
+            assert m[i][j] == m[j][i]
+            if m[i][j] == Q(-1):
                 bonds += 1
             else:
-                assert m.at(i, j) == 0
+                assert m[i][j] == 0
     assert bonds == 7
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magicstar.linalg import DenseMatrix, dot
+from linalg_oracle import apply, det3, dot, grid
 from magicstar.octonion import (
     oct_conj,
     oct_from,
@@ -226,13 +226,6 @@ def test_element_json_roundtrip():
 
 # --- determinant oracle ------------------------------------------------------
 
-def classical_det3(m: DenseMatrix) -> Q:
-    a, b, c = m.data[0]
-    d, e, f = m.data[1]
-    g, h, i = m.data[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def test_jordan_determinant_diagonal():
     j = OctonionHermitian3.diagonal(2, 3, 5)
     assert jordan_determinant(j) == 30
@@ -248,8 +241,7 @@ def test_jordan_determinant_real_restriction():
             oct_from([a2] + [0] * 7),
             oct_from([a3] + [0] * 7),
         )
-        m = DenseMatrix.from_rows([[r1, a1, a2], [a1, r2, a3], [a2, a3, r3]])
-        assert jordan_determinant(j) == classical_det3(m)
+        assert jordan_determinant(j) == det3([[r1, a1, a2], [a1, r2, a3], [a2, a3, r3]])
 
 
 def test_jordan_determinant_unit_triple():
@@ -332,7 +324,7 @@ def test_eta_matches_norm_quadratic_part():
 # --- properties on rational elements, against a plain Fraction reference ------
 
 PROPERTY_SPACES = {q: make_space(q, 0) for q in (1, 2, 4, 8)}
-DENSE_FORMS = {q: [m.to_dense() for m in sp.norm_forms] for q, sp in PROPERTY_SPACES.items()}
+DENSE_FORMS = {q: [grid(m) for m in sp.norm_forms] for q, sp in PROPERTY_SPACES.items()}
 RATIONALS = st.one_of(
     st.just(Q(0)),
     st.fractions(min_value=-6, max_value=6, max_denominator=12),
@@ -376,7 +368,7 @@ def reference_norm_and_gradient(q, el):
     forms = DENSE_FORMS[q]
     cols = reference_columns(sp, el)
     vec = list(el.v) + [(el.r1 - el.r2) / 2, (el.r1 + el.r2) / 2]
-    bil = [sum(dot(col, m.apply(col)) for col in cols) for m in forms]
+    bil = [sum(dot(col, apply(m, col)) for col in cols) for m in forms]
     vv = sum(x * x for x in el.v)
     norm = el.r3 * (el.r1 * el.r2 - vv) + sum(w * b for w, b in zip(vec, bil))
     grad = [
@@ -386,7 +378,7 @@ def reference_norm_and_gradient(q, el):
     ]
     grad += [-2 * el.r3 * x + b for x, b in zip(el.v, bil)]
     for support, col in zip(sp.carriers, cols):
-        moved = [m.apply(col) for m in forms]
+        moved = [apply(m, col) for m in forms]
         grad += [2 * sum(w * mc[i] for w, mc in zip(vec, moved)) for i in support]
     return norm, grad
 
