@@ -207,20 +207,14 @@ def _construct(sig: Signature) -> CliffordRep:
     (bp, bq), plus, minus = _base(d)
     flips = (p - q - (bp - bq)) // 8
     steps = (p + q - bp - bq) // 2
-    if steps < 0:
-        raise CliffordConstructionError("signature %s below the base case" % (sig,))
     dim = plus[0].dim if plus else minus[0].dim
     for _ in range(steps):
         plus, minus = _double(plus, minus, dim)
         dim *= 2
     for _ in range(abs(flips)):
         if flips > 0:
-            if len(minus) < 4:
-                raise CliffordConstructionError("flip needs four minus generators")
             plus, minus = _flip_up(plus, minus)
         else:
-            if len(plus) < 4:
-                raise CliffordConstructionError("flip needs four plus generators")
             plus, minus = _flip_down(plus, minus)
     if len(plus) != p or len(minus) != q:
         raise AssertionError("route planner produced the wrong signature")

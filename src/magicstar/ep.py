@@ -38,10 +38,6 @@ from .clifford import (
 )
 from .linalg import MonomialMatrix, RowReducer, mat_mul, rat_str
 
-# the division-algebra parameter each level corresponds to
-LEVEL_Q = {"der": 1, "str0": 2, "conf": 4, "qconf": 8}
-
-
 class EPError(ValueError):
     pass
 
@@ -420,16 +416,6 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
     return _integral(out, den)
 
 
-def ep_scale(a: EPElement, c) -> EPElement:
-    if not c:
-        return EPElement({})
-    c = Q(c)
-    return _integral(
-        {name: _times(val, c.numerator) for name, val in a.blocks.items()},
-        a.den * c.denominator,
-    )
-
-
 # ---------------------------------------------------------------------------
 # kernels: each maps two blocks of int numerators, named by ``key``, to
 # ``(value, den_factor)``, int numerators whose value is the product's value
@@ -599,11 +585,9 @@ def bracket(space: EPSpace, x: EPElement, y: EPElement) -> EPElement:
 
 
 def jacobiator(space: EPSpace, x: EPElement, y: EPElement, z: EPElement) -> EPElement:
-    """[[x,y],z] + [[y,z],x] + [[z,x],y], exactly."""
-    out = EPElement({})
-    for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
-        out = ep_add(out, bracket(space, bracket(space, a, b), c))
-    return out
+    """[[x,y],z] + [[y,z],x] + [[z,x],y], exactly: the untagged entry of
+    ``_tagged_jacobiator`` in numeric mode."""
+    return _tagged_jacobiator(space, x, y, z, None).get((), EPElement({}))
 
 
 def _tagged_jacobiator(space: EPSpace, x, y, z, unknowns) -> Dict[tuple, EPElement]:

@@ -78,12 +78,6 @@ def oct_zero() -> Octonion:
     return (Q(0),) * 8
 
 
-def oct_unit(i: int) -> Octonion:
-    v = [Q(0)] * 8
-    v[i] = Q(1)
-    return tuple(v)
-
-
 def oct_from(coords: Sequence) -> Octonion:
     if len(coords) != 8:
         raise ValueError("an octonion needs eight coordinates")

@@ -50,6 +50,30 @@ class AlgebraLabel:
         return "%s%d" % (self.family, self.rank)
 
 
+# Number of roots per family, from the rank.
+_ROOT_COUNTS = {
+    "A": lambda r: r * (r + 1),
+    "B": lambda r: 2 * r * r,
+    "D": lambda r: 2 * r * (r - 1),
+    "G": lambda r: 12,
+    "F": lambda r: 48,
+    "E": lambda r: {6: 72, 7: 126, 8: 240}[r],
+}
+
+# Root systems with more roots are refused: A44 (1,980 roots) closes in
+# about half a second, and the closure's cost grows faster than the count.
+MAX_ROOTS = 2000
+
+
+def root_count(label: AlgebraLabel) -> int:
+    """Number of roots of ``label``, from the label alone.  A system with
+    more than ``MAX_ROOTS`` roots is refused before any root exists."""
+    count = _ROOT_COUNTS[label.family](label.rank)
+    if count > MAX_ROOTS:
+        raise ValueError("%s has %d roots, over the limit of %d" % (label, count, MAX_ROOTS))
+    return count
+
+
 def _simple_roots(label: AlgebraLabel) -> List[Vector]:
     fam, r = label.family, label.rank
 
@@ -146,6 +170,7 @@ def generate_roots(label: AlgebraLabel) -> RootSystem:
     model; doubling keeps the lexicographic order, so sorting the integer
     tuples sorts the roots.
     """
+    root_count(label)
     simple = _simple_roots(label)
     if any((2 * x).denominator != 1 for s in simple for x in s):
         raise AssertionError("coordinates must be integer or half-integer")

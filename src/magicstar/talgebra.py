@@ -28,6 +28,9 @@ from fractions import Fraction as Q
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .clifford import (
+    EPS,
+    SIGMA1,
+    SIGMA3,
     CliffordRep,
     Signature,
     build_rep,
@@ -35,7 +38,7 @@ from .clifford import (
     rep_dim,
     verify_relations,
 )
-from .linalg import MonomialMatrix, kron, lift, mat_mul, rat_parse, rat_str
+from .linalg import MonomialMatrix, kron, lift, mat_mul, mat_prod, rat_parse
 from .octonion import (
     Octonion,
     left_mult_matrix,
@@ -44,7 +47,6 @@ from .octonion import (
     oct_mul,
     oct_norm,
     oct_re,
-    oct_zero,
 )
 
 _FUND = {1: 1, 2: 2, 4: 2, 8: 1}
@@ -83,6 +85,26 @@ class TSpace:
         return self.vector_dim + 2
 
 
+def _model_gammas() -> List[MonomialMatrix]:
+    """Gammas of the ten-dimensional space on two octonion pairs.
+
+    Coordinates: (u, w) in the first sixteen slots, (u', w') in the rest
+    (Baez, "The Octonions", 2002).  Every generator exchanges the two
+    pairs; the octonion directions act by left multiplications L_a, the
+    cone pair by diagonal signs:
+
+        e_0 = s1 x s1 x L_0,  e_a = s1 x (-eps) x L_a  (a = 1..7),
+        z = s1 x s3 x 1_8,    t = eps x 1_16.
+    """
+    gammas = [
+        kron(SIGMA1, kron(SIGMA1 if a == 0 else EPS.neg(), left_mult_matrix(a)))
+        for a in range(8)
+    ]
+    gammas.append(kron(SIGMA1, kron(SIGMA3, MonomialMatrix.identity(8))))
+    gammas.append(kron(EPS, MonomialMatrix.identity(16)))
+    return gammas
+
+
 def _octonionic_rep(n: int) -> CliffordRep:
     """The q=8 representation on octonion pairs, tensor-extended for n > 0.
 
@@ -92,13 +114,11 @@ def _octonionic_rep(n: int) -> CliffordRep:
     """
     base = _model_gammas()  # [e0..e7, z, t]
     if n == 0:
-        gammas = list(base)
+        gammas = base
     else:
         extra = build_rep(Signature(8 * n, 0))
         iu = MonomialMatrix.identity(extra.dim)
-        omega = base[0]
-        for g in base[1:]:
-            omega = mat_mul(omega, g)
+        omega = mat_prod(base)
         gammas = [kron(g, iu) for g in base[:8]]
         gammas += [kron(omega, d) for d in extra.gammas]
         gammas += [kron(base[8], iu), kron(base[9], iu)]
@@ -171,26 +191,11 @@ class TElement:
             [[Q(0)] * space.width for _ in range(space.fund)],
         )
 
-    @staticmethod
-    def diagonal(space: TSpace, r1, r2, r3) -> "TElement":
-        el = TElement.zero(space)
-        el.r1, el.r2, el.r3 = Q(r1), Q(r2), Q(r3)
-        return el
-
     def coords(self) -> List[Q]:
         out = [self.r1, self.r2, self.r3] + list(self.v)
         for col in self.psi:
             out.extend(col)
         return out
-
-    def to_json(self, space: TSpace) -> dict:
-        return {
-            "q": space.q,
-            "n": space.n,
-            "r": [rat_str(self.r1), rat_str(self.r2), rat_str(self.r3)],
-            "v": [rat_str(x) for x in self.v],
-            "psi": [[rat_str(x) for x in col] for col in self.psi],
-        }
 
     @staticmethod
     def from_json(space: TSpace, data: dict) -> "TElement":
@@ -236,17 +241,6 @@ def lightcone_inverse(x_plus, x_minus) -> Tuple[Q, Q]:
 def _vector_coords(space: TSpace, el: TElement) -> List[Q]:
     x_plus, x_minus = lightcone_map(el.r1, el.r2)
     return list(el.v) + [x_minus, x_plus]
-
-
-def eta(space: TSpace, a: Sequence, b: Sequence) -> Q:
-    """Invariant bilinear of the vector module, scaled so that the norm's
-    quadratic part is r3 * eta(V, V) / 2 with eta(V, V) = 2 r1 r2 - 2|v|^2."""
-    if len(a) != space.vdim_full or len(b) != space.vdim_full:
-        raise TAlgebraError("vectors must carry the two cone slots")
-    out = Q(0)
-    for g, x, y in zip(space.rep.metric, a, b):
-        out -= 2 * g * x * y
-    return out
 
 
 def _carrier_columns(space: TSpace, el: TElement) -> Tuple[List[List[int]], int]:
@@ -354,9 +348,13 @@ def entropy(space: TSpace, el: TElement) -> Tuple[float, Q]:
 
 
 def entropy_of_norm(n: Q) -> Tuple[float, Q]:
-    """``entropy`` from an already computed cubic norm N."""
+    """``entropy`` from an already computed cubic norm N.  An |N| past the
+    float range is refused: its entropy has no float value."""
     a = abs(n)
-    return (math.pi * math.sqrt(a.numerator / a.denominator), a)
+    try:
+        return (math.pi * math.sqrt(a.numerator / a.denominator), a)
+    except OverflowError:
+        raise TAlgebraError("|N| is too large for a float entropy") from None
 
 
 def so_generator_pairs(space: TSpace):
@@ -406,10 +404,6 @@ class OctonionHermitian3:
     a2: Octonion
     a3: Octonion
 
-    @staticmethod
-    def diagonal(r1, r2, r3) -> "OctonionHermitian3":
-        return OctonionHermitian3(Q(r1), Q(r2), Q(r3), oct_zero(), oct_zero(), oct_zero())
-
     def coords(self) -> List[Q]:
         return [self.r1, self.r2, self.r3] + list(self.a1) + list(self.a2) + list(self.a3)
 
@@ -442,129 +436,21 @@ def jordan_determinant(j: OctonionHermitian3) -> Q:
 
 
 # ---------------------------------------------------------------------------
-# the octonionic model of the q=8, n=0 representation and the embedding
+# the embedding of the octonionic matrices into the q=8, n=0 space
 # ---------------------------------------------------------------------------
-
-def _model_gammas() -> List[MonomialMatrix]:
-    """Gammas of the ten-dimensional space acting on two octonion pairs.
-
-    Coordinates: (u, w) in the first sixteen slots, (u', w') in the rest.
-    Every generator exchanges the two halves; the eight octonion directions
-    act by left multiplications, the cone pair by diagonal signs.
-    """
-    def block_matrix(top_right, bottom_left):
-        # 32x32 from two 16x16 monomials placed off the block diagonal
-        rows = [0] * 32
-        signs = [1] * 32
-        for c in range(16):
-            rows[c] = bottom_left.rows[c] + 16
-            signs[c] = bottom_left.signs[c]
-        for c in range(16):
-            rows[16 + c] = top_right.rows[c]
-            signs[16 + c] = top_right.signs[c]
-        return MonomialMatrix(32, tuple(rows), tuple(signs))
-
-    def pair16(tl, tr, bl, br):
-        # 16x16 from four 8x8 blocks, any three of which may be None
-        rows = [0] * 16
-        signs = [1] * 16
-        for c in range(8):
-            if tl is not None:
-                rows[c], signs[c] = tl.rows[c], tl.signs[c]
-            else:
-                rows[c], signs[c] = bl.rows[c] + 8, bl.signs[c]
-        for c in range(8):
-            if br is not None:
-                rows[8 + c], signs[8 + c] = br.rows[c] + 8, br.signs[c]
-            else:
-                rows[8 + c], signs[8 + c] = tr.rows[c], tr.signs[c]
-        return MonomialMatrix(16, tuple(rows), tuple(signs))
-
-    ident8 = MonomialMatrix.identity(8)
-    gammas = []
-    for a in range(8):
-        lx = left_mult_matrix(a)
-        # conj(e_a) = e_a for a = 0, else -e_a
-        lxbar = lx if a == 0 else lx.neg()
-        m = pair16(None, lx, lxbar, None)
-        gammas.append(block_matrix(m, m))
-    m_z = pair16(ident8, None, None, ident8.neg())
-    gammas.append(block_matrix(m_z, m_z))
-    m_t_top = pair16(ident8.neg(), None, None, ident8.neg())
-    m_t_bottom = pair16(ident8, None, None, ident8)
-    gammas.append(block_matrix(m_t_top, m_t_bottom))
-    return gammas
-
-
-def model_rep() -> CliffordRep:
-    gammas = _model_gammas()
-    rep = CliffordRep(Signature(9, 1), 32, tuple(gammas), (1,) * 9 + (-1,))
-    verify_relations(rep)
-    return rep
-
-
-def _intertwiner(rep_a: CliffordRep, rep_b: CliffordRep) -> Tuple[MonomialMatrix, int]:
-    """Solve S a_mu = b_mu S by orbit propagation over the matrix entries.
-
-    Positions of S fall into orbits under the joint row permutations; a
-    consistent orbit fixes S up to scale.  Returns the (normalized) solution
-    and the dimension of the full solution space.
-    """
-    dim = rep_a.dim
-    if rep_b.dim != dim or rep_a.sig != rep_b.sig:
-        raise TAlgebraError("representations are not compatible")
-    gens = list(zip(rep_b.gammas, rep_a.gammas))
-    orbits = []
-    visited = set()
-    for seed in ((r, c) for r in range(dim) for c in range(dim)):
-        if seed in visited:
-            continue
-        values = {seed: 1}
-        stack = [seed]
-        consistent = True
-        while stack:
-            (r, c) = stack.pop()
-            val = values[(r, c)]
-            for gb, ga in gens:
-                # S[gb.rows[r], ga.rows[c]] * gb.signs[r] ... from S a = b S
-                nr, nc = gb.rows[r], ga.rows[c]
-                nval = val * gb.signs[r] * ga.signs[c]
-                if (nr, nc) in values:
-                    if values[(nr, nc)] != nval:
-                        consistent = False
-                else:
-                    values[(nr, nc)] = nval
-                    stack.append((nr, nc))
-        visited.update(values)
-        if consistent:
-            orbits.append(values)
-    if not orbits:
-        raise TAlgebraError("no intertwiner exists")
-    values = orbits[0]
-    rows = [-1] * dim
-    signs = [1] * dim
-    for (r, c), s in values.items():
-        if rows[c] != -1:
-            raise TAlgebraError("intertwiner is not monomial")
-        rows[c] = r
-        signs[c] = s
-    s_mat = MonomialMatrix(dim, tuple(rows), tuple(signs))
-    for gb, ga in gens:
-        if mat_mul(s_mat, ga) != mat_mul(gb, s_mat):
-            raise AssertionError("intertwiner fails the defining relation")
-    return s_mat, len(orbits)
-
 
 @dataclass
 class Calibration:
-    """Stored linear identification between matrix coordinates and a space."""
+    """Stored linear identification between matrix coordinates and the
+    q=8, n=0 space: which octonion pair of the model carries (A2, A3), in
+    which order, with which conjugations and signs, and whether A1 enters
+    the vector block conjugated.  The spinor block is the model itself, so
+    the identification is a signed permutation of coordinates."""
 
     v_conj: bool
     u_slot: Tuple[str, bool, int]  # (letter, conjugate, sign)
     w_slot: Tuple[str, bool, int]
     block: str                     # "low" (u,w) or "high" (u',w') model half
-    intertwiner: MonomialMatrix
-    solution_space_dim: int
     candidates_validated: int
 
 
@@ -597,7 +483,7 @@ def embed_jordan(space: TSpace, j: OctonionHermitian3, cal: Calibration) -> TEle
     el.r1, el.r2, el.r3 = j.r1, j.r2, j.r3
     a1 = oct_conj(j.a1) if cal.v_conj else j.a1
     el.v = list(a1)
-    col = cal.intertwiner.apply(_model_column(j, cal.block, cal.u_slot, cal.w_slot))
+    col = _model_column(j, cal.block, cal.u_slot, cal.w_slot)
     support = space.carriers[0]
     sset = set(support)
     if any(col[i] for i in range(32) if i not in sset):
@@ -615,15 +501,16 @@ def calibrate_embedding(space: TSpace, screen: int = 4, verify: int = 48, seed: 
     matrix coordinates and the spinor carrier, keeping the one that makes
     the cubic norm equal the determinant exactly.
 
-    The spinor identification factors through the unique (up to scale)
-    intertwiner with the octonionic model; the remaining freedom is which
-    model half carries the pair, which off-diagonal entry feeds which slot,
-    and conjugation/sign choices.  Failure of every candidate is a hard
-    error: it would falsify the stored conventions.
+    The q=8, n=0 representation is the octonionic model (``_model_gammas``),
+    so a model column is a representation column as it stands.  The
+    freedom left is which model half carries the pair, which off-diagonal
+    entry feeds which slot, and conjugation/sign choices; a candidate on
+    the half outside the chiral carrier fails ``embed_jordan``'s carrier
+    check.  Failure of every candidate is a hard error: it would falsify
+    the stored conventions.
     """
     if space.q != 8 or space.n != 0:
         raise TAlgebraError("calibration is defined for q=8, n=0")
-    s_mat, sol_dim = _intertwiner(model_rep(), space.rep)
     rng = random.Random(seed)
     screens = [_random_hermitian(rng) for _ in range(screen)]
     verifies = [_random_hermitian(rng, -6, 6) for _ in range(verify)]
@@ -639,8 +526,6 @@ def calibrate_embedding(space: TSpace, screen: int = 4, verify: int = 48, seed: 
             u_slot=(u_letter, u_conj, u_sign),
             w_slot=(w_letter, w_conj, w_sign),
             block=block,
-            intertwiner=s_mat,
-            solution_space_dim=sol_dim,
             candidates_validated=0,
         )
         if _embedding_matches(space, cal, screens) and _embedding_matches(space, cal, verifies):

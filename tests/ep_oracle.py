@@ -4,10 +4,13 @@ property tests compare the production kernels against.
 They materialise one signed permutation per generator pair: the action
 gamma_a gamma_b and the form +-C gamma_a gamma_b, and they index the
 commutator by the endpoints of its second operand.  Each returns
-``(value, den_factor)`` like the kernel it mirrors.
+``(value, den_factor)`` like the kernel it mirrors.  ``ep_scale`` and
+``LEVEL_Q`` (each level's division-algebra parameter) are test helpers.
 """
 
-from magicstar.ep import basis_spinor, jacobiator
+from fractions import Fraction as Q
+
+from magicstar.ep import EPElement, _integral, _times, basis_spinor, jacobiator
 from magicstar.linalg import mat_mul
 
 
@@ -97,3 +100,18 @@ def find_basis_witness(space, limit: int = 4096):
                 if count >= limit:
                     return None
     return None
+
+
+# the division-algebra parameter each level corresponds to
+LEVEL_Q = {"der": 1, "str0": 2, "conf": 4, "qconf": 8}
+
+
+def ep_scale(a: EPElement, c) -> EPElement:
+    """c times a, on the int numerators over one shared denominator."""
+    if not c:
+        return EPElement({})
+    c = Q(c)
+    return _integral(
+        {name: _times(val, c.numerator) for name, val in a.blocks.items()},
+        a.den * c.denominator,
+    )

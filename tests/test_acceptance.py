@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from linalg_oracle import det3
+from talgebra_oracle import diagonal
 from magicstar import clifford as cl
 from magicstar import ep as ep_mod
 from magicstar import star as star_mod
@@ -192,12 +193,12 @@ def test_criterion_09_norm_properties():
 def test_criterion_10_rank_and_entropy():
     t0 = time.monotonic()
     sp = tg.make_space(8, 0)
-    assert tg.rank(sp, tg.TElement.diagonal(sp, 1, 1, 1)) == 3
-    assert tg.rank(sp, tg.TElement.diagonal(sp, 1, 1, 0)) == 2
-    assert tg.rank(sp, tg.TElement.diagonal(sp, 1, 0, 0)) == 1
+    assert tg.rank(sp, diagonal(sp, 1, 1, 1)) == 3
+    assert tg.rank(sp, diagonal(sp, 1, 1, 0)) == 2
+    assert tg.rank(sp, diagonal(sp, 1, 0, 0)) == 1
     assert tg.rank(sp, tg.TElement.zero(sp)) == 0
     # N = -4 via diag(-1, 2, 2): entropy 2*pi to machine double precision
-    el = tg.TElement.diagonal(sp, -1, 2, 2)
+    el = diagonal(sp, -1, 2, 2)
     value, n_abs = tg.entropy(sp, el)
     assert tg.cubic_norm(sp, el) == -4 and n_abs == 4
     assert abs(value - 2 * math.pi) <= 1e-15 * (2 * math.pi)

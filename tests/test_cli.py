@@ -131,6 +131,18 @@ def test_talg_entropy_diag220(tmp_path, capsys):
     assert data == {"N": "0", "rank": 2, "entropy": 0.0}
 
 
+def test_talg_entropy_past_float_range_exit_1(tmp_path, capsys):
+    big = str(10 ** 200)
+    payload = {"q": 8, "n": 0, "r": [big] * 3, "v": ["0"] * 8, "psi": [["0"] * 16]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code = run(["talg", "--q", "8", "--n", "0", "entropy", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "too large" in captured.err and captured.err.count("\n") == 1
+
+
 def test_talg_norm_and_grad(tmp_path, capsys):
     payload = {
         "q": 2,
@@ -306,6 +318,8 @@ def test_star_e8_chart_digests(tmp_path, capsys):
     ["ep", "--level", "str0", "--n", "2", "--samples", "1"],
     ["talg", "--q", "8", "--n", "2", "norm", "--input", "/nonexistent.json"],
     ["talg", "--q", "2", "--n", "3", "norm", "--input", "/nonexistent.json"],
+    ["roots", "A45", "--count"],
+    ["star", "B32"],
 ])
 def test_over_size_limit_exit_1(capsys, argv):
     code = run(argv)

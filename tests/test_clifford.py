@@ -376,7 +376,7 @@ def test_mutated_gamma_rejected_on_label_and_column_paths():
         verify_relations(_with_gamma(rep, 3, relabelled))
     with pytest.raises(AssertionError):
         verify_relations(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 1234)))
-    model = talgebra.model_rep()
+    model = talgebra.make_space(8, 0).rep
     assert _pauli(model.gammas[1]) is None
     with pytest.raises(AssertionError):
         verify_relations(_with_gamma(model, 1, _sign_flipped(model.gammas[1], 5)))
@@ -429,4 +429,4 @@ def test_conjugation_matches_oracle_on_every_small_signature():
 
 def test_conjugation_refuses_gammas_that_are_not_pauli_strings():
     with pytest.raises(ValueError, match="Pauli"):
-        conjugation(talgebra.model_rep(), 1)
+        conjugation(talgebra.make_space(8, 0).rep, 1)

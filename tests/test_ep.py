@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ep_oracle
+from ep_oracle import LEVEL_Q, ep_scale
 from linalg_oracle import grid
 from magicstar.clifford import Signature
 from magicstar.ep import (
@@ -18,7 +19,6 @@ from magicstar.ep import (
     default_coeffs,
     dimension,
     ep_add,
-    ep_scale,
     grade_profile,
     jacobi_infeasibility,
     jacobiator,
@@ -282,9 +282,12 @@ def test_scale_and_add_helpers():
 
 
 def test_level_q_correspondence():
-    from magicstar.ep import LEVEL_Q
-
+    # level q acts on 8 + q + 8n gammas: so(9), so(9,1), so(10,2), so(12,4)
+    # at n = 0, eight more generators per unit of n
     assert LEVEL_Q == {"der": 1, "str0": 2, "conf": 4, "qconf": 8}
+    for level, q in LEVEL_Q.items():
+        for n in (0, 1):
+            assert signature_for(level, n).total == 8 + q + 8 * n
 
 
 # ---------------------------------------------------------------------------

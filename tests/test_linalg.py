@@ -135,34 +135,45 @@ def monomials(draw, max_dim=64, dim=None):
     return MonomialMatrix(n, tuple(rows), tuple(signs))
 
 
-# mostly zeros, as in chiral-block and basis spinors
-SCALARS = st.one_of(
-    st.just(0),
-    st.just(0),
-    st.integers(-9, 9),
-    st.fractions(min_value=-9, max_value=9, max_denominator=6),
-)
+def random_scalar(rng):
+    """Mostly zeros, as in chiral-block and basis spinors: half 0, a quarter
+    ints in [-9, 9], a quarter fractions in [-9, 9] with denominators up to 6."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return 0
+    if kind == 2:
+        return rng.randint(-9, 9)
+    den = rng.randint(1, 6)
+    return Q(rng.randint(-9 * den, 9 * den), den)
 
 
-def vectors(n):
-    return st.lists(SCALARS, min_size=n, max_size=n)
+def random_vector(rng, n):
+    return [random_scalar(rng) for _ in range(n)]
+
+
+# the gather properties draw one seed and build a monomial of dimension up
+# to 64, its vectors and scalars from it: drawing a permutation and 64
+# scalars through Hypothesis costs far more than the kernel under test
+SEEDS = st.integers(0, 2 ** 64 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_apply_matches_dense(data):
-    m = data.draw(monomials())
-    v = data.draw(vectors(m.dim))
+@given(SEEDS)
+def test_apply_matches_dense(seed):
+    rng = random.Random(seed)
+    m = random_monomial(rng, rng.randint(1, 64))
+    v = random_vector(rng, m.dim)
     assert m.apply(v) == oracle.apply(oracle.grid(m), v)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_apply_accumulates_weighted_in_place(data):
-    m = data.draw(monomials())
-    v = data.draw(vectors(m.dim))
-    acc = data.draw(vectors(m.dim))
-    weight = data.draw(SCALARS)
+@given(SEEDS)
+def test_apply_accumulates_weighted_in_place(seed):
+    rng = random.Random(seed)
+    m = random_monomial(rng, rng.randint(1, 64))
+    v = random_vector(rng, m.dim)
+    acc = random_vector(rng, m.dim)
+    weight = random_scalar(rng)
     expected = [a + weight * b for a, b in zip(acc, oracle.apply(oracle.grid(m), v))]
     out = m.apply(v, acc, weight)
     assert out is acc
@@ -170,11 +181,12 @@ def test_apply_accumulates_weighted_in_place(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_bilinear_matches_dense(data):
-    m = data.draw(monomials())
-    u = data.draw(vectors(m.dim))
-    v = data.draw(vectors(m.dim))
+@given(SEEDS)
+def test_bilinear_matches_dense(seed):
+    rng = random.Random(seed)
+    m = random_monomial(rng, rng.randint(1, 64))
+    u = random_vector(rng, m.dim)
+    v = random_vector(rng, m.dim)
     assert m.bilinear(u, v) == oracle.dot(u, oracle.apply(oracle.grid(m), v))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from linalg_oracle import dot
-from magicstar.roots import AlgebraLabel, RootSystem, generate_roots
+from magicstar.roots import MAX_ROOTS, AlgebraLabel, RootSystem, generate_roots, root_count
 from roots_oracle import EXPECTED_COUNTS, cartan_matrix, coroot_pairing
 
 
@@ -45,6 +45,26 @@ def test_root_counts():
     for name, count in EXPECTED_COUNTS.items():
         rs = generate_roots(AlgebraLabel.parse(name))
         assert len(rs.roots) == count, name
+
+
+def test_root_count_closed_form_matches_closure():
+    labels = ["A%d" % r for r in range(1, 9)] + ["B%d" % r for r in range(2, 7)]
+    labels += ["D%d" % r for r in range(3, 8)] + list(EXPECTED_COUNTS)
+    for name in labels:
+        label = AlgebraLabel.parse(name)
+        assert root_count(label) == len(generate_roots(label).roots), name
+
+
+@pytest.mark.parametrize("inside,outside", [("A44", "A45"), ("B31", "B32"), ("D32", "D33")])
+def test_root_count_limit(inside, outside):
+    assert root_count(AlgebraLabel.parse(inside)) <= MAX_ROOTS
+    with pytest.raises(ValueError, match="over the limit"):
+        root_count(AlgebraLabel.parse(outside))
+    with pytest.raises(ValueError, match="over the limit"):
+        generate_roots(AlgebraLabel.parse(outside))
+    # the closed form refuses a rank far past the limit without building anything
+    with pytest.raises(ValueError, match="over the limit"):
+        generate_roots(AlgebraLabel("A", 10 ** 9))
 
 
 def test_counts_cross_check_dim_minus_rank():
