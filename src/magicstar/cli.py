@@ -23,7 +23,7 @@ from .clifford import (
     verify_relations,
 )
 from .linalg import rat_str
-from .roots import AlgebraLabel, generate_roots
+from .roots import AlgebraLabel, generate_roots, root_count
 from .talgebra import (
     TAlgebraError,
     TElement,
@@ -62,6 +62,9 @@ def _cmd_roots(args) -> int:
 
 def _cmd_star(args) -> int:
     label = AlgebraLabel.parse(args.label)
+    # the size refusal first, as for roots, then the host, before any root
+    root_count(label)
+    star_mod.require_host(label)
     rs = generate_roots(label)
     choice = star_mod.find_a2(rs)
     chart = star_mod.project(rs, choice)

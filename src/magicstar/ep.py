@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from functools import cached_property
 from math import lcm, prod
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, neg
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import (
@@ -36,7 +36,15 @@ from .clifford import (
     conjugation,
     rep_dim,
 )
-from .linalg import MonomialMatrix, RowReducer, mat_mul, rat_str
+from .linalg import (
+    LANE_LIMIT,
+    MonomialMatrix,
+    RowReducer,
+    mat_mul,
+    pack_lanes,
+    rat_str,
+    unpack_lanes,
+)
 
 class EPError(ValueError):
     pass
@@ -256,19 +264,29 @@ def default_coeffs(level: str) -> BracketCoeffs:
     return BracketCoeffs({name: Q(1) for name in desc.weights}, desc.pinned)
 
 
-def _reader(m: MonomialMatrix, cols, pos=None) -> Callable[[list], list]:
-    """v -> (m^T v) at ``cols``: m.signs[c] * v[m.rows[c]], with v indexed
-    through ``pos`` when given.  One gather, no loop in Python."""
-    get = itemgetter(*(m.rows[c] if pos is None else pos[m.rows[c]] for c in cols))
-    signs = tuple(m.signs[c] for c in cols)
-    return lambda v: list(map(mul, signs, get(v)))
+def _signed(v: Sequence[int]) -> list:
+    """v followed by its negation: the column every reader gathers from."""
+    return [*v, *map(neg, v)]
+
+
+def _reader(m: MonomialMatrix, cols, index: list, pos=None) -> Callable[[list], tuple]:
+    """_signed(v) -> (m^T v) at ``cols``: v[m.rows[c]], with v indexed
+    through ``pos`` when given, read from the negated half where
+    m.signs[c] is -1.  One gather, no arithmetic.  Positions are taken
+    from ``index``, list(range(k)), so readers share their int objects."""
+    n = m.dim if pos is None else len(pos)
+    return itemgetter(*(
+        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] < 0 else 0)]
+        for c in cols
+    ))
 
 
 class _Gathers:
     """Per gamma a, for a spinor on ``support``, which every gamma maps onto
     its image (the other chiral half, or everything): ``out[a]`` reads
     gamma_a v, ``raised[a]`` (C gamma_a)^T v on the image from a full column;
-    ``back[a]`` reads gamma_a r on ``support`` from r on the image.
+    ``back[a]`` reads gamma_a r on ``support`` from r on the image.  Each
+    reads from ``_signed`` of its input.
     ``expand`` spreads a vector on ``support``, then one 0, over a column."""
 
     __slots__ = ("support", "expand", "out", "raised", "back")
@@ -279,15 +297,18 @@ class _Gathers:
 
 
 def _gathers(gammas, raised, support) -> _Gathers:
+    dim = gammas[0].dim
     pos = {c: k for k, c in enumerate(support)}
-    image = tuple(c for c in range(gammas[0].dim) if c not in pos) or support
+    image = tuple(c for c in range(dim) if c not in pos) or support
     transposed = [g.transpose() for g in gammas]
+    index = list(range(2 * dim))
+    on_image = {c: k for k, c in enumerate(image)}
     return _Gathers(
         support,
-        itemgetter(*(pos.get(c, len(support)) for c in range(gammas[0].dim))),
-        tuple(_reader(t, image) for t in transposed),
-        tuple(_reader(m, image) for m in raised),
-        tuple(_reader(t, support, {c: k for k, c in enumerate(image)}) for t in transposed),
+        itemgetter(*(pos.get(c, len(support)) for c in range(dim))),
+        tuple(_reader(t, image, index) for t in transposed),
+        tuple(_reader(m, image, index) for m in raised),
+        tuple(_reader(t, support, index, on_image) for t in transposed),
     )
 
 
@@ -443,17 +464,44 @@ def _k_commutator(space: EPSpace, key, x: dict, y: dict):
 def _k_act(space: EPSpace, key, x: dict, psi: list):
     """The orthogonal action on a spinor column, sum over a < b of
     x_ab gamma_a gamma_b psi, over 2, as sum over a of
-    gamma_a (sum over b of x_ab gamma_b psi)."""
+    gamma_a (sum over b of x_ab gamma_b psi).
+
+    Each gamma_b psi is packed into one int with a 64-bit lane per image
+    entry, so each row sum costs one big-int multiply-add per pair.  A lane
+    of row a is at most sum over b of |x_ab| * max |psi|, so while
+    sum |x| * max |psi| stays below ``LANE_LIMIT`` no lane overflows into
+    its neighbour; past that bound the rows are summed entry by entry."""
     g = space.gathers[key[1]]
+    psi = _signed(psi)
+    # max over psi and -psi is max |psi|; max(1, ...): an all-zero x still
+    # packs psi, so psi must fit a lane
+    if max(1, sum(map(abs, x.values()))) * max(psi) < LANE_LIMIT:
+        packed = {b: pack_lanes(g.out[b](psi)) for b in {b for _, b in x}}
+        sums: Dict[int, int] = {}
+        for (a, b), v in x.items():
+            sums[a] = sums.get(a, 0) + v * packed[b]
+        # each gamma maps the support onto the image, so both have one
+        # size; r - (r << 64 width) packs the lanes of r, then of -r
+        width = len(g.support)
+        rows = ((a, unpack_lanes(r - (r << 64 * width), 2 * width)) for a, r in sums.items())
+    else:
+        rows = _act_rows(g, x, psi).items()
+    acc = [0] * len(g.support)
+    for a, r in rows:
+        acc = list(map(add, acc, g.back[a](r)))
+    return list(g.expand(acc + [0])), 2
+
+
+def _act_rows(g: _Gathers, x: dict, psi: list) -> Dict[int, list]:
+    """The rows of ``_k_act`` summed entry by entry, exact for ints of any
+    size: per a, ``_signed`` of sum over b of x_ab gamma_b psi on the image.
+    ``psi`` is already ``_signed``."""
     moved = {b: g.out[b](psi) for b in {b for _, b in x}}
     rows: Dict[int, list] = {}
     for (a, b), v in x.items():
         term = map(v.__mul__, moved[b])
         rows[a] = list(map(add, rows[a], term)) if a in rows else list(term)
-    acc = [0] * len(g.support)
-    for a, r in rows.items():
-        acc = list(map(add, acc, g.back[a](r)))
-    return list(g.expand(acc + [0])), 2
+    return {a: _signed(r) for a, r in rows.items()}
 
 
 def _k_grade(space: EPSpace, key, d: int, val):
@@ -466,6 +514,7 @@ def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
     phi's support."""
     g = space.gathers[key[1]]
     metric = space.rep.metric
+    psi, phi = _signed(psi), _signed(phi)
     raised = [f(psi) for f in g.raised]
     moved = [f(phi) for f in g.out]
     out = {}

@@ -10,14 +10,20 @@ products and Kronecker products of monomials stay monomial and cost
 O(dim).  Its ``apply`` (gather-accumulate) and ``bilinear`` are the one
 implementation of vector arithmetic over that storage.  ``RowReducer`` is
 the one solver: incremental exact row reduction that turns an inconsistent
-row into a certificate.
+row into a certificate.  ``pack_lanes`` and ``unpack_lanes`` hold an int
+vector as one Python int with a signed 64-bit lane per entry, so a scalar
+multiply-add of whole vectors is one big-int operation; it stays exact
+while every lane's magnitude stays below ``LANE_LIMIT``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
@@ -27,11 +33,31 @@ Vector = List[Q]
 
 
 def rat_str(x: Q) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
+    """Serialize a rational as "p/q", or "p" when the denominator is 1.
+
+    A part longer than the interpreter's limit for int-to-decimal
+    conversion is refused with a ValueError naming its digit count."""
     x = Q(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:
+        digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+        raise ValueError(
+            "a value of %d decimal digits is over the output limit of %d digits"
+            % (digits, sys.get_int_max_str_digits())
+        ) from None
+
+
+def _decimal_digits(k: int) -> int:
+    """Decimal digits of |k|, without converting it to a string."""
+    k = abs(k)
+    # |k| >= 2^(bits - 1), so this estimate is at most the digit count
+    d = max(1, int((k.bit_length() - 1) * 0.30102999566398120) - 1)
+    while 10 ** d <= k:
+        d += 1
+    return d
 
 
 # "p" or "p/q" in decimal digits, q nonzero
@@ -157,6 +183,50 @@ def kron(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     rows = tuple(ra * n + rb for ra in a.rows for rb in b.rows)
     signs = tuple(sa * sb for sa in a.signs for sb in b.signs)
     return MonomialMatrix(a.dim * n, rows, signs)
+
+
+# ---------------------------------------------------------------------------
+# packed 64-bit lanes
+# ---------------------------------------------------------------------------
+
+# A lane holds an int in [-2^63, 2^63); a sum of packed vectors whose every
+# lane stays below LANE_LIMIT in magnitude unpacks to the lane-wise sum.
+LANE_LIMIT = 2 ** 63
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+@lru_cache(maxsize=32)
+def _lane_bias(n: int) -> int:
+    """The top bit of each of n lanes: sum over k of 2^63 * 2^(64k)."""
+    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
+
+
+def pack_lanes(values: Sequence[int]) -> int:
+    """sum over k of values[k] * 2^(64k), for ints in [-2^63, 2^63).
+
+    The bytes of an ``array("q")`` read as one unsigned int hold each
+    negative lane as its two's complement, v + 2^64.  Flipping every top
+    bit adds 2^63 to each lane and leaves no lane negative; subtracting the
+    same bias then leaves the signed sum.  A value out of range raises
+    OverflowError.
+    """
+    lanes = array("q", values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    bias = _lane_bias(len(lanes))
+    return (int.from_bytes(lanes.tobytes(), "little") ^ bias) - bias
+
+
+def unpack_lanes(packed: int, n: int) -> array:
+    """The n lanes of ``packed`` as an ``array("q")``: the inverse of
+    :func:`pack_lanes` whenever every lane lies in [-2^63, 2^63)."""
+    bias = _lane_bias(n)
+    lanes = array("q")
+    lanes.frombytes(((packed + bias) ^ bias).to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,12 @@ _TIP_KEYS = tuple(map(_key, TIP_WEIGHTS))
 _CENTER_KEY = _key(CENTER)
 
 
+def require_host(label: AlgebraLabel) -> None:
+    """Refuse a label outside ``STAR_HOSTS``, from the label alone."""
+    if str(label) not in STAR_HOSTS:
+        raise MagicStarError("host %s has no hexagram projection" % label)
+
+
 def find_a2(rs: RootSystem) -> A2Choice:
     """Scan root pairs with both coroot pairings -1 (equal length, 120
     degrees); keep the first ordered pair whose projection buckets are legal
@@ -78,8 +84,7 @@ def find_a2(rs: RootSystem) -> A2Choice:
     ordered one.  The number of ordered candidates that validate, and the
     count multisets they give, are recorded on the result.
     """
-    if str(rs.label) not in STAR_HOSTS:
-        raise MagicStarError("host %s has no hexagram projection" % rs.label)
+    require_host(rs.label)
     cols = rs.pairings
     if min(map(min, cols)) < -3 or max(map(max, cols)) > 3:
         raise MagicStarError("pairing outside [-3, 3] in %s" % rs.label)

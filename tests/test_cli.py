@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+from magicstar import cli
 from magicstar.cli import run
 
 
@@ -52,6 +54,18 @@ def test_star_unwritable_svg_prints_nothing_exit_3(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("i/o failure: ") and captured.err.count("\n") == 1
+
+
+def test_star_refuses_a_non_host_before_building_roots(monkeypatch, capsys):
+    def refuse(label):
+        raise AssertionError("roots of %s built" % label)
+
+    monkeypatch.setattr(cli, "generate_roots", refuse)
+    code = run(["star", "A44"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: host A44 has no hexagram projection\n"
 
 
 def test_clifford_summary(capsys):
@@ -141,6 +155,26 @@ def test_talg_entropy_past_float_range_exit_1(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "too large" in captured.err and captured.err.count("\n") == 1
+
+
+def test_talg_norm_past_decimal_digit_limit_exit_1(tmp_path, capsys):
+    # N = (10^1500)^3 has 4,501 digits, past the interpreter's default
+    # limit for int-to-decimal conversion; grad stays inside it
+    big = str(10 ** 1500)
+    payload = {"q": 8, "n": 0, "r": [big] * 3, "v": ["0"] * 8, "psi": [["0"] * 16]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    argv = ["talg", "--q", "8", "--n", "0", "norm", "--input", str(path)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "4501 decimal digits" in captured.err
+    assert "limit of %d digits" % sys.get_int_max_str_digits() in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+    code, out = capture(capsys, argv[:5] + ["grad"] + argv[6:])
+    assert code == 0 and len(json.loads(out)["grad"]) == 27
 
 
 def test_talg_norm_and_grad(tmp_path, capsys):

@@ -1,11 +1,22 @@
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import linalg_oracle as oracle
-from magicstar.linalg import MonomialMatrix, RowReducer, kron, mat_mul, rat_parse, rat_str
+from magicstar.linalg import (
+    LANE_LIMIT,
+    MonomialMatrix,
+    RowReducer,
+    kron,
+    mat_mul,
+    pack_lanes,
+    rat_parse,
+    rat_str,
+    unpack_lanes,
+)
 
 
 EPS = MonomialMatrix(2, (1, 0), (1, -1))  # the 2x2 antisymmetric unit
@@ -23,6 +34,14 @@ def test_rat_roundtrip():
     assert rat_parse("7/2") == Q(7, 2)
     assert rat_parse("-5") == rat_parse(-5) == Q(-5)
     assert rat_parse("6/04") == Q(3, 2)
+
+
+def test_rat_str_refuses_past_decimal_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for value in (Q(10 ** limit), Q(-(10 ** limit)), Q(1, 10 ** limit)):
+        with pytest.raises(ValueError, match="%d decimal digits" % (limit + 1)):
+            rat_str(value)
+    assert rat_str(Q(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
 
 
 def test_identity_times_matrix():
@@ -215,6 +234,62 @@ def test_kron_mixed_product(data):
     b = data.draw(monomials(max_dim=8))
     d = data.draw(monomials(dim=b.dim))
     assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
+
+
+# ---------------------------------------------------------------------------
+# packed 64-bit lanes
+# ---------------------------------------------------------------------------
+
+# the ends of a signed 64-bit lane, and the values next to 0
+LANE_EDGES = (0, 1, -1, 2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63))
+
+
+def random_lanes(rng, n, cap):
+    """n ints in [-cap, cap]: a quarter at -cap, 0 or cap, a quarter small,
+    half anywhere in the range."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(rng.choice((-cap, 0, cap)))
+        elif kind == 1:
+            out.append(rng.randint(-9, 9))
+        else:
+            out.append(rng.randint(-cap, cap))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_lanes_roundtrip(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 64)
+    v = random_lanes(rng, n, LANE_LIMIT - 1)
+    v[rng.randrange(n)] = rng.choice(LANE_EDGES)
+    packed = pack_lanes(v)
+    assert packed == sum(x << (64 * k) for k, x in enumerate(v))
+    assert list(unpack_lanes(packed, n)) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_lane_combination_matches_elementwise(seed):
+    # the lane bound sum |c_i| * max |v_i| is kept just below LANE_LIMIT
+    rng = random.Random(seed)
+    n = rng.randint(1, 64)
+    coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+    cap = (LANE_LIMIT - 1) // max(1, sum(map(abs, coeffs)))
+    vectors = [random_lanes(rng, n, cap) for _ in coeffs]
+    packed = sum(c * pack_lanes(v) for c, v in zip(coeffs, vectors))
+    expected = [sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(n)]
+    assert list(unpack_lanes(packed, n)) == expected
+
+
+def test_pack_lanes_refuses_values_past_a_lane():
+    assert pack_lanes([]) == 0
+    for bad in (2 ** 63, -(2 ** 63) - 1):
+        with pytest.raises(OverflowError):
+            pack_lanes([0, bad])
 
 
 # ---------------------------------------------------------------------------

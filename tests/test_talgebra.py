@@ -282,13 +282,23 @@ def embedding_t80():
     return sp, calibrate_embedding(sp)
 
 
+def random_fraction(rng, bound, max_den):
+    den = rng.randint(1, max_den)
+    return Q(rng.randint(-bound * den, bound * den), den)
+
+
+# the properties draw one seed and build their data from it: drawing lists
+# of fractions through Hypothesis costs far more than the code under test
+SEEDS = st.integers(0, 2 ** 64 - 1)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=27, max_size=27),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-)
-def test_jordan_determinant_on_rational_entries(coords, lam):
+@given(SEEDS)
+def test_jordan_determinant_on_rational_entries(seed):
     # rational octonion entries reach the int-numerator product with den > 1
+    rng = random.Random(seed)
+    coords = [random_fraction(rng, 9, 12) for _ in range(27)]
+    lam = random_fraction(rng, 5, 7)
     sp, cal = embedding_t80()
     j = OctonionHermitian3.from_coords(coords)
     det = jordan_determinant(j)
@@ -373,25 +383,29 @@ def test_eta_matches_norm_quadratic_part():
 
 PROPERTY_SPACES = {q: make_space(q, 0) for q in (1, 2, 4, 8)}
 DENSE_FORMS = {q: [grid(m) for m in sp.norm_forms] for q, sp in PROPERTY_SPACES.items()}
-RATIONALS = st.one_of(
-    st.just(Q(0)),
-    st.fractions(min_value=-6, max_value=6, max_denominator=12),
-)
 
 
-@st.composite
-def rational_elements(draw):
-    """(q, element) at n = 0; a block is zeroed now and then so that ranks
-    below 3 occur."""
-    q = draw(st.sampled_from(sorted(PROPERTY_SPACES)))
+def random_rational(rng, zeros=0.25):
+    """0 with probability ``zeros``, else a fraction in [-6, 6] with
+    denominator up to 12."""
+    if rng.random() < zeros:
+        return Q(0)
+    return random_fraction(rng, 6, 12)
+
+
+def rational_element(rng):
+    """(q, element) at n = 0.  The share of zero entries is drawn too, and
+    a block is zeroed now and then, so that ranks below 3 occur."""
+    q = rng.choice(sorted(PROPERTY_SPACES))
     sp = PROPERTY_SPACES[q]
+    zeros = rng.choice((0.25, 0.6, 0.9))
 
     def block(size):
-        if draw(st.booleans()) and draw(st.booleans()):
+        if rng.random() < 0.25:
             return [Q(0)] * size
-        return draw(st.lists(RATIONALS, min_size=size, max_size=size))
+        return [random_rational(rng, zeros) for _ in range(size)]
 
-    r1, r2, r3 = draw(st.lists(RATIONALS, min_size=3, max_size=3))
+    r1, r2, r3 = (random_rational(rng, zeros) for _ in range(3))
     el = TElement(r1, r2, r3, block(sp.vector_dim), [block(sp.width) for _ in range(sp.fund)])
     return q, el
 
@@ -440,9 +454,9 @@ def scaled(el, lam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_elements())
-def test_norm_and_gradient_equal_fraction_reference(q_el):
-    q, el = q_el
+@given(SEEDS)
+def test_norm_and_gradient_equal_fraction_reference(seed):
+    q, el = rational_element(random.Random(seed))
     sp = PROPERTY_SPACES[q]
     norm, grad = reference_norm_and_gradient(q, el)
     assert cubic_norm(sp, el) == norm
@@ -450,36 +464,41 @@ def test_norm_and_gradient_equal_fraction_reference(q_el):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_elements(), RATIONALS)
-def test_norm_homogeneity_rational_scale(q_el, lam):
-    q, el = q_el
+@given(SEEDS)
+def test_norm_homogeneity_rational_scale(seed):
+    rng = random.Random(seed)
+    q, el = rational_element(rng)
+    lam = random_rational(rng)
     sp = PROPERTY_SPACES[q]
     assert cubic_norm(sp, scaled(el, lam)) == lam ** 3 * cubic_norm(sp, el)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_elements())
-def test_euler_identity_rational(q_el):
-    q, el = q_el
+@given(SEEDS)
+def test_euler_identity_rational(seed):
+    q, el = rational_element(random.Random(seed))
     sp = PROPERTY_SPACES[q]
     grad = norm_gradient(sp, el)
     assert sum(g * c for g, c in zip(grad, el.coords())) == 3 * cubic_norm(sp, el)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_elements(), st.data())
-def test_gradient_annihilates_rotations(q_el, data):
-    q, el = q_el
+@given(SEEDS)
+def test_gradient_annihilates_rotations(seed):
+    rng = random.Random(seed)
+    q, el = rational_element(rng)
     sp = PROPERTY_SPACES[q]
-    pair = data.draw(st.sampled_from(so_generator_pairs(sp)))
+    pair = rng.choice(so_generator_pairs(sp))
     delta = infinitesimal_rotation(sp, el, pair)
     assert sum(g * d for g, d in zip(norm_gradient(sp, el), delta)) == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_elements(), RATIONALS.filter(bool))
-def test_rank_follows_norm_and_gradient(q_el, lam):
-    q, el = q_el
+@given(SEEDS)
+def test_rank_follows_norm_and_gradient(seed):
+    rng = random.Random(seed)
+    q, el = rational_element(rng)
+    lam = random_fraction(rng, 6, 12) or Q(1)
     sp = PROPERTY_SPACES[q]
     norm, grad = cubic_norm(sp, el), norm_gradient(sp, el)
     if not any(el.coords()):
