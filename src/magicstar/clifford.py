@@ -1,39 +1,41 @@
 """Real monomial gamma-matrix representations in arbitrary signature.
 
-Generators are built from small bases by three moves that keep every matrix
-a signed permutation:
+Every gamma is a Pauli string s X^a Z^b on the bits of the basis index and
+is built as its label (s, a, b): a product is (s1 s2 (-1)^popcount(b1 & a2),
+a1 ^ a2, b1 ^ b2), and a Kronecker product with a 2x2 factor shifts a and b
+up one bit.  Generators come from small bases by three moves on labels:
 
-* doubling (p,q) -> (p+1,q+1): old gammas tensor a diagonal sign, plus two
-  fresh 2x2 generators;
+* doubling (p,q) -> (p+1,q+1): old gammas tensor SIGMA3, plus the fresh
+  1 x SIGMA1 and 1 x EPS;
 * flipping a block of four same-sign generators through their 4-volume,
   which moves the signature by (+-4, -+4);
-* adjoining the total volume element when one extra generator of the right
-  square is needed (odd total dimension).
+* in odd total dimension, adjoining the volume element of a parent: of
+  Cl(p-1, q), p-q = 0 mod 8, as a plus generator, or for p = 0 of
+  Cl(0, q-1), p-q = 2 mod 8, as a minus generator.
 
-Bases cover the real matrix types (p-q = 0,1,2 mod 8) and the quaternionic
-type 4 and 6 mod 8 (quaternion left-multiplications are signed permutations).
-The remaining classes 3, 5 and 7 mod 8 have no representation here, and the
-constructor refuses them by name.  Classes 3 and 7 are complex matrix
-algebras; class 7 would adjoin the volume element of a p-q = 0 parent as a
-minus generator, but that element squares to +1.
+Each final gamma is then materialized once as a signed permutation.  Bases
+cover the real matrix types (p-q = 0,1,2 mod 8) and the quaternionic type 4
+and 6 mod 8 (quaternion left-multiplications are signed permutations).
+Classes 3, 5 and 7 mod 8 are refused by name.  Classes 3 and 7 are complex
+matrix algebras; class 7 would adjoin the volume element of a p-q = 0
+parent as a minus generator, but that element squares to +1.
 
-Every base generator is a Pauli string s X^a Z^b on the bits of the basis
-index, and Kronecker products, products and volume elements keep that form,
-so every gamma ``build_rep`` makes has a label (s, a, b).  The relations and
-the conjugations are checked on these labels, after a check of every column
-proves each label once per rep (see ``_pauli`` and ``CliffordRep.labels``):
-O(m dim + m^2) for m gammas.  A gamma that is not a Pauli string, as in the
-octonionic model of ``talgebra``, is checked by the column loop over every
-pair, O(m^2 dim).
+The relations and the conjugations are checked on labels, after a check of
+every column proves each label once per rep (see ``_pauli`` and
+``CliffordRep.labels``): O(m dim + m^2) for m gammas.  A gamma that is not a
+Pauli string, as in the octonionic model of ``talgebra``, is checked by the
+column loop over every pair, O(m^2 dim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import MonomialMatrix, kron, mat_mul, mat_prod
+from .linalg import MonomialMatrix, mat_mul, mat_prod
+
+Label = Tuple[int, int, int]  # (s, a, b) of s X^a Z^b
 
 
 class CliffordConstructionError(ValueError):
@@ -69,7 +71,7 @@ class CliffordRep:
     metric: Tuple[int, ...]  # +1 for the first p generators, then -1
 
     @cached_property
-    def labels(self) -> Tuple[Optional[Tuple[int, int, int]], ...]:
+    def labels(self) -> Tuple[Optional[Label], ...]:
         """The Pauli label of each gamma (None for a gamma that is no Pauli
         string), proven once per rep; ``dataclasses.replace`` makes a new rep,
         whose labels are proven afresh."""
@@ -93,57 +95,44 @@ SIGMA1 = MonomialMatrix(2, (1, 0), (1, 1))
 SIGMA3 = MonomialMatrix(2, (0, 1), (1, -1))
 EPS = MonomialMatrix(2, (1, 0), (1, -1))
 
-# quaternion left-multiplications on the basis (1, i, j, k)
-L_I = MonomialMatrix(4, (1, 0, 3, 2), (1, -1, 1, -1))
-L_J = MonomialMatrix(4, (2, 3, 0, 1), (1, -1, -1, 1))
-L_K = MonomialMatrix(4, (3, 2, 1, 0), (1, 1, -1, -1))
+# Pauli labels of the generators: X = SIGMA1, Z = SIGMA3, XZ = EPS, and the
+# quaternion left multiplications L_I, L_J, L_K on the basis (1, i, j, k)
+_X, _Z, _XZ = (1, 1, 0), (1, 0, 1), (1, 1, 1)
+_L_I, _L_J, _L_K = (1, 1, 1), (1, 2, 3), (1, 3, 2)
 
 
-def _base(d0: int) -> Tuple[Tuple[int, int], List[MonomialMatrix], List[MonomialMatrix]]:
-    """Base signature and (plus, minus) generator lists for a difference class."""
+def _mul(l1: Label, l2: Label) -> Label:
+    """Label of the product (s1 X^a1 Z^b1)(s2 X^a2 Z^b2): moving Z^b1 past
+    X^a2 costs (-1)^popcount(b1 & a2)."""
+    s1, a1, b1 = l1
+    s2, a2, b2 = l2
+    return (s1 * s2 * _sign(b1 & a2), a1 ^ a2, b1 ^ b2)
+
+
+def _prod(labels: Sequence[Label]) -> Label:
+    """Label of the left-to-right product of a nonempty label list."""
+    return reduce(_mul, labels)
+
+
+def _base(d0: int) -> Tuple[Tuple[int, int], int, List[Label], List[Label]]:
+    """Base signature, dimension and (plus, minus) labels of a class."""
     if d0 == 0:
-        return (1, 1), [SIGMA1], [EPS]
+        return (1, 1), 2, [_X], [_XZ]
     if d0 == 2:
-        return (2, 0), [SIGMA1, SIGMA3], []
+        return (2, 0), 2, [_X, _Z], []
     if d0 == 6:
-        return (0, 2), [], [L_I, L_J]
+        return (0, 2), 4, [], [_L_I, _L_J]
     if d0 == 4:
-        i8 = MonomialMatrix.identity(4)
-        plus = [
-            kron(SIGMA1, i8),
-            kron(EPS, L_I),
-            kron(EPS, L_J),
-            kron(EPS, L_K),
-        ]
-        return (4, 0), plus, []
+        # SIGMA1 x 1_4, then EPS x L for L = L_I, L_J, L_K
+        return (4, 0), 8, [(1, 4, 0)] + [(s, 4 | a, 4 | b) for s, a, b in (_L_I, _L_J, _L_K)], []
     raise AssertionError("no base for difference class %d" % d0)
 
 
-def _double(plus: List[MonomialMatrix], minus: List[MonomialMatrix], dim: int):
-    s3 = SIGMA3
-    ident = MonomialMatrix.identity(dim)
-    plus = [kron(g, s3) for g in plus] + [kron(ident, SIGMA1)]
-    minus = [kron(g, s3) for g in minus] + [kron(ident, EPS)]
-    return plus, minus
-
-
-def _flip_up(plus, minus):
-    """Turn the last four minus generators into plus generators."""
-    block = minus[-4:]
-    vol = mat_prod(block)
-    plus = plus + [mat_mul(vol, g) for g in block]
-    return plus, minus[:-4]
-
-
-def _flip_down(plus, minus):
-    block = plus[-4:]
-    vol = mat_prod(block)
-    minus = minus + [mat_mul(vol, g) for g in block]
-    return plus[:-4], minus
-
-
-def _volume(gammas: Sequence[MonomialMatrix]) -> MonomialMatrix:
-    return mat_prod(list(gammas))
+def _flip(block: List[Label]) -> List[Label]:
+    """Four same-sign generators times their 4-volume: the square of each
+    changes sign, and anticommutation with the rest is kept."""
+    vol = _prod(block)
+    return [_mul(vol, g) for g in block]
 
 
 def _squares_to(m: MonomialMatrix, sign: int) -> bool:
@@ -178,14 +167,15 @@ def rep_dim(sig: Signature) -> int:
 def build_rep(sig: Signature) -> CliffordRep:
     """Construct monomial gammas for the signature, or refuse by obstruction
     or by size.  The relations of the result are verified."""
-    rep = _construct(sig)
+    dim, plus, minus = _route(sig)
+    gammas = tuple(MonomialMatrix(dim, *_pauli_columns(dim, g)) for g in plus + minus)
+    rep = CliffordRep(sig, dim, gammas, (1,) * sig.p + (-1,) * sig.q)
     verify_relations(rep)
     return rep
 
 
-def _construct(sig: Signature) -> CliffordRep:
-    """``build_rep`` without the final check; the odd route extends an
-    unverified parent whose gammas the final check covers."""
+def _route(sig: Signature) -> Tuple[int, List[Label], List[Label]]:
+    """Dimension and the (plus, minus) generator labels for ``sig``."""
     p, q = sig.p, sig.q
     d = (p - q) % 8
     if d in (3, 5, 7):
@@ -195,30 +185,31 @@ def _construct(sig: Signature) -> CliffordRep:
         )
     rep_dim(sig)
     if (p, q) == (1, 0):
-        return CliffordRep(sig, 1, (MonomialMatrix.identity(1),), (1,))
+        return 1, [(1, 0, 0)], []
     if d == 1:
-        # the parent has p-q = 0 mod 8, so its volume element squares to +1
-        parent = _construct(Signature(p - 1, q))
-        omega = _volume(parent.gammas)
-        gammas = parent.gammas[: p - 1] + (omega,) + parent.gammas[p - 1:]
-        return CliffordRep(sig, parent.dim, gammas, (1,) * p + (-1,) * q)
+        # adjoin the volume element of a parent of even total dimension:
+        # Cl(p-1, q) has p-q = 0 mod 8 and a volume element squaring to +1;
+        # Cl(0, q-1) has p-q = 2 mod 8 and one squaring to -1
+        dim, plus, minus = _route(Signature(p - 1, q) if p else Signature(0, q - 1))
+        vol = _prod(plus + minus)
+        return (dim, plus + [vol], minus) if p else (dim, plus, minus + [vol])
 
-    # even total dimension
-    (bp, bq), plus, minus = _base(d)
-    flips = (p - q - (bp - bq)) // 8
-    steps = (p + q - bp - bq) // 2
-    dim = plus[0].dim if plus else minus[0].dim
-    for _ in range(steps):
-        plus, minus = _double(plus, minus, dim)
+    # even total dimension: double (p, q) -> (p+1, q+1), with the old
+    # generators times SIGMA3 and the fresh 1 x SIGMA1 and 1 x EPS, then
+    # flip blocks of four through their 4-volume, (p, q) -> (p +- 4, q -+ 4)
+    (bp, bq), dim, plus, minus = _base(d)
+    for _ in range((p + q - bp - bq) // 2):
+        plus = [(s, a << 1, b << 1 | 1) for s, a, b in plus] + [_X]
+        minus = [(s, a << 1, b << 1 | 1) for s, a, b in minus] + [_XZ]
         dim *= 2
-    for _ in range(abs(flips)):
-        if flips > 0:
-            plus, minus = _flip_up(plus, minus)
-        else:
-            plus, minus = _flip_down(plus, minus)
+    flips = (p - q - (bp - bq)) // 8
+    for _ in range(flips):
+        plus, minus = plus + _flip(minus[-4:]), minus[:-4]
+    for _ in range(-flips):
+        plus, minus = plus[:-4], minus + _flip(plus[-4:])
     if len(plus) != p or len(minus) != q:
         raise AssertionError("route planner produced the wrong signature")
-    return CliffordRep(sig, dim, tuple(plus + minus), (1,) * p + (-1,) * q)
+    return dim, plus, minus
 
 
 def _sign(x: int) -> int:
@@ -226,7 +217,7 @@ def _sign(x: int) -> int:
     return -1 if x.bit_count() & 1 else 1
 
 
-def _pauli_columns(dim: int, label: Tuple[int, int, int]) -> Tuple[tuple, tuple]:
+def _pauli_columns(dim: int, label: Label) -> Tuple[tuple, tuple]:
     """Rows and signs of s X^a Z^b on ``dim`` = 2^k: column c holds
     s (-1)^popcount(c & b) at row c ^ a."""
     s, a, b = label
@@ -234,10 +225,10 @@ def _pauli_columns(dim: int, label: Tuple[int, int, int]) -> Tuple[tuple, tuple]
     while len(signs) < dim:
         bit = len(signs)
         signs = signs + ([-x for x in signs] if b & bit else signs)
-    return tuple(c ^ a for c in range(dim)), tuple(signs)
+    return tuple(map(a.__xor__, range(dim))), tuple(signs)
 
 
-def _pauli(m: MonomialMatrix) -> Optional[Tuple[int, int, int]]:
+def _pauli(m: MonomialMatrix) -> Optional[Label]:
     """The label (s, a, b) with m = s X^a Z^b, or None when m is no Pauli
     string.  Column 0 and the power-of-two columns fix the label; comparing
     every column against it makes the label a proof, not a sample."""
@@ -286,10 +277,15 @@ def verify_relations(rep: CliffordRep) -> None:
 
 
 def chirality(rep: CliffordRep) -> MonomialMatrix:
-    """Product of all gammas, sign-normalized; defined in even dimension."""
+    """Product of all gammas, sign-normalized; defined in even dimension.
+    The product is taken on the labels when every gamma is a Pauli string."""
     if rep.sig.total % 2 == 1:
         raise ValueError("chirality needs an even total dimension")
-    omega = _volume(rep.gammas)
+    labels = rep.labels
+    if None in labels:
+        omega = mat_prod(rep.gammas)
+    else:
+        omega = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, _prod(labels)))
     if omega.is_diagonal() and omega.signs[0] == -1:
         omega = omega.neg()
     return omega

@@ -361,10 +361,9 @@ class EPElement:
     def is_zero(self) -> bool:
         return not any(_entries(self.blocks))
 
-    def items(self):
-        """Nonzero components as ((block, key), value) pairs; a value is an
-        int when ``den`` is 1 and a canonical Fraction otherwise."""
-        den = self.den
+    def numerators(self):
+        """Nonzero components as ((block, key), int numerator) pairs, in
+        block and key order."""
         for name, val in sorted(self.blocks.items()):
             if name == "so":
                 entries = ((key, val[key]) for key in sorted(val))
@@ -374,7 +373,13 @@ class EPElement:
                 entries = ((None, val),)
             for key, v in entries:
                 if v:
-                    yield (name, key), (v if den == 1 else Q(v, den))
+                    yield (name, key), v
+
+    def items(self):
+        """Nonzero components as ((block, key), value) pairs; a value is an
+        int when ``den`` is 1 and a canonical Fraction otherwise."""
+        den = self.den
+        return ((key, v if den == 1 else Q(v, den)) for key, v in self.numerators())
 
 
 def _integral(blocks: dict, den: int) -> EPElement:
@@ -685,8 +690,10 @@ def basis_spinor(space: EPSpace, block: str, k: int) -> EPElement:
 
 
 def element_to_json(space: EPSpace, el: EPElement) -> dict:
+    den = el.den
+
     def value(v):
-        return rat_str(Q(v, el.den))
+        return rat_str(v if den == 1 else Q(v, den))
 
     out = {}
     for name, val in sorted(el.blocks.items()):
@@ -731,34 +738,37 @@ class InfeasibilityReport:
 
 
 class _System:
-    """Rows of jacobiator components, linear over channel-coefficient tags."""
+    """Rows of jacobiator components, linear over channel-coefficient tags:
+    int numerators over one denominator per triple."""
 
     def __init__(self, tags: Sequence[tuple]):
         self.tags = list(tags)
         self.col = {t: i for i, t in enumerate(self.tags)}
         self.red = RowReducer(len(self.tags))
-        self.rows: List[Tuple[Tuple[int, tuple], List[Q], Q]] = []
+        # (reference, coefficient numerators, rhs numerator, denominator)
+        self.rows: List[Tuple[Tuple[int, tuple], List[int], int, int]] = []
         self.certificate = None
 
     def feed(self, triple_idx: int, tagged: Dict[tuple, EPElement]):
-        comps: Dict[tuple, Dict[tuple, Q]] = {}
+        den = lcm(*(el.den for el in tagged.values()))
+        comps: Dict[tuple, Dict[tuple, int]] = {}
         for tag, el in tagged.items():
             if tag and tag not in self.col:
                 raise AssertionError("unexpected coefficient tag %r" % (tag,))
-            for key, val in el.items():
-                comps.setdefault(key, {})[tag] = Q(val)
+            scale = den // el.den
+            for key, val in el.numerators():
+                comps.setdefault(key, {})[tag] = val * scale
         for key in sorted(comps):
-            byTag = comps[key]
-            coeffs = [Q(0)] * len(self.tags)
-            rhs = Q(0)
-            for tag, val in byTag.items():
+            coeffs = [0] * len(self.tags)
+            rhs = 0
+            for tag, val in comps[key].items():
                 if tag == ():
-                    rhs -= val
+                    rhs = -val
                 else:
                     coeffs[self.col[tag]] = val
-            self.rows.append(((triple_idx, key), coeffs, rhs))
+            self.rows.append(((triple_idx, key), coeffs, rhs, den))
             if self.certificate is None:
-                cert = self.red.add_row(coeffs, rhs)
+                cert = self.red.add_row(coeffs, rhs, den)
                 if cert is not None:
                     self.certificate = [
                         (self.rows[i][0], c) for i, c in sorted(cert.items())
@@ -882,6 +892,9 @@ def jacobi_infeasibility(
         witness=witness,
         unknowns=tuple(tags),
         triples_evaluated=t_idx + 1,
-        rows=system.rows,
+        rows=[
+            (ref, [Q(c, den) for c in coeffs], Q(rhs, den))
+            for ref, coeffs, rhs, den in system.rows
+        ],
     )
 

@@ -9,11 +9,12 @@ one entry, +1 or -1, per row and per column).  Gamma matrices live here;
 products and Kronecker products of monomials stay monomial and cost
 O(dim).  Its ``apply`` (gather-accumulate) and ``bilinear`` are the one
 implementation of vector arithmetic over that storage.  ``RowReducer`` is
-the one solver: incremental exact row reduction that turns an inconsistent
-row into a certificate.  ``pack_lanes`` and ``unpack_lanes`` hold an int
-vector as one Python int with a signed 64-bit lane per entry, so a scalar
-multiply-add of whole vectors is one big-int operation; it stays exact
-while every lane's magnitude stays below ``LANE_LIMIT``.
+the one solver: incremental fraction-free row reduction on ints that turns
+an inconsistent row into a certificate.  ``pack_lanes`` and
+``unpack_lanes`` hold an int vector as one Python int with a signed 64-bit
+lane per entry, so a scalar multiply-add of whole vectors is one big-int
+operation; it stays exact while every lane's magnitude stays below
+``LANE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,11 +35,13 @@ Vector = List[Q]
 
 
 def rat_str(x: Q) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1.
+    """Serialize a rational as "p/q", or "p" when the denominator is 1; an
+    int is taken as it is, without building a Fraction.
 
     A part longer than the interpreter's limit for int-to-decimal
     conversion is refused with a ValueError naming its digit count."""
-    x = Q(x)
+    if type(x) is not int:
+        x = Q(x)
     try:
         if x.denominator == 1:
             return str(x.numerator)
@@ -234,62 +238,74 @@ def unpack_lanes(packed: int, n: int) -> array:
 # ---------------------------------------------------------------------------
 
 class RowReducer:
-    """Incremental exact RREF with row provenance.
+    """Incremental exact row echelon form on ints, with row provenance.
 
-    Rows are fed one at a time; the reducer keeps pivot rows only, each with
-    the combination of original rows that produced it.  Feeding a row that
-    reduces to 0 = nonzero immediately yields an infeasibility certificate.
+    Rows are fed one at a time; the reducer keeps pivot rows only, each a
+    primitive int row with the combination of fed rows that produced it.
+    A fed row is eliminated fraction-free (Bareiss, 1968): it is
+    cross-multiplied with each pivot's lead, and its provenance is built
+    only when the row becomes a pivot or a certificate.  Feeding a row that
+    reduces to 0 = nonzero yields an infeasibility certificate.  The
+    pivot-origin rows are independent, so a certificate with coefficient 1
+    at the new row, and the solution with the free variables at 0, are the
+    unique ones: reduction over Fractions gives the same.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: List[Tuple[int, List[Q], Q, dict]] = []
+        # (column, int row, int rhs, {fed row: coefficient}), by column
+        self.pivots: List[Tuple[int, List[int], int, dict]] = []
         self.nrows = 0
 
-    def add_row(self, coeffs: Sequence, rhs) -> Optional[dict]:
-        """Add one equation; returns a certificate dict {row_tag: coeff} if it
-        exposes infeasibility, else None."""
-        row = [Q(x) for x in coeffs]
-        r = Q(rhs)
-        prov = {self.nrows: Q(1)}
+    def add_row(self, coeffs: Sequence, rhs, den: int = 1) -> Optional[dict]:
+        """Add the equation ``coeffs . x = rhs``, each side over ``den``;
+        rational entries are lifted to int numerators over their lcm.
+        Returns a certificate dict {row index: Fraction} with coefficient 1
+        at this row if the row exposes infeasibility, else None."""
+        row, r = list(coeffs), rhs
+        if len(row) != self.ncols:
+            raise ValueError("row has %d entries, expected %d" % (len(row), self.ncols))
+        if not all(type(x) is int for x in row) or type(r) is not int:
+            nums, lifted = lift([Q(x) for x in row] + [Q(r)])
+            row, r, den = nums[:-1], nums[-1], den * lifted
+        new = self.nrows
         self.nrows += 1
-        for col, prow, prhs, pprov in self.pivots:
+        steps = []
+        for i, (col, prow, prhs, _) in enumerate(self.pivots):
             f = row[col]
             if f:
-                for j in range(col, self.ncols):
-                    row[j] -= f * prow[j]
-                r -= f * prhs
-                for k, v in pprov.items():
-                    prov[k] = prov.get(k, Q(0)) - f * v
-        lead = next((j for j in range(self.ncols) if row[j]), None)
-        if lead is None:
-            if r != 0:
-                return {k: v for k, v in prov.items() if v}
+                g = gcd(prow[col], f)
+                a, b = prow[col] // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                r = a * r - b * prhs
+                steps.append((i, a, b))
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None and r == 0:
             return None
-        inv = Q(1) / row[lead]
-        row = [x * inv for x in row]
-        r *= inv
-        prov = {k: v * inv for k, v in prov.items()}
-        # back-substitute into existing pivots to keep reduced form
-        for idx, (col, prow, prhs, pprov) in enumerate(self.pivots):
-            f = prow[lead]
-            if f:
-                for j in range(self.ncols):
-                    prow[j] -= f * row[j]
-                prhs -= f * r
-                for k, v in prov.items():
-                    pprov[k] = pprov.get(k, Q(0)) - f * v
-                self.pivots[idx] = (col, prow, prhs, pprov)
-        self.pivots.append((lead, row, r, prov))
-        self.pivots.sort(key=lambda t: t[0])
+        # the reduced row as a combination of the fed rows: den times this
+        # one, then each step's a times the row less b times the pivot
+        prov = {new: Q(den)}
+        for i, a, b in steps:
+            prov = {k: a * v for k, v in prov.items()}
+            for k, v in self.pivots[i][3].items():
+                prov[k] = prov.get(k, 0) - b * v
+        if lead is None:
+            own = prov[new]
+            return {k: v / own for k, v in prov.items() if v}
+        g = gcd(*row, r)
+        if row[lead] < 0:
+            g = -g
+        pivot = (lead, [x // g for x in row], r // g, {k: v / g for k, v in prov.items() if v})
+        insort(self.pivots, pivot, key=itemgetter(0))
         return None
 
     def rank(self) -> int:
         return len(self.pivots)
 
     def solution(self) -> Vector:
-        """Particular solution with free variables set to zero."""
+        """Particular solution with free variables set to zero, by one
+        back-substitution over the pivots."""
         x = [Q(0)] * self.ncols
-        for col, row, rhs, _ in self.pivots:
-            x[col] = rhs - sum(row[j] * x[j] for j in range(col + 1, self.ncols) if row[j])
+        for col, row, rhs, _ in reversed(self.pivots):
+            x[col] = (rhs - sum(map(mul, row[col + 1:], x[col + 1:]), Q(0))) / row[col]
         return x

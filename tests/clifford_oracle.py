@@ -1,6 +1,8 @@
 """Reference code for ``magicstar.clifford`` that only the tests use.
 
-``verify_relations`` and ``conjugation`` are the column-loop relation check
+``construct`` builds the gammas as whole signed permutations, by Kronecker
+products and matrix products, where the production code computes on Pauli
+labels and materializes each gamma once.  ``verify_relations`` and ``conjugation`` are the column-loop relation check
 and the candidate-product conjugation that the label-based production code
 is compared against: they multiply whole signed permutations and compare
 every column, whatever form the gammas have.  ``antisym_gamma`` and
@@ -9,14 +11,76 @@ spinor contraction of the Fierz tests.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from magicstar.clifford import (
+    EPS,
+    SIGMA1,
+    SIGMA3,
     BilinearForm,
     CliffordNoBilinearError,
     CliffordRep,
+    Signature,
 )
-from magicstar.linalg import MonomialMatrix, mat_mul, mat_prod
+from magicstar.linalg import MonomialMatrix, kron, mat_mul, mat_prod
+
+
+# quaternion left-multiplications on the basis (1, i, j, k)
+L_I = MonomialMatrix(4, (1, 0, 3, 2), (1, -1, 1, -1))
+L_J = MonomialMatrix(4, (2, 3, 0, 1), (1, -1, -1, 1))
+L_K = MonomialMatrix(4, (3, 2, 1, 0), (1, 1, -1, -1))
+
+
+def _base(d0: int):
+    """Base signature and (plus, minus) generator lists for a difference class."""
+    if d0 == 0:
+        return (1, 1), [SIGMA1], [EPS]
+    if d0 == 2:
+        return (2, 0), [SIGMA1, SIGMA3], []
+    if d0 == 6:
+        return (0, 2), [], [L_I, L_J]
+    i4 = MonomialMatrix.identity(4)
+    return (4, 0), [kron(SIGMA1, i4)] + [kron(EPS, m) for m in (L_I, L_J, L_K)], []
+
+
+@lru_cache(maxsize=None)
+def _doubled(d0: int, steps: int):
+    """The base of class ``d0`` doubled ``steps`` times, as (plus, minus)."""
+    if steps == 0:
+        _, plus, minus = _base(d0)
+        return plus, minus
+    plus, minus = _doubled(d0, steps - 1)
+    ident = MonomialMatrix.identity((plus or minus)[0].dim)
+    plus = [kron(g, SIGMA3) for g in plus] + [kron(ident, SIGMA1)]
+    minus = [kron(g, SIGMA3) for g in minus] + [kron(ident, EPS)]
+    return plus, minus
+
+
+def construct(sig: Signature) -> List[MonomialMatrix]:
+    """The gammas of a signature of class 0, 1, 2, 4 or 6 mod 8 within the
+    size limit: doubling by Kronecker products, flips through the 4-volume
+    and the odd-route volume element as matrix products.  Class 1 with
+    p = 0 is left out.  Doubled bases are cached across calls."""
+    p, q = sig.p, sig.q
+    d = (p - q) % 8
+    if (p, q) == (1, 0):
+        return [MonomialMatrix.identity(1)]
+    if d == 1:
+        parent = construct(Signature(p - 1, q))
+        return parent[: p - 1] + [mat_prod(parent)] + parent[p - 1:]
+    (bp, bq), _, _ = _base(d)
+    plus, minus = _doubled(d, (p + q - bp - bq) // 2)
+    flips = (p - q - (bp - bq)) // 8
+    for _ in range(abs(flips)):
+        block = (minus if flips > 0 else plus)[-4:]
+        vol = mat_prod(block)
+        flipped = [mat_mul(vol, g) for g in block]
+        if flips > 0:
+            plus, minus = plus + flipped, minus[:-4]
+        else:
+            plus, minus = plus[:-4], minus + flipped
+    return plus + minus
 
 
 def verify_relations(rep: CliffordRep) -> None:

@@ -1,8 +1,10 @@
 """Plain nested-list reference for ``magicstar.linalg`` that only the tests
 use: the entry grid of a monomial, the schoolbook product, the Kronecker
 product and matrix-vector apply on grids, dot products, the 3x3
-determinant, and a kernel basis read off a ``RowReducer``'s pivots.  It
-shares no code with the monomial kernels it checks.
+determinant, a kernel basis read off a ``RowReducer``'s pivots, and
+``FractionReducer``, the reduced row echelon form over Fractions that the
+fraction-free ``RowReducer`` is checked against.  It shares no code with
+the kernels it checks.
 """
 
 from fractions import Fraction as Q
@@ -48,14 +50,75 @@ def det3(m):
 
 
 def kernel(red):
-    """Basis of {x : rows fed to ``red`` give 0}, one vector per free column."""
+    """Basis of {x : rows fed to ``red`` give 0}, one vector per free column:
+    the free column at 1, the other free columns at 0, and the pivot
+    columns by back-substitution over ``red.pivots`` (column, row, ...), a
+    row echelon form sorted by column."""
     pivot_cols = {col for col, _, _, _ in red.pivots}
     basis = []
     for free in range(red.ncols):
         if free not in pivot_cols:
             v = [Q(0)] * red.ncols
             v[free] = Q(1)
-            for col, row, _, _ in red.pivots:
-                v[col] = -row[free]
+            for col, row, _, _ in reversed(red.pivots):
+                v[col] = -sum((row[j] * v[j] for j in range(col + 1, red.ncols)), Q(0)) / row[col]
             basis.append(v)
     return basis
+
+
+class FractionReducer:
+    """Incremental reduced row echelon form over Fractions with row
+    provenance: every fed row is converted to Fractions, each pivot row is
+    normalized to lead 1 and back-substituted into the others."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = []
+        self.nrows = 0
+
+    def add_row(self, coeffs, rhs):
+        """Add one equation; a certificate dict {row: coeff} if it exposes
+        infeasibility, else None."""
+        row = [Q(x) for x in coeffs]
+        r = Q(rhs)
+        prov = {self.nrows: Q(1)}
+        self.nrows += 1
+        for col, prow, prhs, pprov in self.pivots:
+            f = row[col]
+            if f:
+                for j in range(col, self.ncols):
+                    row[j] -= f * prow[j]
+                r -= f * prhs
+                for k, v in pprov.items():
+                    prov[k] = prov.get(k, Q(0)) - f * v
+        lead = next((j for j in range(self.ncols) if row[j]), None)
+        if lead is None:
+            if r != 0:
+                return {k: v for k, v in prov.items() if v}
+            return None
+        inv = Q(1) / row[lead]
+        row = [x * inv for x in row]
+        r *= inv
+        prov = {k: v * inv for k, v in prov.items()}
+        for idx, (col, prow, prhs, pprov) in enumerate(self.pivots):
+            f = prow[lead]
+            if f:
+                for j in range(self.ncols):
+                    prow[j] -= f * row[j]
+                prhs -= f * r
+                for k, v in prov.items():
+                    pprov[k] = pprov.get(k, Q(0)) - f * v
+                self.pivots[idx] = (col, prow, prhs, pprov)
+        self.pivots.append((lead, row, r, prov))
+        self.pivots.sort(key=lambda t: t[0])
+        return None
+
+    def rank(self):
+        return len(self.pivots)
+
+    def solution(self):
+        """Particular solution with free variables set to zero."""
+        x = [Q(0)] * self.ncols
+        for col, row, rhs, _ in self.pivots:
+            x[col] = rhs - sum(row[j] * x[j] for j in range(col + 1, self.ncols) if row[j])
+        return x

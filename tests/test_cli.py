@@ -87,6 +87,16 @@ def test_clifford_one_zero_is_one_dimensional(capsys):
     )
 
 
+@pytest.mark.parametrize("q,dim", [(7, 8), (15, 128)])
+def test_clifford_class_one_with_p_zero(capsys, q, dim):
+    code, out = capture(capsys, ["clifford", "0", str(q), "--check"])
+    assert code == 0
+    assert out == (
+        '{"p":0,"q":%d,"dim":%d,"reality_class":"Majorana","chiral":false,'
+        '"bilinears":{"+1":null,"-1":{"symmetry":1}}}\n' % (q, dim)
+    )
+
+
 @pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (10, 3)])
 def test_clifford_class_seven_exit_1(capsys, p, q):
     code = run(["clifford", str(p), str(q), "--check"])

@@ -24,7 +24,7 @@ from magicstar.clifford import (
     rep_dim,
     verify_relations,
 )
-from magicstar.linalg import MonomialMatrix, RowReducer, mat_mul
+from magicstar.linalg import MonomialMatrix, RowReducer, mat_mul, mat_prod
 
 
 def test_base_case_dim2():
@@ -57,14 +57,55 @@ def test_dims(p, q, dim):
 
 
 def test_rep_dim_matches_build_rep():
-    for total in range(1, 13):
+    sigs = [Signature(p, total - p) for total in range(1, 13) for p in range(total + 1)]
+    for sig in sigs + [Signature(0, 15), Signature(0, 23)]:
+        try:
+            rep = build_rep(sig)
+        except ValueError:
+            continue
+        assert rep_dim(sig) == rep.dim
+
+
+def _matrix_route_signatures(max_total):
+    """Every signature with p + q <= max_total that the matrix route builds:
+    classes 0, 1, 2, 4 and 6 mod 8 within the size limit, less class 1 with
+    p = 0."""
+    for total in range(1, max_total + 1):
         for p in range(total + 1):
             sig = Signature(p, total - p)
-            try:
-                rep = build_rep(sig)
-            except ValueError:
+            d = (sig.p - sig.q) % 8
+            if d in (3, 5, 7) or (d == 1 and p == 0):
                 continue
-            assert rep_dim(sig) == rep.dim
+            try:
+                rep_dim(sig)
+            except CliffordConstructionError:
+                continue
+            yield sig
+
+
+def test_label_route_matches_matrix_route():
+    # the labels are composed, then each gamma materialized once; the
+    # oracle multiplies and tensors whole signed permutations
+    sigs = list(_matrix_route_signatures(24))
+    assert len(sigs) == 192
+    for sig in sigs:
+        want = clifford_oracle.construct(sig)
+        got = build_rep(sig).gammas
+        assert [(g.rows, g.signs) for g in got] == [(g.rows, g.signs) for g in want], sig
+
+
+@pytest.mark.parametrize("q,dim", [(7, 8), (15, 128), (23, 2048)])
+def test_class_one_with_p_zero_adjoins_a_minus_volume_element(q, dim):
+    # Cl(0, q-1) has p-q = 2 mod 8: its volume element squares to -1 and,
+    # the total being even, anticommutes with every gamma
+    sig = Signature(0, q)
+    rep = build_rep(sig)
+    assert rep.dim == dim == rep_dim(sig)
+    assert rep.metric == (-1,) * q
+    clifford_oracle.verify_relations(rep)
+    parent = build_rep(Signature(0, q - 1))
+    assert rep.gammas[:-1] == parent.gammas
+    assert rep.gammas[-1] == mat_prod(parent.gammas)
 
 
 def test_size_limit_admits_qconf1_and_refuses_beyond():
@@ -98,9 +139,11 @@ def test_chirality_1_1():
 
 
 def test_chirality_anticommutes_and_squares():
-    for sig, square in [((9, 1), 1), ((10, 2), 1), ((2, 0), -1)]:
+    for sig, square in [((9, 1), 1), ((10, 2), 1), ((2, 0), -1), ((0, 6), -1), ((4, 4), 1)]:
         rep = build_rep(Signature(*sig))
         om = chirality(rep)
+        # the label product is the matrix product, up to the sign normalization
+        assert om in (mat_prod(rep.gammas), mat_prod(rep.gammas).neg())
         sq = mat_mul(om, om)
         assert sq.is_diagonal() and set(sq.signs) == {square}
         for g in rep.gammas:
@@ -405,8 +448,8 @@ def test_verify_relations_refuses_a_gamma_of_another_dimension():
 
 
 def test_conjugation_matches_oracle_on_every_small_signature():
-    # 119 signatures with p + q <= 14; 76 are buildable (Cl(1,0) among them),
-    # the rest are refused
+    # 119 signatures with p + q <= 14; 77 are buildable (Cl(1,0) and Cl(0,7)
+    # among them), the rest are refused
     built = 0
     for total in range(1, 15):
         for p in range(total + 1):
@@ -424,7 +467,7 @@ def test_conjugation_matches_oracle_on_every_small_signature():
                     continue
                 got = conjugation(rep, t)
                 assert (got.C.rows, got.C.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)
-    assert built == 76
+    assert built == 77
 
 
 def test_conjugation_refuses_gammas_that_are_not_pauli_strings():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import ep_oracle
 import magicstar.ep as ep_mod
 from ep_oracle import LEVEL_Q, ep_scale
-from linalg_oracle import grid
+from linalg_oracle import FractionReducer, grid
 from magicstar.clifford import Signature
 from magicstar.ep import (
     BracketCoeffs,
@@ -227,6 +227,28 @@ def assert_certificate_sound(rep):
     for j in range(len(rep.unknowns)):
         assert sum(c * row_map[ref][0][j] for ref, c in cert.items()) == 0
     assert sum(c * row_map[ref][1] for ref, c in cert.items()) != 0
+
+
+class _FractionRows(FractionReducer):
+    """The Fraction oracle behind ``RowReducer.add_row(coeffs, rhs, den)``."""
+
+    def add_row(self, coeffs, rhs, den=1):
+        return super().add_row([Q(c, den) for c in coeffs], Q(rhs, den))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: calibrate("der", 0, seed=7),
+    lambda: calibrate("str0", 0, seed=3),
+    lambda: jacobi_infeasibility("der", 1, samples=3, seed=7),
+    lambda: jacobi_infeasibility("str0", 1, samples=50, seed=11, polarization="primed"),
+], ids=["calibrate-der", "calibrate-str0", "certify-der", "certify-str0-primed"])
+def test_int_rows_give_the_fraction_reducers_results(monkeypatch, run):
+    # ep feeds int numerators over one denominator per triple; the Fraction
+    # oracle fed the same rows as Fractions gives the same calibrated
+    # values, certificates and rows, exactly
+    got = run()
+    monkeypatch.setattr(ep_mod, "RowReducer", _FractionRows)
+    assert got == run()
 
 
 def test_der1_certificate_and_witness():
