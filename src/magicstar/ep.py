@@ -40,7 +40,6 @@ from .linalg import (
     LANE_LIMIT,
     MonomialMatrix,
     RowReducer,
-    mat_mul,
     pack_lanes,
     rat_str,
     unpack_lanes,
@@ -255,9 +254,6 @@ class BracketCoeffs:
     values: Dict[str, Q]
     normalized: Tuple[str, ...]
 
-    def get(self, name: str) -> Q:
-        return self.values[name]
-
 
 def default_coeffs(level: str) -> BracketCoeffs:
     desc = _describe(level)
@@ -269,14 +265,14 @@ def _signed(v: Sequence[int]) -> list:
     return [*v, *map(neg, v)]
 
 
-def _reader(m: MonomialMatrix, cols, index: list, pos=None) -> Callable[[list], tuple]:
-    """_signed(v) -> (m^T v) at ``cols``: v[m.rows[c]], with v indexed
-    through ``pos`` when given, read from the negated half where
-    m.signs[c] is -1.  One gather, no arithmetic.  Positions are taken
-    from ``index``, list(range(k)), so readers share their int objects."""
+def _reader(m: MonomialMatrix, cols, index: list, pos=None, flip=1) -> Callable[[list], tuple]:
+    """_signed(v) -> flip * (m^T v) at ``cols``: v[m.rows[c]], with v
+    indexed through ``pos`` when given, read from the negated half where
+    flip * m.signs[c] is -1.  One gather, no arithmetic.  Positions are
+    taken from ``index``, list(range(k)), so readers share their int objects."""
     n = m.dim if pos is None else len(pos)
     return itemgetter(*(
-        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] < 0 else 0)]
+        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] != flip else 0)]
         for c in cols
     ))
 
@@ -284,31 +280,32 @@ def _reader(m: MonomialMatrix, cols, index: list, pos=None) -> Callable[[list], 
 class _Gathers:
     """Per gamma a, for a spinor on ``support``, which every gamma maps onto
     its image (the other chiral half, or everything): ``out[a]`` reads
-    gamma_a v, ``raised[a]`` (C gamma_a)^T v on the image from a full column;
-    ``back[a]`` reads gamma_a r on ``support`` from r on the image.  Each
-    reads from ``_signed`` of its input.
+    gamma_a v on the image from a full column; ``back[a]`` reads gamma_a r
+    on ``support`` from r on the image; ``conj`` reads C^T v from a full
+    column.  Each reads from ``_signed`` of its input, and gamma_a^T is
+    eta_a gamma_a (``verify_relations`` proved gamma_a^2 = eta_a).
     ``expand`` spreads a vector on ``support``, then one 0, over a column."""
 
-    __slots__ = ("support", "expand", "out", "raised", "back")
+    __slots__ = ("support", "expand", "conj", "out", "back")
 
-    def __init__(self, support, expand, out, raised, back):
-        self.support, self.expand = support, expand
-        self.out, self.raised, self.back = out, raised, back
+    def __init__(self, support, expand, conj, out, back):
+        self.support, self.expand, self.conj = support, expand, conj
+        self.out, self.back = out, back
 
 
-def _gathers(gammas, raised, support) -> _Gathers:
-    dim = gammas[0].dim
+def _gathers(rep: CliffordRep, conj, support) -> _Gathers:
+    dim = rep.dim
     pos = {c: k for k, c in enumerate(support)}
     image = tuple(c for c in range(dim) if c not in pos) or support
-    transposed = [g.transpose() for g in gammas]
     index = list(range(2 * dim))
     on_image = {c: k for k, c in enumerate(image)}
+    signed = tuple(zip(rep.gammas, rep.metric))
     return _Gathers(
         support,
         itemgetter(*(pos.get(c, len(support)) for c in range(dim))),
-        tuple(_reader(t, image, index) for t in transposed),
-        tuple(_reader(m, image, index) for m in raised),
-        tuple(_reader(t, support, index, on_image) for t in transposed),
+        conj,
+        tuple(_reader(g, image, index, None, eta) for g, eta in signed),
+        tuple(_reader(g, support, index, on_image, eta) for g, eta in signed),
     )
 
 
@@ -350,7 +347,8 @@ class EPElement:
 
     def __init__(self, blocks: Optional[dict] = None, den: int = 1):
         blocks = blocks or {}
-        dens = [v.denominator for v in _entries(blocks) if isinstance(v, Q)]
+        # an exact int skips the ABC instance check
+        dens = [v.denominator for v in _entries(blocks) if type(v) is not int and isinstance(v, Q)]
         if dens:
             m = lcm(*dens)
             blocks = {name: _map(val, lambda v: int(v * m)) for name, val in blocks.items()}
@@ -515,19 +513,28 @@ def _k_grade(space: EPSpace, key, d: int, val):
 
 def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
     """Per pair a < b, psi^T (eta_a eta_b C gamma_a gamma_b) phi
-    = eta_a eta_b ((C gamma_a)^T psi) . (gamma_b phi), on the image of
-    phi's support."""
+    = eta_b (gamma_a C^T psi) . (gamma_b phi) on the image of phi's support.
+    Row a is one big-int multiply-add per image entry k of (gamma_b phi)[k]
+    packed over b, exact while |image| * max |psi| * max |phi| stays below
+    ``LANE_LIMIT``; past that bound each pair is one dot product."""
     g = space.gathers[key[1]]
-    metric = space.rep.metric
     psi, phi = _signed(psi), _signed(phi)
-    raised = [f(psi) for f in g.raised]
+    lowered = _signed(g.conj(psi))
+    left = [f(lowered) for f in g.out[:-1]]  # no pair starts at the last gamma
     moved = [f(phi) for f in g.out]
-    out = {}
-    for a, b in space.pairs:
-        s = sum(map(mul, raised[a], moved[b]))
-        if s:
-            out[(a, b)] = metric[a] * metric[b] * s
-    return out, 1
+    # max(1, ...): a zero operand still packs or multiplies the other
+    if len(g.support) * max(1, max(psi)) * max(1, max(phi)) < LANE_LIMIT:
+        packed = list(map(pack_lanes, zip(*moved)))
+        rows = [unpack_lanes(sum(map(mul, r, packed)), len(moved)) for r in left]
+    else:
+        rows = _pair_dots(left, moved)
+    return {(a, b): space.rep.metric[b] * s for a, b in space.pairs if (s := rows[a][b])}, 1
+
+
+def _pair_dots(left: list, moved: list) -> List[List[int]]:
+    """``_k_pair_so``'s rows as a dot product per pair a < b, at any size."""
+    return [[sum(map(mul, x, y)) if a < b else 0 for b, y in enumerate(moved)]
+            for a, x in enumerate(left)]
 
 
 # a coefficient channel's kernel, by the kinds of (bx, by, target)
@@ -567,8 +574,8 @@ def make_ep(
         if polarization == "primed":
             plus, minus = minus, plus
         halves.update(plus=plus, minus=minus)
-    raised = [mat_mul(C.C, g) for g in rep.gammas]
-    built = {s: _gathers(rep.gammas, raised, halves[s]) for s in {s for _, _, s in desc.blocks if s}}
+    conj = _reader(C.C, range(rep.dim), list(range(2 * rep.dim)))
+    built = {s: _gathers(rep, conj, halves[s]) for s in {s for _, _, s in desc.blocks if s}}
 
     space = EPSpace(
         level=level,
@@ -666,7 +673,7 @@ def random_spinor_element(space: EPSpace, rng: random.Random, lo=-9, hi=9) -> EP
         for i in space.spinor_support[name]:
             col[i] = rng.randint(lo, hi)
         blocks[name] = col
-    return EPElement(blocks)
+    return _integral(blocks, 1)
 
 
 def random_element(space: EPSpace, rng: random.Random) -> EPElement:
@@ -680,13 +687,13 @@ def random_element(space: EPSpace, rng: random.Random) -> EPElement:
     for name in space.grades:
         if name != "so" and name not in space.spinor_support:
             blocks[name] = rng.randint(-3, 3)
-    return EPElement(blocks)
+    return _integral(blocks, 1)
 
 
 def basis_spinor(space: EPSpace, block: str, k: int) -> EPElement:
     col = [0] * space.rep.dim
     col[space.spinor_support[block][k]] = 1
-    return EPElement({block: col})
+    return _integral({block: col}, 1)
 
 
 def element_to_json(space: EPSpace, el: EPElement) -> dict:
@@ -844,6 +851,9 @@ def jacobi_infeasibility(
     each sampled spinor triple contributes exact linear constraints.  The
     returned certificate is a row combination proving 0 = nonzero; if the
     system is instead satisfiable, the assignment is reported prominently.
+    The rows are over Q, so the certificate holds over C too, and any
+    assignment with nonzero pinned channels rescales over C to them at 1
+    (their weights are independent, ``_Level.pinned``): no sign pattern closes.
     """
     if n < 1:
         raise EPError("jacobi_infeasibility requires n >= 1")

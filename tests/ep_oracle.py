@@ -4,13 +4,26 @@ property tests compare the production kernels against.
 They materialise one signed permutation per generator pair: the action
 gamma_a gamma_b and the form +-C gamma_a gamma_b, and they index the
 commutator by the endpoints of its second operand.  Each returns
-``(value, den_factor)`` like the kernel it mirrors.  ``ep_scale`` and
-``LEVEL_Q`` (each level's division-algebra parameter) are test helpers.
+``(value, den_factor)`` like the kernel it mirrors.  ``gathers`` builds the
+spinor readers from transposed gammas and the products C gamma_a, and
+``fold`` is the element constructor's Fraction scan over every entry.
+``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
+test helpers.
 """
 
 from fractions import Fraction as Q
+from math import lcm
 
-from magicstar.ep import EPElement, _integral, _times, basis_spinor, jacobiator
+from magicstar.ep import (
+    EPElement,
+    _entries,
+    _integral,
+    _map,
+    _reader,
+    _times,
+    basis_spinor,
+    jacobiator,
+)
 from magicstar.linalg import mat_mul
 
 
@@ -28,6 +41,37 @@ def pair_forms(space) -> dict:
         form = mat_mul(space.C.C, action)
         out[(a, b)] = form.neg() if metric[a] * metric[b] == -1 else form
     return out
+
+
+def gathers(space, block: str):
+    """(out, raised, back) readers of the spinor block, each from ``_signed``
+    of its input: out[a] reads gamma_a v and raised[a] (C gamma_a)^T v on
+    the image of the block's support, from the transposed gammas and the
+    products C gamma_a; back[a] reads gamma_a r on the support from r on
+    the image."""
+    dim = space.rep.dim
+    support = space.spinor_support[block]
+    on_support = set(support)
+    image = tuple(c for c in range(dim) if c not in on_support) or support
+    on_image = {c: k for k, c in enumerate(image)}
+    index = list(range(2 * dim))
+    transposed = [g.transpose() for g in space.rep.gammas]
+    raised = [mat_mul(space.C.C, g) for g in space.rep.gammas]
+    return (
+        [_reader(t, image, index) for t in transposed],
+        [_reader(m, image, index) for m in raised],
+        [_reader(t, support, index, on_image) for t in transposed],
+    )
+
+
+def fold(blocks: dict, den: int = 1):
+    """(blocks, den) with every Fraction entry folded into ``den``, scanning
+    each entry with ``isinstance``."""
+    dens = [v.denominator for v in _entries(blocks) if isinstance(v, Q)]
+    if not dens:
+        return blocks, den
+    m = lcm(*dens)
+    return {name: _map(val, lambda v: int(v * m)) for name, val in blocks.items()}, den * m
 
 
 def act(space, actions: dict, x: dict, psi: list):

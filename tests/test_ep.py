@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -31,8 +32,9 @@ from magicstar.ep import (
     _k_act,
     _k_commutator,
     _k_pair_so,
+    _signed,
 )
-from magicstar.linalg import LANE_LIMIT, RowReducer, mat_mul
+from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, mat_mul
 
 
 def test_dimension_values():
@@ -222,6 +224,11 @@ def test_infeasibility_rejects_n0():
 
 def assert_certificate_sound(rep):
     """y^T A = 0 and y^T b != 0 over the sampled rows."""
+    # this one check covers every sign of the pinned channels, so no run
+    # per sign is made: the rows are over Q with the pinned channels at 1,
+    # so they are infeasible over C too, and any assignment whose pinned
+    # channels are nonzero rescales over C to pinned = 1, because the
+    # pinned weights are independent (test_rescaling_weight_rank)
     cert = dict(rep.certificate)
     row_map = {ref: (coeffs, rhs) for ref, coeffs, rhs in rep.rows}
     for j in range(len(rep.unknowns)):
@@ -436,6 +443,8 @@ def test_element_reads_back_fraction_blocks(seed):
     rng = random.Random(seed)
     blocks, den = fraction_blocks(rng), rng.randint(1, 6)
     el = EPElement(blocks, den)
+    # the same den and numerators as a scan of every entry for Fractions
+    assert (el.blocks, el.den) == ep_oracle.fold(blocks, den)
     assert all(type(v) is int for v in numerators(el))
     assert type(el.den) is int and el.den > 0
     got = list(el.items())
@@ -456,6 +465,49 @@ def test_add_and_scale_match_fraction_arithmetic(seed):
     assert dict(ep_add(a, b).items()) == {k: v for k, v in total.items() if v}
     scaled = {k: c * v for k, v in ea.items()}
     assert dict(ep_scale(a, c).items()) == {k: v for k, v in scaled.items() if v}
+
+
+def test_int_entries_skip_the_fraction_instance_check(monkeypatch):
+    checked = []
+
+    class Counted(type):
+        def __instancecheck__(cls, v):
+            checked.append(v)
+            return isinstance(v, Q)
+
+    monkeypatch.setattr(ep_mod, "Q", Counted("Q", (), {}))
+    el = EPElement({"so": {(0, 1): 2}, "D": -1, "psi": [0, 3, -4]})
+    assert checked == [] and el.den == 1
+    el = EPElement({"D": Q(1, 2), "psi": [1, Q(2, 3)]})
+    assert checked == [Q(1, 2), Q(2, 3)]
+    assert (el.blocks, el.den) == ({"D": 3, "psi": [6, 4]}, 6)
+
+
+# sha256 prefixes of random_element, random_spinor_element and basis_spinor
+# at seed 5, as built when every element went through the Fraction scan
+SEEDED_DIGESTS = {
+    "der": "fb3dfa1a88afa708",
+    "str0": "31d6166e0ef37ab0",
+    "conf": "e9c23d95c5abee0a",
+    "qconf": "1ce3e8cc4d438de7",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SEEDED_DIGESTS))
+def test_seeded_elements_are_unchanged(level):
+    sp = make_ep(level, 0)
+    rng = random.Random(5)
+    els = [
+        random_element(sp, rng),
+        random_spinor_element(sp, rng),
+        basis_spinor(sp, sp.spinor_blocks()[-1], 3),
+    ]
+    digest = hashlib.sha256(repr([(sorted(e.blocks.items()), e.den) for e in els]).encode())
+    assert digest.hexdigest()[:16] == SEEDED_DIGESTS[level]
+    for el in els:
+        assert all(type(v) is int for v in numerators(el))
+        again = EPElement(el.blocks)
+        assert (again.blocks, again.den) == (el.blocks, 1)
 
 
 STR0_CLOSING = BracketCoeffs({"pair_so": Q(1), "pair_R": Q(3, 2)}, ("pair_so",))
@@ -607,6 +659,50 @@ def test_pair_so_matches_pair_forms(case, seed):
             assert got == ep_oracle.pair_so(sp, forms, psi, phi)
 
 
+def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
+    # a lane of row a is at most |image| * max |psi| * max |phi|; operands
+    # one step below LANE_LIMIT pack, with the lane of one pair at that
+    # magnitude; exactly at the bound each pair is one dot product
+    paths = []
+    pair_dots = ep_mod._pair_dots
+
+    def counted(*args):
+        paths.append("dots")
+        return pair_dots(*args)
+
+    monkeypatch.setattr(ep_mod, "_pair_dots", counted)
+    for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
+        sp, _, forms = oracle_space(*case)
+        bx, by = sp.spinor_blocks()[0], sp.spinor_blocks()[-1]
+        support = sp.spinor_support[by]
+        # psi[form.rows[c]] = form.signs[c] puts every term of the pair
+        # (0, 1) at the same sign
+        form = mat_mul(sp.C.C, mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
+        for q in (1, 2):
+            cap = (LANE_LIMIT - 1) // (len(support) * q)
+            for peak in (cap, cap + 1):
+                for sign in (1, -1):
+                    psi, phi = [0] * sp.rep.dim, [0] * sp.rep.dim
+                    for c in support:
+                        psi[form.rows[c]] = sign * peak * form.signs[c]
+                        phi[c] = q
+                    got = _k_pair_so(sp, (bx, by), psi, phi)
+                    assert got == ep_oracle.pair_so(sp, forms, psi, phi)
+                    assert abs(got[0][(0, 1)]) == len(support) * peak * q
+            assert len(support) * (cap + 1) * q == LANE_LIMIT
+            assert paths == ["dots", "dots"]
+            paths.clear()
+        # a zero operand beside one past 2^63: the guard counts the zero
+        # as 1, so the other is never packed
+        zero, big = [0] * sp.rep.dim, [0] * sp.rep.dim
+        for c in support:
+            big[c] = 2 ** 63 + 5
+        for psi, phi in ((zero, big), (big, zero)):
+            assert _k_pair_so(sp, (by, by), psi, phi) == ({}, 1)
+        assert paths == ["dots", "dots"]
+        paths.clear()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(KERNEL_SPACES), SEEDS)
 def test_commutator_matches_endpoint_index(case, seed):
@@ -619,14 +715,50 @@ def test_commutator_matches_endpoint_index(case, seed):
 @pytest.mark.parametrize("seed", [1, 7])
 def test_benchmarked_inputs_take_the_packed_action(monkeypatch, seed):
     # the calibrations at n = 0 and the certificates at n = 1 never fall
-    # back to summing the action's rows entry by entry
+    # back to summing the action's rows entry by entry, nor to one dot
+    # product per pair in the pair form
     def refuse(*args):
-        raise AssertionError("the action left the packed lanes")
+        raise AssertionError("a kernel left the packed lanes")
 
     monkeypatch.setattr(ep_mod, "_act_rows", refuse)
+    monkeypatch.setattr(ep_mod, "_pair_dots", refuse)
     for level in ep_mod.LEVELS:
         calibrate(level, 0, seed=seed)
         jacobi_infeasibility(level, 1, samples=3, seed=seed)
+
+
+GATHER_SPACES = [(level, n, "unprimed") for level in ep_mod.LEVELS for n in (0, 1)] + [
+    ("str0", 0, "primed"),
+    ("str0", 1, "primed"),
+]
+
+
+@pytest.mark.parametrize("level,n,polarization", GATHER_SPACES)
+def test_gathers_read_what_transposed_gammas_read(level, n, polarization):
+    sp = make_ep(level, n, polarization=polarization)
+    # distinct magnitudes of both signs, so a wrong index or sign shows
+    v = _signed([(k + 1) * (-1) ** k for k in range(sp.rep.dim)])
+    lowered = _signed(sp.gathers[sp.spinor_blocks()[0]].conj(v))
+    for block in sp.spinor_blocks():
+        g = sp.gathers[block]
+        out, raised, back = ep_oracle.gathers(sp, block)
+        r = _signed([(k + 2) * (-1) ** (k // 3) for k in range(len(g.support))])
+        for a, eta in enumerate(sp.rep.metric):
+            assert g.out[a](v) == out[a](v)
+            assert g.back[a](r) == back[a](r)
+            # (C gamma_a)^T v = eta_a gamma_a C^T v
+            assert tuple(eta * x for x in g.out[a](lowered)) == raised[a](v)
+
+
+def test_spaces_need_no_transposes_or_products(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a gamma was transposed")
+
+    monkeypatch.setattr(MonomialMatrix, "transpose", refuse)
+    assert not hasattr(ep_mod, "mat_mul")
+    for level in ep_mod.LEVELS:
+        make_ep(level, 0)
+    jacobi_infeasibility("str0", 1, samples=1, seed=7, polarization="primed")
 
 
 def test_space_holds_no_pair_tables():
