@@ -9,9 +9,7 @@ selection needs no case analysis for the two root lengths.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import add
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .linalg import rat_str
@@ -55,16 +53,8 @@ class MagicStarChart:
         return "tip(%d,%d)" % w
 
 
-# The scan keys a weight (a, b) as the int 7a + b: pairings lie in [-3, 3],
-# so the key is one to one.
-def _key(w: Weight) -> int:
-    return 7 * w[0] + w[1]
-
-
-_LEGAL_KEYS = frozenset(map(_key, LEGAL))
-_HEX_KEYS = tuple(map(_key, HEX_WEIGHTS))
-_TIP_KEYS = tuple(map(_key, TIP_WEIGHTS))
-_CENTER_KEY = _key(CENTER)
+# Chart bytes of the legal weights (see find_a2): hexagon, tips, center.
+_COUNTED = bytes(7 * a + b + 24 for a, b in HEX_WEIGHTS + TIP_WEIGHTS + (CENTER,))
 
 
 def require_host(label: AlgebraLabel) -> None:
@@ -78,6 +68,14 @@ def find_a2(rs: RootSystem) -> A2Choice:
     degrees); keep the first ordered pair whose projection buckets are legal
     with six equal tips.
 
+    Column j is an int lo[j] with one byte per root g: b + 3, for g's
+    pairing b against root j.  Pairings outside [-3, 3] are refused first,
+    so every byte of lo[j] is at most 6, every byte of 7 lo[i] is 7(a + 3),
+    and every byte of 7 lo[i] + lo[j] is 7a + b + 24 in [0, 48]: one to one
+    in (a, b), with no carry into the next byte.  A candidate's chart is
+    then one add, one ``to_bytes`` and one ``bytes.count`` per legal weight,
+    and it is legal when those counts cover every root.
+
     LEGAL, HEX_WEIGHTS and TIP_WEIGHTS are invariant under (a, b) -> (b, a),
     so (i, j) validates exactly when (j, i) does: the scan visits i < j,
     counts each valid pair twice, and its first valid pair is the first
@@ -89,23 +87,23 @@ def find_a2(rs: RootSystem) -> A2Choice:
     if min(map(min, cols)) < -3 or max(map(max, cols)) > 3:
         raise MagicStarError("pairing outside [-3, 3] in %s" % rs.label)
     n = len(cols)
+    lo = [int.from_bytes(bytes(x + 3 for x in col), "little") for col in cols]
     validated = 0
     counts = set()
     first: Optional[Tuple[int, int]] = None
     for i in range(n):
-        coli = cols[i]
-        col7 = [7 * x for x in coli]
+        coli, hi = cols[i], 7 * lo[i]
         for j in range(i + 1, n):
             if coli[j] != -1 or cols[j][i] != -1:
                 continue
-            counter = Counter(map(add, col7, cols[j]))
-            if counter.keys() <= _LEGAL_KEYS and all(counter[h] == 1 for h in _HEX_KEYS):
-                tips = sorted(counter[t] for t in _TIP_KEYS)
-                if tips[0] == tips[-1]:
-                    validated += 2
-                    counts.add((counter[_CENTER_KEY], tuple(tips)))
-                    if first is None:
-                        first = (i, j)
+            chart = (hi + lo[j]).to_bytes(n, "little")
+            c = list(map(chart.count, _COUNTED))
+            tips = c[6:12]
+            if sum(c) == n and c[:6] == [1] * 6 and tips.count(tips[0]) == 6:
+                validated += 2
+                counts.add((c[12], tuple(tips)))
+                if first is None:
+                    first = (i, j)
     if first is None:
         raise MagicStarError("no valid a2 pair found in %s" % rs.label)
     sa, sb = rs.scaled[first[0]], rs.scaled[first[1]]

@@ -2,9 +2,12 @@
 
 ``cartan_matrix`` builds the Cartan matrix of a label from its simple roots
 as nested lists of exact rationals, ``coroot_pairing`` reads one entry of a
-root system's pairing table by root vector, and ``EXPECTED_COUNTS`` holds
-the textbook root counts.
+root system's pairing table by root vector, ``hand_built`` makes a
+``RootSystem`` from doubled coordinates without the closure, and
+``EXPECTED_COUNTS`` holds the textbook root counts.
 """
+
+from fractions import Fraction as Q
 
 from linalg_oracle import dot
 from magicstar.roots import AlgebraLabel, RootSystem, Vector, _simple_roots
@@ -42,3 +45,17 @@ def coroot_pairing(rs: RootSystem, gamma: Vector, alpha: Vector) -> int:
     if gi is None or ai is None:
         raise ValueError("inputs must be roots of the system")
     return rs.pairings[ai][gi]
+
+
+def hand_built(scaled) -> RootSystem:
+    """A ``RootSystem`` whose roots are ``scaled`` halved, taken as given:
+    no closure and no check, so the pairing table's refusals can be hit."""
+    roots = tuple(tuple(Q(x, 2) for x in s) for s in scaled)
+    return RootSystem(
+        label=AlgebraLabel.parse("G2"),
+        rank=2,
+        simple_roots=roots,
+        roots=roots,
+        scaled=scaled,
+        index={r: i for i, r in enumerate(roots)},
+    )

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from linalg_oracle import dot
-from magicstar.roots import MAX_ROOTS, AlgebraLabel, RootSystem, generate_roots, root_count
-from roots_oracle import EXPECTED_COUNTS, cartan_matrix, coroot_pairing
+from magicstar.linalg import LANE_LIMIT
+from magicstar.roots import MAX_ROOTS, AlgebraLabel, generate_roots, root_count
+from roots_oracle import EXPECTED_COUNTS, cartan_matrix, coroot_pairing, hand_built
 
 
 def test_label_parse_and_validation():
@@ -150,16 +152,51 @@ def test_deterministic_ordering():
 
 def test_pairing_table_refuses_non_integral_pairings():
     # (1, 0) against (1, 1/2): 2 * 1 / (5/4) = 8/5
-    roots = ((Q(1), Q(0)), (Q(1), Q(1, 2)))
-    rs = RootSystem(
-        label=AlgebraLabel.parse("G2"),
-        rank=2,
-        simple_roots=roots,
-        roots=roots,
-        scaled=((2, 0), (2, 1)),
-        index={r: i for i, r in enumerate(roots)},
-    )
+    rs = hand_built(((2, 0), (2, 1)))
     with pytest.raises(ArithmeticError, match="not integral"):
         rs.pairings
     with pytest.raises(ArithmeticError, match="not integral"):
-        coroot_pairing(rs, roots[0], roots[1])
+        coroot_pairing(rs, rs.roots[0], rs.roots[1])
+
+
+def test_pairing_table_refuses_lanes_past_the_bound():
+    # lane i of column j holds 2(s_i, s_j); it fits a signed 64-bit lane
+    # while 2 * max (s, s) < 2^63, that is while |coordinate| < 2^31 here
+    edge = 2 ** 31
+    assert 2 * (edge - 1) ** 2 < LANE_LIMIT <= 2 * edge ** 2
+    inside = hand_built(((edge - 1, 0), (0, 1 - edge), (1 - edge, 0)))
+    assert inside.pairings == ((2, 0, -2), (0, 2, 0), (-2, 0, 2))
+    with pytest.raises(ArithmeticError, match=r"2 \* max \(2r, 2r\) < 2\^63"):
+        hand_built(((edge, 0), (0, 1))).pairings
+    with pytest.raises(ArithmeticError, match=r"< 2\^63"):
+        hand_built(((3, 0), (10 ** 30, 10 ** 30))).pairings
+
+
+# sympy's all_roots() lists a non-root for G2 ([1, 0, 1] lies off the plane
+# x + y + z = 0) and repeats roots for E6, E7 and E8 (50, 74 and 126
+# distinct), so only F4's list is a root system to take pairings over.
+_SYMPY_ROOT_LISTS_BROKEN = {"G2", "E6", "E7", "E8"}
+
+
+@pytest.mark.parametrize("name,count,det", [
+    ("G2", 12, 1), ("F4", 48, 1), ("E6", 72, 3), ("E7", 126, 2), ("E8", 240, 1),
+])
+def test_sympy_root_system_oracle(name, count, det):
+    sympy = pytest.importorskip("sympy")
+    from sympy.liealgebras.cartan_matrix import CartanMatrix
+    from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
+
+    rs = generate_roots(AlgebraLabel.parse(name))
+    theirs = SympyRootSystem(name).all_roots()
+    assert len(rs.roots) == len(theirs) == count
+    simple = [rs.index[s] for s in rs.simple_roots]
+    cartan = sympy.Matrix([[rs.pairings[j][i] for j in simple] for i in simple])
+    assert cartan.det() == CartanMatrix(name).det() == det
+
+    roots = {tuple(Q(str(x)) for x in r) for r in theirs.values()}
+    if len(roots) == count:
+        pairings = Counter(2 * dot(a, b) / dot(b, b) for a in roots for b in roots)
+        if all(p.denominator == 1 for p in pairings):
+            assert pairings == Counter(p for col in rs.pairings for p in col)
+            return
+    assert name in _SYMPY_ROOT_LISTS_BROKEN

@@ -1,9 +1,8 @@
-from fractions import Fraction as Q
-
 import pytest
 
 import star_oracle
-from magicstar.roots import AlgebraLabel, RootSystem, generate_roots
+from roots_oracle import hand_built
+from magicstar.roots import AlgebraLabel, generate_roots
 from magicstar.star import (
     HEX_WEIGHTS,
     STAR_HOSTS,
@@ -61,11 +60,6 @@ def test_a2_host_is_rejected():
         find_a2(rs)
 
 
-def test_all_validated_choices_give_identical_counts_f4():
-    rs = generate_roots(AlgebraLabel.parse("F4"))
-    assert find_a2(rs).validated_counts == {(6, (6,) * 6)}
-
-
 @pytest.mark.parametrize("name", sorted(STAR_HOSTS))
 def test_matches_the_rational_oracle(name):
     label = AlgebraLabel.parse(name)
@@ -83,28 +77,35 @@ def test_matches_the_rational_oracle(name):
     assert project(rs, choice).buckets == star_oracle.project(roots, cols, i, j)
 
 
-def _hand_built(scaled):
-    roots = tuple(tuple(Q(x, 2) for x in s) for s in scaled)
-    return RootSystem(
-        label=AlgebraLabel.parse("G2"),
-        rank=2,
-        simple_roots=roots,
-        roots=roots,
-        scaled=scaled,
-        index={r: i for i, r in enumerate(roots)},
-    )
+# (ordered candidates validated, the one (center, tips) they all give)
+SCAN_COUNTS = {
+    "G2": (12, (0, (1,) * 6)),
+    "F4": (192, (6, (6,) * 6)),
+    "E6": (1440, (12, (9,) * 6)),
+    "E7": (4032, (30, (15,) * 6)),
+    "E8": (13440, (72, (27,) * 6)),
+    "D4": (192, (0, (3,) * 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_HOSTS))
+def test_scan_counts(name):
+    validated, counts = SCAN_COUNTS[name]
+    choice = find_a2(generate_roots(AlgebraLabel.parse(name)))
+    assert choice.candidates_validated == validated
+    assert choice.validated_counts == {counts}
 
 
 def test_scan_refuses_non_integral_pairings():
     # (1, 0) against (1, 1/2): 2 * 1 / (5/4) = 8/5
     with pytest.raises(ArithmeticError, match="not integral"):
-        find_a2(_hand_built(((2, 0), (2, 1))))
+        find_a2(hand_built(((2, 0), (2, 1))))
 
 
 def test_scan_refuses_pairings_past_three():
-    # (2, 0) against (1, 0): 4, which the weight key 7a + b cannot hold
+    # (2, 0) against (1, 0): 4, past the byte lanes' range of [-3, 3]
     with pytest.raises(MagicStarError, match=r"outside \[-3, 3\]"):
-        find_a2(_hand_built(((2, 0), (4, 0))))
+        find_a2(hand_built(((2, 0), (4, 0))))
 
 
 def test_hexagon_is_the_a2_image():
