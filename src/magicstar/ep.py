@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from functools import cached_property
 from math import lcm, prod
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import (
@@ -38,8 +38,9 @@ from .clifford import (
 )
 from .linalg import (
     LANE_LIMIT,
-    MonomialMatrix,
     RowReducer,
+    _reader,
+    _signed,
     pack_lanes,
     rat_str,
     unpack_lanes,
@@ -258,23 +259,6 @@ class BracketCoeffs:
 def default_coeffs(level: str) -> BracketCoeffs:
     desc = _describe(level)
     return BracketCoeffs({name: Q(1) for name in desc.weights}, desc.pinned)
-
-
-def _signed(v: Sequence[int]) -> list:
-    """v followed by its negation: the column every reader gathers from."""
-    return [*v, *map(neg, v)]
-
-
-def _reader(m: MonomialMatrix, cols, index: list, pos=None, flip=1) -> Callable[[list], tuple]:
-    """_signed(v) -> flip * (m^T v) at ``cols``: v[m.rows[c]], with v
-    indexed through ``pos`` when given, read from the negated half where
-    flip * m.signs[c] is -1.  One gather, no arithmetic.  Positions are
-    taken from ``index``, list(range(k)), so readers share their int objects."""
-    n = m.dim if pos is None else len(pos)
-    return itemgetter(*(
-        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] != flip else 0)]
-        for c in cols
-    ))
 
 
 class _Gathers:
@@ -540,7 +524,8 @@ def _pair_dots(left: list, moved: list) -> List[List[int]]:
 # a coefficient channel's kernel, by the kinds of (bx, by, target)
 _CHANNEL_KERNELS = {
     ("spinor", "spinor", "so"): _k_pair_so,
-    ("spinor", "spinor", "scalar"): lambda space, key, psi, phi: (space.C.C.bilinear(psi, phi), 1),
+    ("spinor", "spinor", "scalar"): lambda space, key, psi, phi: (
+        sum(map(mul, space.gathers[key[1]].conj(_signed(psi)), phi)), 1),
     ("scalar", "spinor", "spinor"): lambda space, key, k, psi: ([k * v for v in psi], 1),
     ("scalar", "scalar", "scalar"): lambda space, key, a, b: (a * b, 1),
 }
@@ -722,7 +707,6 @@ class CalibrationReport:
     level: str
     n: int
     coeffs: BracketCoeffs
-    residual_freedom: int
     rows: int
     verified_triples: int
     seed: int
@@ -831,7 +815,6 @@ def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> Calib
         level=level,
         n=n,
         coeffs=coeffs,
-        residual_freedom=0,
         rows=len(system.rows),
         verified_triples=verify,
         seed=seed,

@@ -7,14 +7,16 @@ denominator (see :func:`lift`), so nothing here ever rounds.
 ``MonomialMatrix`` is the one matrix kind: a signed permutation (exactly
 one entry, +1 or -1, per row and per column).  Gamma matrices live here;
 products and Kronecker products of monomials stay monomial and cost
-O(dim).  Its ``apply`` (gather-accumulate) and ``bilinear`` are the one
-implementation of vector arithmetic over that storage.  ``RowReducer`` is
-the one solver: incremental fraction-free row reduction on ints that turns
-an inconsistent row into a certificate.  ``pack_lanes`` and
-``unpack_lanes`` hold an int vector as one Python int with a signed 64-bit
-lane per entry, so a scalar multiply-add of whole vectors is one big-int
-operation; it stays exact while every lane's magnitude stays below
-``LANE_LIMIT``.
+O(dim).  ``_reader`` over ``_signed`` columns is the one implementation of
+vector arithmetic over that storage: a signed permutation applied to a
+vector is one ``itemgetter`` gather from the vector and its negation, with
+no arithmetic; a bilinear is that gather and one dot product.
+``RowReducer`` is the one solver: incremental fraction-free row reduction
+on ints that turns an inconsistent row into a certificate.
+``pack_lanes`` and ``unpack_lanes`` hold an int vector as one Python int
+with a signed 64-bit lane per entry, so a scalar multiply-add of whole
+vectors is one big-int operation; it stays exact while every lane's
+magnitude stays below ``LANE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter, mul
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter, mul, neg
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 Vector = List[Q]
@@ -122,33 +124,6 @@ class MonomialMatrix:
     def is_diagonal(self) -> bool:
         return self.rows == tuple(range(self.dim))
 
-    def apply(self, v: Sequence, acc: Optional[list] = None, weight=1) -> list:
-        """Add ``weight * (M v)`` into ``acc`` in place and return it, in O(dim).
-
-        ``acc`` None starts from a fresh zero vector.  Zero entries of ``v``
-        are skipped.
-        """
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        if acc is None:
-            acc = [0] * self.dim
-        for r, s, x in zip(self.rows, self.signs, v):
-            if x:
-                acc[r] += s * weight * x
-        return acc
-
-    def bilinear(self, u: Sequence, v: Sequence):
-        """``u^T M v`` in O(dim); a term with a zero factor is skipped."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        total = 0
-        for r, s, x in zip(self.rows, self.signs, v):
-            if x:
-                y = u[r]
-                if y:
-                    total += s * y * x
-        return total
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialMatrix)
@@ -163,6 +138,23 @@ def _gather(seq: Sequence, idx: Sequence[int]) -> tuple:
     if len(idx) == 1:
         return (seq[idx[0]],)
     return itemgetter(*idx)(seq)
+
+
+def _signed(v: Sequence[int]) -> list:
+    """v followed by its negation: the column every reader gathers from."""
+    return [*v, *map(neg, v)]
+
+
+def _reader(m: MonomialMatrix, cols, index: list, pos=None, flip=1) -> Callable[[list], tuple]:
+    """_signed(v) -> flip * (m^T v) at ``cols``: v[m.rows[c]], with v
+    indexed through ``pos`` when given, read from the negated half where
+    flip * m.signs[c] is -1.  One gather, no arithmetic.  Positions are
+    taken from ``index``, list(range(k)), so readers share their int objects."""
+    n = m.dim if pos is None else len(pos)
+    return itemgetter(*(
+        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] != flip else 0)]
+        for c in cols
+    ))
 
 
 def mat_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:

@@ -74,10 +74,6 @@ def _build_octonion_table():
 MUL_INDEX, MUL_SIGN = _build_octonion_table()
 
 
-def oct_zero() -> Octonion:
-    return (Q(0),) * 8
-
-
 def oct_from(coords: Sequence) -> Octonion:
     if len(coords) != 8:
         raise ValueError("an octonion needs eight coordinates")

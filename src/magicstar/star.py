@@ -182,7 +182,7 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _emit_svg(chart: MagicStarChart, guides: bool = True) -> str:
+def _emit_svg(chart: MagicStarChart) -> str:
     scale = 220.0
     cx = cy = 300.0
 
@@ -196,14 +196,13 @@ def _emit_svg(chart: MagicStarChart, guides: bool = True) -> str:
         'width="600" height="600">',
         '<rect width="600" height="600" fill="white"/>',
     ]
-    if guides:
-        tri1 = [(1, 0), (-1, 1), (0, -1)]
-        tri2 = [(-1, 0), (1, -1), (0, 1)]
-        for tri in (tri1, tri2):
-            pts = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in (pos(w) for w in tri))
-            parts.append(
-                '<polygon points="%s" fill="none" stroke="#cccccc" stroke-width="1"/>' % pts
-            )
+    tri1 = [(1, 0), (-1, 1), (0, -1)]
+    tri2 = [(-1, 0), (1, -1), (0, 1)]
+    for tri in (tri1, tri2):
+        pts = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in (pos(w) for w in tri))
+        parts.append(
+            '<polygon points="%s" fill="none" stroke="#cccccc" stroke-width="1"/>' % pts
+        )
     for w in sorted(chart.buckets):
         x, y = pos(w)
         mult = len(chart.buckets[w])

@@ -12,6 +12,8 @@ of the orthogonal space with one time direction, contracted against
 spinor bilinears built from the time gamma.  The overall scale is anchored
 by N(diag) = r1 r2 r3; the spinor-term sign is anchored by equality with
 the octonionic 3x3 determinant at q = 8, n = 0 (see calibrate_embedding).
+The spinor block is read on its carrier support only, through
+``linalg._reader`` gathers.
 
 For q = 1 the width formula doubles the spinor block; the resulting total
 dimension 8 at n = 0 differs from the six-dimensional rank-3 real matrix
@@ -25,7 +27,9 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from typing import List, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from operator import mul
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .clifford import (
     EPS,
@@ -38,7 +42,7 @@ from .clifford import (
     rep_dim,
     verify_relations,
 )
-from .linalg import MonomialMatrix, kron, lift, mat_mul, mat_prod, rat_parse
+from .linalg import MonomialMatrix, _reader, _signed, kron, lift, mat_mul, mat_prod, rat_parse
 from .octonion import (
     Octonion,
     left_mult_matrix,
@@ -74,6 +78,14 @@ class TSpace:
     rep: CliffordRep
     norm_forms: Tuple[MonomialMatrix, ...]  # time-gamma times gamma_nu, all symmetric
     carriers: Tuple[Tuple[int, ...], ...]   # coordinate support per carrier copy
+
+    @cached_property
+    def form_readers(self) -> Tuple[Callable[[list], tuple], ...]:
+        """Per norm form M, the reader of M psi on the carrier support from
+        ``_signed(psi)`` on it (M is symmetric), built once per space;
+        ``dataclasses.replace`` makes a new space, whose readers are built
+        afresh."""
+        return tuple(_carrier_reader(self, m) for m in self.norm_forms)
 
     @property
     def dimension(self) -> int:
@@ -149,20 +161,12 @@ def make_space(q: int, n: int) -> TSpace:
         forms.append(m)
     width = spinor_width(q, n)
     fund = _FUND[q]
-    if q in (4, 8):
-        plus, _ = chiral_indices(rep)
-        carriers = (tuple(plus),)
-        if len(plus) != fund * width:
-            raise AssertionError("chiral block does not match the width formula")
-    elif q == 2:
-        carriers = (tuple(range(rep.dim)),)
-        if rep.dim != fund * width:
-            raise AssertionError("representation does not match the width formula")
-    else:  # q == 1: the width formula doubles a pair of full spinor copies
-        full = tuple(range(rep.dim))
-        carriers = (full, full)
-        if 2 * rep.dim != fund * width:
-            raise AssertionError("doubled block does not match the width formula")
+    # the carrier is one support, the plus half where the spinor is chiral
+    # and the whole spinor otherwise, in two copies at q = 1
+    support = tuple(chiral_indices(rep)[0]) if q in (4, 8) else tuple(range(rep.dim))
+    copies = 2 if q == 1 else 1
+    if copies * len(support) != fund * width:
+        raise AssertionError("spinor carrier does not match the width formula")
     return TSpace(
         q=q,
         n=n,
@@ -171,7 +175,7 @@ def make_space(q: int, n: int) -> TSpace:
         fund=fund,
         rep=rep,
         norm_forms=tuple(forms),
-        carriers=carriers,
+        carriers=(support,) * copies,
     )
 
 
@@ -243,72 +247,62 @@ def _vector_coords(space: TSpace, el: TElement) -> List[Q]:
     return list(el.v) + [x_minus, x_plus]
 
 
-def _carrier_columns(space: TSpace, el: TElement) -> Tuple[List[List[int]], int]:
-    """Lift the stored spinor block onto full representation columns of int
-    numerators over one shared denominator ``den``."""
+def _carrier_reader(space: TSpace, m: MonomialMatrix, flip: int = 1) -> Callable[[list], tuple]:
+    """_signed(psi) -> flip * (m^T psi) on the carrier support, for psi on
+    it; m must map the support into itself."""
+    support = space.carriers[0]
+    pos = {c: k for k, c in enumerate(support)}
+    if not all(m.rows[c] in pos for c in support):
+        raise AssertionError("gamma product leaks outside the spinor carrier")
+    return _reader(m, support, list(range(2 * len(support))), pos, flip)
+
+
+def _carrier_copies(space: TSpace, el: TElement) -> Tuple[List[List[int]], int]:
+    """The spinor block as int numerators over one shared denominator
+    ``den``, split into one list per carrier copy."""
     nums, den = lift([x for col in el.psi for x in col])
-    dim = space.rep.dim
-    cols = []
-    pos = 0
-    for support in space.carriers:
-        full = [0] * dim
-        for idx in support:
-            full[idx] = nums[pos]
-            pos += 1
-        cols.append(full)
-    return cols, den
-
-
-def _carrier_to_flat(space: TSpace, cols: Sequence[Sequence]) -> list:
-    flat = []
-    for support, col in zip(space.carriers, cols):
-        flat.extend(col[i] for i in support)
-    return flat
+    k = len(space.carriers[0])
+    return [nums[i:i + k] for i in range(0, len(nums), k)], den
 
 
 class _Lifted(NamedTuple):
     """What the norm and its gradient share, computed once per element."""
 
-    cols: List[List[int]]  # carrier columns, numerators over den
+    moved: List[List[tuple]]  # per carrier copy psi, per norm form M: M psi, over den
     den: int
-    bil: List[int]         # B_nu = sum of psi^T (gamma_time gamma_nu) psi, over den^2
-    vec: List[int]         # lightcone vector, numerators over vden
+    bil: List[int]            # B_nu = sum of psi^T (gamma_time gamma_nu) psi, over den^2
+    vec: List[int]            # lightcone vector, numerators over vden
     vden: int
 
 
 def _lift_element(space: TSpace, el: TElement) -> _Lifted:
     _check_shape(space, el)
-    cols, den = _carrier_columns(space, el)
-    bil = [sum(m.bilinear(col, col) for col in cols) for m in space.norm_forms]
+    copies, den = _carrier_copies(space, el)
+    moved = [[read(signed) for read in space.form_readers] for signed in map(_signed, copies)]
+    bil = [sum(sum(map(mul, psi, mv[k])) for psi, mv in zip(copies, moved))
+           for k in range(len(space.norm_forms))]
     vec, vden = lift(_vector_coords(space, el))
-    return _Lifted(cols, den, bil, vec, vden)
+    return _Lifted(moved, den, bil, vec, vden)
 
 
 def _norm(el: TElement, lf: _Lifted) -> Q:
     vv = sum(x * x for x in el.v)
     n = el.r3 * (el.r1 * el.r2 - vv)
-    if any(map(any, lf.cols)):
+    if any(lf.bil):
         n += Q(sum(b * w for b, w in zip(lf.bil, lf.vec)), lf.den * lf.den * lf.vden)
     return n
 
 
-def _gradient(space: TSpace, el: TElement, lf: _Lifted) -> List[Q]:
+def _gradient(el: TElement, lf: _Lifted) -> List[Q]:
     bden = lf.den * lf.den
     b_minus, b_plus = lf.bil[-2], lf.bil[-1]
     g_r1 = el.r2 * el.r3 + Q(b_minus + b_plus, 2 * bden)
     g_r2 = el.r1 * el.r3 + Q(b_plus - b_minus, 2 * bden)
     g_r3 = el.r1 * el.r2 - sum(x * x for x in el.v)
     g_v = [-2 * el.r3 * x + Q(b, bden) for x, b in zip(el.v, lf.bil)]
-    # spinor part: 2 * sum_nu V^nu (M_nu psi) on each carrier
-    grads = []
-    for col in lf.cols:
-        acc = [0] * space.rep.dim
-        for m, w in zip(space.norm_forms, lf.vec):
-            if w:
-                m.apply(col, acc, w)
-        grads.append(acc)
+    # spinor part: 2 * sum_nu V^nu (M_nu psi) on each carrier copy
     sden = lf.den * lf.vden
-    g_psi = [Q(2 * t, sden) for t in _carrier_to_flat(space, grads)]
+    g_psi = [Q(2 * sum(map(mul, lf.vec, entry)), sden) for mv in lf.moved for entry in zip(*mv)]
     return [g_r1, g_r2, g_r3] + g_v + g_psi
 
 
@@ -319,7 +313,7 @@ def cubic_norm(space: TSpace, el: TElement) -> Q:
 
 def norm_gradient(space: TSpace, el: TElement) -> List[Q]:
     """Exact gradient in the coordinate order (r1, r2, r3, v, psi)."""
-    return _gradient(space, el, _lift_element(space, el))
+    return _gradient(el, _lift_element(space, el))
 
 
 def norm_and_rank(space: TSpace, el: TElement) -> Tuple[Q, int]:
@@ -332,7 +326,7 @@ def norm_and_rank(space: TSpace, el: TElement) -> Tuple[Q, int]:
         return norm, 3
     if not any(el.coords()):
         return norm, 0
-    if not any(_gradient(space, el, lf)):
+    if not any(_gradient(el, lf)):
         return norm, 1
     return norm, 2
 
@@ -363,11 +357,14 @@ def so_generator_pairs(space: TSpace):
 
 
 def infinitesimal_rotation(space: TSpace, el: TElement, pair: Tuple[int, int]) -> List[Q]:
-    """Coordinate delta of the generator M_ab acting as dV = M V, dPsi = S Psi.
+    """Coordinate delta of the generator M_ab, a != b, acting as dV = M V,
+    dPsi = S Psi with S = gamma_a gamma_b / 2.
 
     Returned in the same flat order as ``TElement.coords``; r3 is inert.
     """
     a, b = pair
+    if a == b:
+        raise TAlgebraError("a generator pair needs two different indices")
     metric = space.rep.metric
     vec = _vector_coords(space, el)
     dvec = [Q(0)] * len(vec)
@@ -377,14 +374,12 @@ def infinitesimal_rotation(space: TSpace, el: TElement, pair: Tuple[int, int]) -
     d_xminus, d_xplus = dvec[-2], dvec[-1]
     d_r1, d_r2 = lightcone_inverse(d_xplus, d_xminus)
     dv = dvec[: space.vector_dim]
+    # gamma_a gamma_b psi through the transpose, which is
+    # -eta_a eta_b gamma_a gamma_b: verify_relations proved gamma^T = eta gamma
     prod = mat_mul(space.rep.gammas[a], space.rep.gammas[b])
-    cols, den = _carrier_columns(space, el)
-    dcols = [prod.apply(col) for col in cols]
-    for support, out in zip(space.carriers, dcols):
-        sset = set(support)
-        if any(out[i] for i in range(space.rep.dim) if i not in sset):
-            raise AssertionError("rotation leaks outside the spinor carrier")
-    dpsi = [Q(t, 2 * den) for t in _carrier_to_flat(space, dcols)]
+    read = _carrier_reader(space, prod, -metric[a] * metric[b])
+    copies, den = _carrier_copies(space, el)
+    dpsi = [Q(t, 2 * den) for psi in copies for t in read(_signed(psi))]
     return [d_r1, d_r2, Q(0)] + dv + dpsi
 
 

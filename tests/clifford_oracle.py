@@ -23,6 +23,7 @@ from magicstar.clifford import (
     CliffordRep,
     Signature,
 )
+from linalg_oracle import monomial_apply, monomial_bilinear
 from magicstar.linalg import MonomialMatrix, kron, mat_mul, mat_prod
 
 
@@ -210,8 +211,8 @@ def fierz_residual(
         raise_sign = 1
         for mu in idx:
             raise_sign *= rep.metric[mu]
-        w = gm.apply(psi)
-        s = C.C.bilinear(psi, w)
+        w = monomial_apply(gm, psi)
+        s = monomial_bilinear(C.C, psi, w)
         if s:
             coeff = raise_sign * s
             for i in range(rep.dim):

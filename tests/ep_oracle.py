@@ -14,17 +14,17 @@ test helpers.
 from fractions import Fraction as Q
 from math import lcm
 
+from linalg_oracle import monomial_apply, monomial_bilinear
 from magicstar.ep import (
     EPElement,
     _entries,
     _integral,
     _map,
-    _reader,
     _times,
     basis_spinor,
     jacobiator,
 )
-from magicstar.linalg import mat_mul
+from magicstar.linalg import _reader, mat_mul
 
 
 def pair_actions(space) -> dict:
@@ -77,14 +77,14 @@ def fold(blocks: dict, den: int = 1):
 def act(space, actions: dict, x: dict, psi: list):
     acc = [0] * space.rep.dim
     for key, v in x.items():
-        actions[key].apply(psi, acc, v)
+        monomial_apply(actions[key], psi, acc, v)
     return acc, 2
 
 
 def pair_so(space, forms: dict, psi: list, phi: list):
     out = {}
     for key in space.pairs:
-        s = forms[key].bilinear(psi, phi)
+        s = monomial_bilinear(forms[key], psi, phi)
         if s:
             out[key] = s
     return out, 1

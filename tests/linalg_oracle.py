@@ -1,6 +1,8 @@
 """Plain nested-list reference for ``magicstar.linalg`` that only the tests
 use: the entry grid of a monomial, the schoolbook product, the Kronecker
-product and matrix-vector apply on grids, dot products, the 3x3
+product and matrix-vector apply on grids, dot products, the column loops
+``monomial_apply`` and ``monomial_bilinear`` over a monomial's own storage
+(the reference kernels of ``ep_oracle`` and ``clifford_oracle``), the 3x3
 determinant, a kernel basis read off a ``RowReducer``'s pivots, and
 ``FractionReducer``, the reduced row echelon form over Fractions that the
 fraction-free ``RowReducer`` is checked against.  It shares no code with
@@ -26,6 +28,26 @@ def dot(u, v):
 def apply(a, v):
     """Matrix-vector product on a grid; zero entries add nothing."""
     return [sum(x * y for x, y in zip(row, v) if x) for row in a]
+
+
+def monomial_apply(m, v, acc=None, weight=1):
+    """Add ``weight * (m v)`` into ``acc`` (a fresh zero vector when None)
+    column by column and return it; zero entries of ``v`` are skipped."""
+    if acc is None:
+        acc = [0] * m.dim
+    for r, s, x in zip(m.rows, m.signs, v):
+        if x:
+            acc[r] += s * weight * x
+    return acc
+
+
+def monomial_bilinear(m, u, v):
+    """``u^T m v`` column by column; a term with a zero factor is skipped."""
+    total = 0
+    for r, s, x in zip(m.rows, m.signs, v):
+        if x and u[r]:
+            total += s * u[r] * x
+    return total
 
 
 def matmul(a, b):

@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 from magicstar.clifford import CliffordRep
 from magicstar.linalg import MonomialMatrix, mat_mul, rat_str
-from magicstar.octonion import Octonion, oct_zero
+from magicstar.octonion import Octonion, oct_from
 from magicstar.talgebra import OctonionHermitian3, TElement, TSpace
 
 
@@ -88,7 +88,8 @@ def diagonal(space: TSpace, r1, r2, r3) -> TElement:
 
 
 def hermitian_diagonal(r1, r2, r3) -> OctonionHermitian3:
-    return OctonionHermitian3(Q(r1), Q(r2), Q(r3), oct_zero(), oct_zero(), oct_zero())
+    zero = oct_from([0] * 8)
+    return OctonionHermitian3(Q(r1), Q(r2), Q(r3), zero, zero, zero)
 
 
 def oct_unit(i: int) -> Octonion:

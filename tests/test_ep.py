@@ -32,9 +32,8 @@ from magicstar.ep import (
     _k_act,
     _k_commutator,
     _k_pair_so,
-    _signed,
 )
-from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, mat_mul
+from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, _signed, mat_mul
 
 
 def test_dimension_values():

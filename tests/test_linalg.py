@@ -11,6 +11,8 @@ from magicstar.linalg import (
     LANE_LIMIT,
     MonomialMatrix,
     RowReducer,
+    _reader,
+    _signed,
     kron,
     mat_mul,
     pack_lanes,
@@ -180,42 +182,60 @@ def random_vector(rng, n):
 
 
 # the gather properties draw one seed and build a monomial of dimension up
-# to 64, its vectors and scalars from it: drawing a permutation and 64
-# scalars through Hypothesis costs far more than the kernel under test
+# to 64, its columns, supports, vectors and scalars from it: drawing a
+# permutation and 64 scalars through Hypothesis costs far more than the
+# kernel under test
 SEEDS = st.integers(0, 2 ** 64 - 1)
 
 
+def gathered(reader, cols, signed):
+    """What ``reader`` reads from ``signed``, as a tuple: the itemgetter of
+    one position returns the bare entry."""
+    got = reader(signed)
+    return (got,) if len(cols) == 1 else got
+
+
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
-def test_apply_matches_dense(seed):
+def test_reader_matches_dense_transpose(seed):
+    """_reader(m, cols, index, pos, flip) reads flip * (m^T v) at ``cols``
+    from _signed(v), with v given whole or, through ``pos``, on an input
+    support that holds every row a column in ``cols`` reads."""
     rng = random.Random(seed)
     m = random_monomial(rng, rng.randint(1, 64))
-    v = random_vector(rng, m.dim)
-    assert m.apply(v) == oracle.apply(oracle.grid(m), v)
+    cols = rng.sample(range(m.dim), rng.randint(1, m.dim))
+    if rng.random() < 0.5:
+        support = list({m.rows[c] for c in cols} | {r for r in range(m.dim) if rng.random() < 0.5})
+        rng.shuffle(support)
+        pos = {r: k for k, r in enumerate(support)}
+    else:
+        support, pos = range(m.dim), None
+    v = random_vector(rng, len(support))
+    full = [0] * m.dim
+    for r, x in zip(support, v):
+        full[r] = x
+    transposed = [list(col) for col in zip(*oracle.grid(m))]
+    expected = oracle.apply(transposed, full)
+    signed = _signed(v)
+    assert signed == v + [-x for x in v]
+    index = list(range(2 * len(v)))
+    for flip in (1, -1):
+        got = gathered(_reader(m, cols, index, pos, flip), cols, signed)
+        assert got == tuple(flip * expected[c] for c in cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
-def test_apply_accumulates_weighted_in_place(seed):
-    rng = random.Random(seed)
-    m = random_monomial(rng, rng.randint(1, 64))
-    v = random_vector(rng, m.dim)
-    acc = random_vector(rng, m.dim)
-    weight = random_scalar(rng)
-    expected = [a + weight * b for a, b in zip(acc, oracle.apply(oracle.grid(m), v))]
-    out = m.apply(v, acc, weight)
-    assert out is acc
-    assert acc == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(SEEDS)
-def test_bilinear_matches_dense(seed):
+def test_reader_dot_is_the_bilinear(seed):
+    """u^T m v is one gather of m^T u over every column and one dot product
+    with v."""
     rng = random.Random(seed)
     m = random_monomial(rng, rng.randint(1, 64))
     u = random_vector(rng, m.dim)
     v = random_vector(rng, m.dim)
-    assert m.bilinear(u, v) == oracle.dot(u, oracle.apply(oracle.grid(m), v))
+    cols = range(m.dim)
+    lowered = gathered(_reader(m, cols, list(range(2 * m.dim))), cols, _signed(u))
+    assert oracle.dot(lowered, v) == oracle.dot(u, oracle.apply(oracle.grid(m), v))
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,20 +3,20 @@ import hashlib
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linalg_oracle import apply, det3, dot, grid
-from magicstar.linalg import MonomialMatrix
+from linalg_oracle import apply, det3, dot, grid, matmul
+from magicstar.linalg import MonomialMatrix, mat_mul
 from magicstar.octonion import (
     oct_conj,
     oct_from,
     oct_mul,
     oct_norm,
     oct_re,
-    oct_zero,
 )
 from magicstar.talgebra import (
     Calibration,
@@ -191,6 +191,33 @@ def test_spin_invariance(q, n):
         assert sum(g * d for g, d in zip(grad, delta)) == 0
 
 
+def test_rotation_refuses_a_carrier_the_generator_leaves():
+    """A carrier that some gamma_a gamma_b does not map into itself is
+    refused from its support alone, before any entry is read: also for
+    psi = 0, where no output entry could show the leak."""
+    sp = make_space(2, 0)
+    half = (0, 1)
+    bad = replace(sp, carriers=(half, half))  # still fund * width entries
+    gammas = sp.rep.gammas
+    leaks = {pair: not all(mat_mul(gammas[pair[0]], gammas[pair[1]]).rows[c] in half for c in half)
+             for pair in so_generator_pairs(sp)}
+    assert any(leaks.values()) and not all(leaks.values())
+    el = random_element(bad, random.Random(3))
+    for pair, leaking in leaks.items():
+        for x in (el, TElement.zero(bad)):
+            if leaking:
+                with pytest.raises(AssertionError, match="leaks outside the spinor carrier"):
+                    infinitesimal_rotation(bad, x, pair)
+            else:
+                assert len(infinitesimal_rotation(bad, x, pair)) == len(x.coords())
+
+
+def test_rotation_refuses_a_repeated_index():
+    sp = make_space(2, 0)
+    with pytest.raises(TAlgebraError, match="two different indices"):
+        infinitesimal_rotation(sp, random_element(sp, random.Random(5)), (1, 1))
+
+
 def test_rank_cases():
     sp = make_space(8, 0)
     assert rank(sp, diagonal(sp, 1, 1, 1)) == 3
@@ -351,7 +378,7 @@ def test_embedding_structure():
     assert (el.r1, el.r2, el.r3) == (Q(3), Q(-1), Q(7))
     assert not any(el.v) and not any(any(c) for c in el.psi)
     j2 = OctonionHermitian3(Q(0), Q(0), Q(0), oct_from([1, 2, 0, 0, -1, 0, 0, 3]),
-                            oct_zero(), oct_zero())
+                            oct_from([0] * 8), oct_from([0] * 8))
     el2 = embed_jordan(sp, j2, cal)
     assert any(el2.v) and not any(any(c) for c in el2.psi)
     assert sum(x * x for x in el2.v) == oct_norm(j2.a1)
@@ -461,6 +488,24 @@ def test_norm_and_gradient_equal_fraction_reference(seed):
     norm, grad = reference_norm_and_gradient(q, el)
     assert cubic_norm(sp, el) == norm
     assert norm_gradient(sp, el) == grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_rotation_equal_dense_product(seed):
+    """The spinor delta is gamma_a gamma_b psi / 2 on each carrier copy, the
+    product taken on dense grids; a pair is taken in either order."""
+    rng = random.Random(seed)
+    q, el = rational_element(rng)
+    sp = PROPERTY_SPACES[q]
+    a, b = rng.sample(rng.choice(so_generator_pairs(sp)), 2)
+    dense = matmul(grid(sp.rep.gammas[a]), grid(sp.rep.gammas[b]))
+    expected = []
+    for support, col in zip(sp.carriers, reference_columns(sp, el)):
+        moved = apply(dense, col)
+        expected += [moved[i] / 2 for i in support]
+    delta = infinitesimal_rotation(sp, el, (a, b))
+    assert delta[3 + sp.vector_dim:] == expected
 
 
 @settings(max_examples=60, deadline=None)
