@@ -310,33 +310,22 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
 
     Because the gammas are orthogonal signed permutations, plus generators
     are symmetric and minus generators antisymmetric, so C must commute or
-    anticommute uniformly with each class; candidates are products of the
-    plus block, the minus block, both, or neither, signed so that C[0][0]
-    is not -1.  They are composed and tested on the Pauli labels of the
-    gammas: C = X^a_C Z^b_C intertwines g = s X^a Z^b exactly when
-    (-1)^popcount(a_C & b + b_C & a + a & b) = transpose_sign, and
-    C^T = (-1)^popcount(a_C & b_C) C.  Gammas that are not Pauli strings
-    raise ValueError.
+    anticommute uniformly with each class; candidates are products of
+    neither block, the minus block, the plus block, or both, tried in that
+    order and signed so that C[0][0] is not -1.  They are composed and
+    tested on the Pauli labels of the gammas: C = X^a_C Z^b_C intertwines
+    g = s X^a Z^b exactly when (-1)^popcount(a_C & b + b_C & a + a & b) =
+    transpose_sign, and C^T = (-1)^popcount(a_C & b_C) C.  Gammas that are
+    not Pauli strings raise ValueError.
     """
     if transpose_sign not in (1, -1):
         raise ValueError("transpose_sign must be +1 or -1")
     labels = rep.labels
     if None in labels:
         raise ValueError("conjugation needs gammas that are Pauli strings")
-    p, q = rep.sig.p, rep.sig.q
+    p, n = rep.sig.p, rep.sig.total
     t = transpose_sign
-    candidates = []
-    if (p == 0 or t == 1) and (q == 0 or t == -1):
-        candidates.append(())
-    if q > 0 and t == (-1) ** q:
-        candidates.append(tuple(range(p, p + q)))
-    if p > 0 and t == (-1) ** (p - 1):
-        candidates.append(tuple(range(p)))
-    if (q == 0 or p == 0) and p + q > 0 and (
-        (q == 0 and t == (-1) ** (p + q - 1)) or (p == 0 and -t == (-1) ** (p + q - 1))
-    ):
-        candidates.append(tuple(range(p + q)))
-    for subset in candidates:
+    for subset in ((), range(p, n), range(p), range(n)):
         ac = bc = 0
         for i in subset:
             ac ^= labels[i][1]

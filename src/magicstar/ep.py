@@ -14,6 +14,10 @@ At n = 0 these close into the exceptional Lie algebras of dimensions 52,
 78, 133 and 248.  For n >= 1 the spinor-sector jacobiator cannot be zeroed
 by any choice of bracket coefficients, and ``jacobi_infeasibility`` returns
 an exact linear-algebra certificate of that fact.
+
+An element holds int numerators over one shared denominator, each block one
+list over its fixed basis: so over ``EPSpace.pairs``, a scalar as one
+entry, a spinor as its full-length column.
 """
 
 from __future__ import annotations
@@ -319,9 +323,10 @@ class EPSpace:
 
 
 class EPElement:
-    """Integer numerators per graded block over one shared positive ``den``:
-    an antisymmetric pair-dict for the orthogonal part, ints for scalars,
-    full-length columns for spinors.  An entry's value is numerator / den.
+    """Integer numerators per graded block over one shared positive ``den``.
+    Every block is one list over its fixed basis: so over ``EPSpace.pairs``,
+    a scalar as one entry, a spinor as its full-length column.  An entry's
+    value is numerator / den.
 
     Fraction entries are folded into ``den`` (the lcm of their
     denominators), so every stored numerator is an int.
@@ -329,39 +334,28 @@ class EPElement:
 
     __slots__ = ("blocks", "den")
 
-    def __init__(self, blocks: Optional[dict] = None, den: int = 1):
+    def __init__(self, blocks: Optional[Dict[str, list]] = None, den: int = 1):
         blocks = blocks or {}
         # an exact int skips the ABC instance check
-        dens = [v.denominator for v in _entries(blocks) if type(v) is not int and isinstance(v, Q)]
+        dens = [v.denominator for val in blocks.values() for v in val
+                if type(v) is not int and isinstance(v, Q)]
         if dens:
             m = lcm(*dens)
-            blocks = {name: _map(val, lambda v: int(v * m)) for name, val in blocks.items()}
+            blocks = {name: [int(v * m) for v in val] for name, val in blocks.items()}
             den *= m
         self.blocks = blocks
         self.den = den
 
     def is_zero(self) -> bool:
-        return not any(_entries(self.blocks))
+        return not any(map(any, self.blocks.values()))
 
     def numerators(self):
-        """Nonzero components as ((block, key), int numerator) pairs, in
-        block and key order."""
+        """Nonzero components as ((block, index), int numerator) pairs, in
+        block and index order."""
         for name, val in sorted(self.blocks.items()):
-            if name == "so":
-                entries = ((key, val[key]) for key in sorted(val))
-            elif isinstance(val, list):
-                entries = enumerate(val)
-            else:
-                entries = ((None, val),)
-            for key, v in entries:
+            for k, v in enumerate(val):
                 if v:
-                    yield (name, key), v
-
-    def items(self):
-        """Nonzero components as ((block, key), value) pairs; a value is an
-        int when ``den`` is 1 and a canonical Fraction otherwise."""
-        den = self.den
-        return ((key, v if den == 1 else Q(v, den)) for key, v in self.numerators())
+                    yield (name, k), v
 
 
 def _integral(blocks: dict, den: int) -> EPElement:
@@ -372,34 +366,10 @@ def _integral(blocks: dict, den: int) -> EPElement:
     return el
 
 
-def _entries(blocks: dict):
-    for val in blocks.values():
-        if isinstance(val, dict):
-            yield from val.values()
-        elif isinstance(val, list):
-            yield from val
-        else:
-            yield val
-
-
-def _map(val, f):
-    if isinstance(val, dict):
-        return {k: f(v) for k, v in val.items()}
-    if isinstance(val, list):
-        return [f(v) for v in val]
-    return f(val)
-
-
-def _times(val, c: int):
+def _times(val: list, c: int) -> list:
     """Block ``val`` with every numerator multiplied by ``c``; ``val`` itself
     when ``c`` is 1."""
-    if c == 1:
-        return val
-    if isinstance(val, dict):
-        return {k: c * v for k, v in val.items()}
-    if isinstance(val, list):
-        return [c * v for v in val]
-    return c * val
+    return val if c == 1 else [c * v for v in val]
 
 
 def ep_add(a: EPElement, b: EPElement) -> EPElement:
@@ -412,15 +382,8 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
             out[name] = _times(av, fa)
         elif av is None:
             out[name] = _times(bv, fb)
-        elif isinstance(av, dict):
-            merged = dict(_times(av, fa))
-            for k, v in _times(bv, fb).items():
-                merged[k] = merged.get(k, 0) + v
-            out[name] = {k: v for k, v in merged.items() if v}
-        elif isinstance(av, list):
-            out[name] = [x + y for x, y in zip(_times(av, fa), _times(bv, fb))]
         else:
-            out[name] = fa * av + fb * bv
+            out[name] = [fa * x + fb * y for x, y in zip(av, bv)]
     return _integral(out, den)
 
 
@@ -430,25 +393,20 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
 # times ``den_factor``; spinor kernels gather through the m single gammas
 # ---------------------------------------------------------------------------
 
-def _k_commutator(space: EPSpace, key, x: dict, y: dict):
-    """[x, y] of two pair-dicts: the upper triangle of M - M^T, M = X eta Y
-    for the antisymmetric matrices X, Y; M[i][j] = -(X eta)_i . Y_j."""
+def _k_commutator(space: EPSpace, key, x: list, y: list):
+    """[x, y] of two lists over the pairs: the upper triangle of M - M^T,
+    M = X eta Y for the antisymmetric matrices X, Y;
+    M[i][j] = -(X eta)_i . Y_j."""
     metric = space.rep.metric
     xe = [[0] * len(metric) for _ in metric]
     ym = [[0] * len(metric) for _ in metric]
-    for (a, b), v in x.items():
+    for (a, b), v, w in zip(space.pairs, x, y):
         xe[a][b], xe[b][a] = v * metric[b], -v * metric[a]
-    for (a, b), v in y.items():
-        ym[a][b], ym[b][a] = v, -v
-    out = {}
-    for i, j in space.pairs:
-        v = sum(map(mul, xe[j], ym[i])) - sum(map(mul, xe[i], ym[j]))
-        if v:
-            out[(i, j)] = v
-    return out, 1
+        ym[a][b], ym[b][a] = w, -w
+    return [sum(map(mul, xe[j], ym[i])) - sum(map(mul, xe[i], ym[j])) for i, j in space.pairs], 1
 
 
-def _k_act(space: EPSpace, key, x: dict, psi: list):
+def _k_act(space: EPSpace, key, x: list, psi: list):
     """The orthogonal action on a spinor column, sum over a < b of
     x_ab gamma_a gamma_b psi, over 2, as sum over a of
     gamma_a (sum over b of x_ab gamma_b psi).
@@ -460,39 +418,40 @@ def _k_act(space: EPSpace, key, x: dict, psi: list):
     its neighbour; past that bound the rows are summed entry by entry."""
     g = space.gathers[key[1]]
     psi = _signed(psi)
+    terms = [(a, b, v) for (a, b), v in zip(space.pairs, x) if v]
     # max over psi and -psi is max |psi|; max(1, ...): an all-zero x still
     # packs psi, so psi must fit a lane
-    if max(1, sum(map(abs, x.values()))) * max(psi) < LANE_LIMIT:
-        packed = {b: pack_lanes(g.out[b](psi)) for b in {b for _, b in x}}
+    if max(1, sum(map(abs, x))) * max(psi) < LANE_LIMIT:
+        packed = {b: pack_lanes(g.out[b](psi)) for b in {b for _, b, _ in terms}}
         sums: Dict[int, int] = {}
-        for (a, b), v in x.items():
+        for a, b, v in terms:
             sums[a] = sums.get(a, 0) + v * packed[b]
         # each gamma maps the support onto the image, so both have one
         # size; r - (r << 64 width) packs the lanes of r, then of -r
         width = len(g.support)
         rows = ((a, unpack_lanes(r - (r << 64 * width), 2 * width)) for a, r in sums.items())
     else:
-        rows = _act_rows(g, x, psi).items()
+        rows = _act_rows(g, terms, psi).items()
     acc = [0] * len(g.support)
     for a, r in rows:
         acc = list(map(add, acc, g.back[a](r)))
     return list(g.expand(acc + [0])), 2
 
 
-def _act_rows(g: _Gathers, x: dict, psi: list) -> Dict[int, list]:
+def _act_rows(g: _Gathers, terms: list, psi: list) -> Dict[int, list]:
     """The rows of ``_k_act`` summed entry by entry, exact for ints of any
-    size: per a, ``_signed`` of sum over b of x_ab gamma_b psi on the image.
-    ``psi`` is already ``_signed``."""
-    moved = {b: g.out[b](psi) for b in {b for _, b in x}}
+    size: per a, ``_signed`` of sum over b of x_ab gamma_b psi on the image,
+    from the nonzero terms (a, b, x_ab).  ``psi`` is already ``_signed``."""
+    moved = {b: g.out[b](psi) for b in {b for _, b, _ in terms}}
     rows: Dict[int, list] = {}
-    for (a, b), v in x.items():
+    for a, b, v in terms:
         term = map(v.__mul__, moved[b])
         rows[a] = list(map(add, rows[a], term)) if a in rows else list(term)
     return {a: _signed(r) for a, r in rows.items()}
 
 
-def _k_grade(space: EPSpace, key, d: int, val):
-    return _times(val, space.grades[key[1]] * d), 1
+def _k_grade(space: EPSpace, key, d: list, val: list):
+    return _times(val, space.grades[key[1]] * d[0]), 1
 
 
 def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
@@ -512,7 +471,8 @@ def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
         rows = [unpack_lanes(sum(map(mul, r, packed)), len(moved)) for r in left]
     else:
         rows = _pair_dots(left, moved)
-    return {(a, b): space.rep.metric[b] * s for a, b in space.pairs if (s := rows[a][b])}, 1
+    metric = space.rep.metric
+    return [metric[b] * rows[a][b] for a, b in space.pairs], 1
 
 
 def _pair_dots(left: list, moved: list) -> List[List[int]]:
@@ -525,9 +485,9 @@ def _pair_dots(left: list, moved: list) -> List[List[int]]:
 _CHANNEL_KERNELS = {
     ("spinor", "spinor", "so"): _k_pair_so,
     ("spinor", "spinor", "scalar"): lambda space, key, psi, phi: (
-        sum(map(mul, space.gathers[key[1]].conj(_signed(psi)), phi)), 1),
-    ("scalar", "spinor", "spinor"): lambda space, key, k, psi: ([k * v for v in psi], 1),
-    ("scalar", "scalar", "scalar"): lambda space, key, a, b: (a * b, 1),
+        [sum(map(mul, space.gathers[key[1]].conj(_signed(psi)), phi))], 1),
+    ("scalar", "spinor", "spinor"): lambda space, key, k, psi: ([k[0] * v for v in psi], 1),
+    ("scalar", "scalar", "scalar"): lambda space, key, a, b: ([a[0] * b[0]], 1),
 }
 
 
@@ -663,15 +623,10 @@ def random_spinor_element(space: EPSpace, rng: random.Random, lo=-9, hi=9) -> EP
 
 def random_element(space: EPSpace, rng: random.Random) -> EPElement:
     blocks = dict(random_spinor_element(space, rng, -4, 4).blocks)
-    so = {}
-    for key in space.pairs:
-        v = rng.randint(-2, 2)
-        if v:
-            so[key] = v
-    blocks["so"] = so
+    blocks["so"] = [rng.randint(-2, 2) for _ in space.pairs]
     for name in space.grades:
         if name != "so" and name not in space.spinor_support:
-            blocks[name] = rng.randint(-3, 3)
+            blocks[name] = [rng.randint(-3, 3)]
     return _integral(blocks, 1)
 
 
@@ -690,11 +645,11 @@ def element_to_json(space: EPSpace, el: EPElement) -> dict:
     out = {}
     for name, val in sorted(el.blocks.items()):
         if name == "so":
-            out[name] = {"%d,%d" % k: value(v) for k, v in sorted(val.items()) if v}
-        elif isinstance(val, list):
+            out[name] = {"%d,%d" % k: value(v) for k, v in zip(space.pairs, val) if v}
+        elif name in space.gathers:
             out[name] = [value(v) for v in val]
         else:
-            out[name] = value(val)
+            out[name] = value(val[0])
     return out
 
 

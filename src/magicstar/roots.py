@@ -78,37 +78,16 @@ def root_count(label: AlgebraLabel) -> int:
 
 def _simple_roots(label: AlgebraLabel) -> List[Vector]:
     fam, r = label.family, label.rank
-
-    def unit(n: int, i: int, c=Q(1)) -> List[Q]:
-        v = [Q(0)] * n
-        v[i] = c
-        return v
-
-    if fam == "A":
-        n = r + 1
-        out = []
-        for i in range(r):
-            v = [Q(0)] * n
-            v[i], v[i + 1] = Q(1), Q(-1)
-            out.append(v)
-        return [tuple(v) for v in out]
-    if fam == "B":
-        out = []
-        for i in range(r - 1):
-            v = [Q(0)] * r
-            v[i], v[i + 1] = Q(1), Q(-1)
-            out.append(v)
-        out.append(unit(r, r - 1))
-        return [tuple(v) for v in out]
-    if fam == "D":
-        out = []
-        for i in range(r - 1):
-            v = [Q(0)] * r
-            v[i], v[i + 1] = Q(1), Q(-1)
-            out.append(v)
-        v = [Q(0)] * r
-        v[r - 2], v[r - 1] = Q(1), Q(1)
-        out.append(v)
+    if fam in ("A", "B", "D"):
+        # the chain e_i - e_(i+1), then the family's last root
+        n = r + (fam == "A")
+        out = [[Q(0)] * n for _ in range(r)]
+        for i in range(n - 1):
+            out[i][i], out[i][i + 1] = Q(1), Q(-1)
+        if fam == "B":
+            out[-1][r - 1] = Q(1)
+        elif fam == "D":
+            out[-1][r - 2] = out[-1][r - 1] = Q(1)
         return [tuple(v) for v in out]
     if fam == "G":
         return [

@@ -3,27 +3,23 @@ property tests compare the production kernels against.
 
 They materialise one signed permutation per generator pair: the action
 gamma_a gamma_b and the form +-C gamma_a gamma_b, and they index the
-commutator by the endpoints of its second operand.  Each returns
-``(value, den_factor)`` like the kernel it mirrors.  ``gathers`` builds the
-spinor readers from transposed gammas and the products C gamma_a, and
-``fold`` is the element constructor's Fraction scan over every entry.
-``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
-test helpers.
+commutator by the endpoints of its second operand.  Their so operands
+and results are pair-dicts {(a, b): v}, the nonzero entries only; each
+returns ``(value, den_factor)`` like the kernel it mirrors.  ``gathers``
+builds the spinor readers from transposed gammas and the products
+C gamma_a, and ``fold`` is the element constructor's Fraction scan over
+every entry.  ``so_list`` and ``so_dict`` convert an so block between the
+pair-dict and the list over ``space.pairs``; ``legacy_blocks`` gives an
+element's blocks in the earlier shapes (so a pair-dict, a scalar a bare
+int), and ``values`` its nonzero entries as values.  ``ep_scale`` and
+``LEVEL_Q`` (each level's division-algebra parameter) are test helpers.
 """
 
 from fractions import Fraction as Q
 from math import lcm
 
 from linalg_oracle import monomial_apply, monomial_bilinear
-from magicstar.ep import (
-    EPElement,
-    _entries,
-    _integral,
-    _map,
-    _times,
-    basis_spinor,
-    jacobiator,
-)
+from magicstar.ep import EPElement, _integral, _times, basis_spinor, jacobiator
 from magicstar.linalg import _reader, mat_mul
 
 
@@ -67,11 +63,43 @@ def gathers(space, block: str):
 def fold(blocks: dict, den: int = 1):
     """(blocks, den) with every Fraction entry folded into ``den``, scanning
     each entry with ``isinstance``."""
-    dens = [v.denominator for v in _entries(blocks) if isinstance(v, Q)]
+    dens = [v.denominator for val in blocks.values() for v in val if isinstance(v, Q)]
     if not dens:
         return blocks, den
     m = lcm(*dens)
-    return {name: _map(val, lambda v: int(v * m)) for name, val in blocks.items()}, den * m
+    return {name: [int(v * m) for v in val] for name, val in blocks.items()}, den * m
+
+
+def so_list(space, x: dict) -> list:
+    """The pair-dict ``x`` as a list over ``space.pairs``."""
+    return [x.get(key, 0) for key in space.pairs]
+
+
+def so_dict(space, x: list) -> dict:
+    """The list ``x`` over ``space.pairs`` as a pair-dict of its nonzero
+    entries."""
+    return {key: v for key, v in zip(space.pairs, x) if v}
+
+
+def legacy_blocks(space, el: EPElement) -> dict:
+    """The blocks of ``el`` in the earlier shapes: so as a pair-dict of its
+    nonzero entries, a scalar as a bare int, a spinor as its column."""
+    out = {}
+    for name, val in el.blocks.items():
+        if name == "so":
+            out[name] = so_dict(space, val)
+        elif name in space.gathers:
+            out[name] = val
+        else:
+            (out[name],) = val
+    return out
+
+
+def values(el: EPElement):
+    """Nonzero components as ((block, index), value) pairs; a value is an
+    int when ``den`` is 1 and a canonical Fraction otherwise."""
+    den = el.den
+    return ((key, v if den == 1 else Q(v, den)) for key, v in el.numerators())
 
 
 def act(space, actions: dict, x: dict, psi: list):

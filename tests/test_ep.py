@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ep_oracle
 import magicstar.ep as ep_mod
-from ep_oracle import LEVEL_Q, ep_scale
+from ep_oracle import LEVEL_Q, ep_scale, so_dict, so_list
 from linalg_oracle import FractionReducer, grid
 from magicstar.clifford import Signature
 from magicstar.ep import (
@@ -20,6 +21,7 @@ from magicstar.ep import (
     calibrate,
     default_coeffs,
     dimension,
+    element_to_json,
     ep_add,
     grade_profile,
     jacobi_infeasibility,
@@ -122,17 +124,17 @@ def test_bracket_grade_additivity_conf():
         for by, y in singles.items():
             out = bracket(sp, x, y)
             want = sp.grades[bx] + sp.grades[by]
-            for (name, _key), _val in out.items():
+            for (name, _key), _val in out.numerators():
                 assert sp.grades[name] == want
 
 
 def test_der_so_bracket_single_commutator():
     sp = make_ep("der", 0)
-    m12 = EPElement({"so": {(0, 1): 1}})
-    m23 = EPElement({"so": {(1, 2): 1}})
+    m12 = EPElement({"so": so_list(sp, {(0, 1): 1})})
+    m23 = EPElement({"so": so_list(sp, {(1, 2): 1})})
     out = bracket(sp, m12, m23)
     assert list(out.blocks) == ["so"]
-    assert out.blocks["so"] == {(0, 2): 1}
+    assert so_dict(sp, out.blocks["so"]) == {(0, 2): 1}
 
 
 def test_der_basis_spinor_bracket_reads_off_gammas():
@@ -140,7 +142,7 @@ def test_der_basis_spinor_bracket_reads_off_gammas():
     x = basis_spinor(sp, "psi", 0)
     y = basis_spinor(sp, "psi", 1)
     out = bracket(sp, x, y)
-    so = out.blocks["so"]
+    so = so_dict(sp, out.blocks["so"])
     g, metric = sp.rep.gammas, sp.rep.metric
     for a, b in sp.pairs:
         # the pair form +-C gamma_a gamma_b, with the sign eta_a eta_b
@@ -397,13 +399,14 @@ def random_rational(rng):
 
 
 def fraction_blocks(rng):
-    """Blocks shaped like an ep element, with int and Fraction entries."""
+    """Blocks shaped like an ep element, with int and Fraction entries: so
+    over ``PAIRS``, mostly zero, a scalar and spinor columns."""
     blocks = {}
     if rng.random() < 0.5:
-        keys = rng.sample(PAIRS, rng.randint(0, 6))
-        blocks["so"] = {key: random_rational(rng) for key in keys}
+        keys = set(rng.sample(range(len(PAIRS)), rng.randint(0, 6)))
+        blocks["so"] = [random_rational(rng) if k in keys else 0 for k in range(len(PAIRS))]
     if rng.random() < 0.5:
-        blocks["D"] = random_rational(rng)
+        blocks["D"] = [random_rational(rng)]
     for name in ("psi_p", "psi_m"):
         if rng.random() < 0.5:
             blocks[name] = [random_rational(rng) for _ in range(SPINOR_LEN)]
@@ -411,29 +414,13 @@ def fraction_blocks(rng):
 
 
 def entrywise(blocks):
-    """Nonzero ((block, key), Fraction) entries of raw blocks."""
-    out = {}
-    for name, val in blocks.items():
-        if isinstance(val, dict):
-            entries = val.items()
-        elif isinstance(val, list):
-            entries = enumerate(val)
-        else:
-            entries = [(None, val)]
-        for key, v in entries:
-            if v:
-                out[(name, key)] = Q(v)
-    return out
+    """Nonzero ((block, index), Fraction) entries of raw blocks."""
+    return {(name, k): Q(v) for name, val in blocks.items() for k, v in enumerate(val) if v}
 
 
 def numerators(el):
     for val in el.blocks.values():
-        if isinstance(val, dict):
-            yield from val.values()
-        elif isinstance(val, list):
-            yield from val
-        else:
-            yield val
+        yield from val
 
 
 @settings(max_examples=80, deadline=None)
@@ -446,7 +433,7 @@ def test_element_reads_back_fraction_blocks(seed):
     assert (el.blocks, el.den) == ep_oracle.fold(blocks, den)
     assert all(type(v) is int for v in numerators(el))
     assert type(el.den) is int and el.den > 0
-    got = list(el.items())
+    got = list(ep_oracle.values(el))
     assert dict(got) == {k: v / den for k, v in entrywise(blocks).items()}
     assert [key for key, _ in got] == sorted(key for key, _ in got)
     for _, v in got:
@@ -461,9 +448,9 @@ def test_add_and_scale_match_fraction_arithmetic(seed):
     a, b = EPElement(a_blocks), EPElement(b_blocks)
     ea, eb = entrywise(a_blocks), entrywise(b_blocks)
     total = {k: ea.get(k, 0) + eb.get(k, 0) for k in ea.keys() | eb.keys()}
-    assert dict(ep_add(a, b).items()) == {k: v for k, v in total.items() if v}
+    assert dict(ep_oracle.values(ep_add(a, b))) == {k: v for k, v in total.items() if v}
     scaled = {k: c * v for k, v in ea.items()}
-    assert dict(ep_scale(a, c).items()) == {k: v for k, v in scaled.items() if v}
+    assert dict(ep_oracle.values(ep_scale(a, c))) == {k: v for k, v in scaled.items() if v}
 
 
 def test_int_entries_skip_the_fraction_instance_check(monkeypatch):
@@ -475,15 +462,16 @@ def test_int_entries_skip_the_fraction_instance_check(monkeypatch):
             return isinstance(v, Q)
 
     monkeypatch.setattr(ep_mod, "Q", Counted("Q", (), {}))
-    el = EPElement({"so": {(0, 1): 2}, "D": -1, "psi": [0, 3, -4]})
+    el = EPElement({"so": [2, 0, 0], "D": [-1], "psi": [0, 3, -4]})
     assert checked == [] and el.den == 1
-    el = EPElement({"D": Q(1, 2), "psi": [1, Q(2, 3)]})
+    el = EPElement({"D": [Q(1, 2)], "psi": [1, Q(2, 3)]})
     assert checked == [Q(1, 2), Q(2, 3)]
-    assert (el.blocks, el.den) == ({"D": 3, "psi": [6, 4]}, 6)
+    assert (el.blocks, el.den) == ({"D": [3], "psi": [6, 4]}, 6)
 
 
 # sha256 prefixes of random_element, random_spinor_element and basis_spinor
-# at seed 5, as built when every element went through the Fraction scan
+# at seed 5, as built when every element went through the Fraction scan,
+# hashed in the earlier block shapes (so a pair-dict, a scalar a bare int)
 SEEDED_DIGESTS = {
     "der": "fb3dfa1a88afa708",
     "str0": "31d6166e0ef37ab0",
@@ -501,12 +489,33 @@ def test_seeded_elements_are_unchanged(level):
         random_spinor_element(sp, rng),
         basis_spinor(sp, sp.spinor_blocks()[-1], 3),
     ]
-    digest = hashlib.sha256(repr([(sorted(e.blocks.items()), e.den) for e in els]).encode())
+    legacy = [(sorted(ep_oracle.legacy_blocks(sp, e).items()), e.den) for e in els]
+    digest = hashlib.sha256(repr(legacy).encode())
     assert digest.hexdigest()[:16] == SEEDED_DIGESTS[level]
     for el in els:
         assert all(type(v) is int for v in numerators(el))
         again = EPElement(el.blocks)
         assert (again.blocks, again.den) == (el.blocks, 1)
+
+
+# sha256 prefixes of json.dumps(element_to_json(...)) of random_element at
+# seed 5, keys in emitted order: so as "a,b" keys, scalars as one value,
+# spinors as columns
+ELEMENT_JSON_DIGESTS = {
+    "der": "8010fda171bf160a",
+    "str0": "bae1b97547d89ca4",
+    "conf": "95a0cda355cd91b8",
+    "qconf": "aefee9f1d9ad1c56",
+}
+
+
+@pytest.mark.parametrize("level", sorted(ELEMENT_JSON_DIGESTS))
+def test_element_to_json_is_unchanged_on_every_block_kind(level):
+    sp = make_ep(level, 0)
+    out = element_to_json(sp, random_element(sp, random.Random(5)))
+    assert set(out) == set(sp.grades)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest[:16] == ELEMENT_JSON_DIGESTS[level]
 
 
 STR0_CLOSING = BracketCoeffs({"pair_so": Q(1), "pair_R": Q(3, 2)}, ("pair_so",))
@@ -528,7 +537,7 @@ def test_bracket_bilinear_in_rational_scale(level, seed):
     y = random_element(sp, rng)
     left = bracket(sp, ep_scale(x, c), y)
     right = ep_scale(bracket(sp, x, y), c)
-    assert list(left.items()) == list(right.items())
+    assert list(ep_oracle.values(left)) == list(ep_oracle.values(right))
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,6 +599,13 @@ def draw_so(rng, sp):
     return {key: v for key, v in so.items() if v}
 
 
+def listed(sp, result):
+    """An oracle's (pair-dict, den_factor) with the so value as a list over
+    the pairs, the form the kernels return."""
+    value, den_factor = result
+    return so_list(sp, value), den_factor
+
+
 def draw_spinor(rng, sp, block):
     """A full column on the block's support: zero, one-hot, sparse, dense,
     or sparse with huge entries."""
@@ -617,7 +633,7 @@ def test_act_matches_pair_actions(case, seed):
     x = draw_so(rng, sp)
     for block in sp.spinor_blocks():
         psi = draw_spinor(rng, sp, block)
-        assert _k_act(sp, ("so", block), x, psi) == ep_oracle.act(sp, actions, x, psi)
+        assert _k_act(sp, ("so", block), so_list(sp, x), psi) == ep_oracle.act(sp, actions, x, psi)
 
 
 def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
@@ -638,7 +654,7 @@ def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
         for peak in (cap, cap + 1):
             for sign in (1, -1):
                 psi = [sign * peak] * sp.rep.dim
-                got = _k_act(sp, ("so", "psi"), x, psi)
+                got = _k_act(sp, ("so", "psi"), so_list(sp, x), psi)
                 assert got == ep_oracle.act(sp, actions, x, psi)
                 assert max(map(abs, got[0])) == total * peak
         assert paths == ["pairs", "pairs"]
@@ -655,7 +671,7 @@ def test_pair_so_matches_pair_forms(case, seed):
         for by in blocks:
             psi, phi = draw_spinor(rng, sp, bx), draw_spinor(rng, sp, by)
             got = _k_pair_so(sp, (bx, by), psi, phi)
-            assert got == ep_oracle.pair_so(sp, forms, psi, phi)
+            assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
 
 
 def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
@@ -686,8 +702,8 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
                         psi[form.rows[c]] = sign * peak * form.signs[c]
                         phi[c] = q
                     got = _k_pair_so(sp, (bx, by), psi, phi)
-                    assert got == ep_oracle.pair_so(sp, forms, psi, phi)
-                    assert abs(got[0][(0, 1)]) == len(support) * peak * q
+                    assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
+                    assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
             assert len(support) * (cap + 1) * q == LANE_LIMIT
             assert paths == ["dots", "dots"]
             paths.clear()
@@ -697,7 +713,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
         for c in support:
             big[c] = 2 ** 63 + 5
         for psi, phi in ((zero, big), (big, zero)):
-            assert _k_pair_so(sp, (by, by), psi, phi) == ({}, 1)
+            assert _k_pair_so(sp, (by, by), psi, phi) == ([0] * len(sp.pairs), 1)
         assert paths == ["dots", "dots"]
         paths.clear()
 
@@ -708,7 +724,8 @@ def test_commutator_matches_endpoint_index(case, seed):
     sp, _, _ = oracle_space(*case)
     rng = random.Random(seed)
     x, y = draw_so(rng, sp), draw_so(rng, sp)
-    assert _k_commutator(sp, ("so", "so"), x, y) == ep_oracle.commutator(sp, x, y)
+    got = _k_commutator(sp, ("so", "so"), so_list(sp, x), so_list(sp, y))
+    assert got == listed(sp, ep_oracle.commutator(sp, x, y))
 
 
 @pytest.mark.parametrize("seed", [1, 7])
