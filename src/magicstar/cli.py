@@ -174,6 +174,8 @@ def _cmd_talg(args) -> int:
     except OSError as exc:
         print("i/o failure: %s" % exc, file=sys.stderr)
         return 3
+    except RecursionError:
+        raise ValueError("element file nests too deeply to decode") from None
     el = TElement.from_json(space, data)
     if args.action == "norm":
         print(_dump({"N": rat_str(cubic_norm(space, el))}))

@@ -40,15 +40,7 @@ from .clifford import (
     conjugation,
     rep_dim,
 )
-from .linalg import (
-    LANE_LIMIT,
-    RowReducer,
-    _reader,
-    _signed,
-    pack_lanes,
-    rat_str,
-    unpack_lanes,
-)
+from .linalg import RowReducer, _reader, _signed, lane_sums, rat_str
 
 class EPError(ValueError):
     pass
@@ -389,65 +381,43 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
 
 # ---------------------------------------------------------------------------
 # kernels: each maps two blocks of int numerators, named by ``key``, to
-# ``(value, den_factor)``, int numerators whose value is the product's value
-# times ``den_factor``; spinor kernels gather through the m single gammas
+# ``(value, den_factor)``, int numerators of the product's value times
+# ``den_factor``; spinor kernels gather through the m single gammas, and
+# every sum of vectors is one ``lane_sums`` under the bound it names
 # ---------------------------------------------------------------------------
 
 def _k_commutator(space: EPSpace, key, x: list, y: list):
     """[x, y] of two lists over the pairs: the upper triangle of M - M^T,
-    M = X eta Y for the antisymmetric matrices X, Y;
-    M[i][j] = -(X eta)_i . Y_j."""
+    M = X eta Y for the antisymmetric matrices X, Y; row i of M is
+    sum over k of (X eta)[i][k] Y[k], at most m max |x| max |y|."""
     metric = space.rep.metric
     xe = [[0] * len(metric) for _ in metric]
     ym = [[0] * len(metric) for _ in metric]
     for (a, b), v, w in zip(space.pairs, x, y):
         xe[a][b], xe[b][a] = v * metric[b], -v * metric[a]
         ym[a][b], ym[b][a] = w, -w
-    return [sum(map(mul, xe[j], ym[i])) - sum(map(mul, xe[i], ym[j])) for i, j in space.pairs], 1
+    # max(1, ...): a zero x still packs y
+    bound = len(metric) * max(1, max(map(abs, x))) * max(map(abs, y))
+    rows = list(lane_sums(xe, ym, bound))
+    return [rows[i][j] - rows[j][i] for i, j in space.pairs], 1
 
 
 def _k_act(space: EPSpace, key, x: list, psi: list):
     """The orthogonal action on a spinor column, sum over a < b of
     x_ab gamma_a gamma_b psi, over 2, as sum over a of
-    gamma_a (sum over b of x_ab gamma_b psi).
-
-    Each gamma_b psi is packed into one int with a 64-bit lane per image
-    entry, so each row sum costs one big-int multiply-add per pair.  A lane
-    of row a is at most sum over b of |x_ab| * max |psi|, so while
-    sum |x| * max |psi| stays below ``LANE_LIMIT`` no lane overflows into
-    its neighbour; past that bound the rows are summed entry by entry."""
+    gamma_a (sum over b of x_ab gamma_b psi); a row's entries are at most
+    sum |x| * max |psi|."""
     g = space.gathers[key[1]]
     psi = _signed(psi)
-    terms = [(a, b, v) for (a, b), v in zip(space.pairs, x) if v]
-    # max over psi and -psi is max |psi|; max(1, ...): an all-zero x still
-    # packs psi, so psi must fit a lane
-    if max(1, sum(map(abs, x))) * max(psi) < LANE_LIMIT:
-        packed = {b: pack_lanes(g.out[b](psi)) for b in {b for _, b, _ in terms}}
-        sums: Dict[int, int] = {}
-        for a, b, v in terms:
-            sums[a] = sums.get(a, 0) + v * packed[b]
-        # each gamma maps the support onto the image, so both have one
-        # size; r - (r << 64 width) packs the lanes of r, then of -r
-        width = len(g.support)
-        rows = ((a, unpack_lanes(r - (r << 64 * width), 2 * width)) for a, r in sums.items())
-    else:
-        rows = _act_rows(g, terms, psi).items()
+    coeffs = [[0] * len(g.out) for _ in g.out[:-1]]  # no pair starts at the last gamma
+    for (a, b), v in zip(space.pairs, x):
+        coeffs[a][b] = v
+    # max over psi and -psi is max |psi|; max(1, ...): a zero x still packs psi
+    sums = lane_sums(coeffs, (f(psi) for f in g.out), max(1, sum(map(abs, x))) * max(psi))
     acc = [0] * len(g.support)
-    for a, r in rows:
-        acc = list(map(add, acc, g.back[a](r)))
+    for back, r in zip(g.back, sums):
+        acc = list(map(add, acc, back(r)))
     return list(g.expand(acc + [0])), 2
-
-
-def _act_rows(g: _Gathers, terms: list, psi: list) -> Dict[int, list]:
-    """The rows of ``_k_act`` summed entry by entry, exact for ints of any
-    size: per a, ``_signed`` of sum over b of x_ab gamma_b psi on the image,
-    from the nonzero terms (a, b, x_ab).  ``psi`` is already ``_signed``."""
-    moved = {b: g.out[b](psi) for b in {b for _, b, _ in terms}}
-    rows: Dict[int, list] = {}
-    for a, b, v in terms:
-        term = map(v.__mul__, moved[b])
-        rows[a] = list(map(add, rows[a], term)) if a in rows else list(term)
-    return {a: _signed(r) for a, r in rows.items()}
 
 
 def _k_grade(space: EPSpace, key, d: list, val: list):
@@ -456,29 +426,19 @@ def _k_grade(space: EPSpace, key, d: list, val: list):
 
 def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
     """Per pair a < b, psi^T (eta_a eta_b C gamma_a gamma_b) phi
-    = eta_b (gamma_a C^T psi) . (gamma_b phi) on the image of phi's support.
-    Row a is one big-int multiply-add per image entry k of (gamma_b phi)[k]
-    packed over b, exact while |image| * max |psi| * max |phi| stays below
-    ``LANE_LIMIT``; past that bound each pair is one dot product."""
+    = eta_b (gamma_a C^T psi) . (gamma_b phi) on the image of phi's support:
+    row a sums, over image entries k, (gamma_a C^T psi)[k] times the vector
+    ((gamma_b phi)[k])_b, each entry at most |image| * max |psi| * max |phi|."""
     g = space.gathers[key[1]]
     psi, phi = _signed(psi), _signed(phi)
     lowered = _signed(g.conj(psi))
     left = [f(lowered) for f in g.out[:-1]]  # no pair starts at the last gamma
-    moved = [f(phi) for f in g.out]
     # max(1, ...): a zero operand still packs or multiplies the other
-    if len(g.support) * max(1, max(psi)) * max(1, max(phi)) < LANE_LIMIT:
-        packed = list(map(pack_lanes, zip(*moved)))
-        rows = [unpack_lanes(sum(map(mul, r, packed)), len(moved)) for r in left]
-    else:
-        rows = _pair_dots(left, moved)
+    bound = len(g.support) * max(1, max(psi)) * max(1, max(phi))
+    rows = lane_sums(left, zip(*(f(phi) for f in g.out)), bound)
     metric = space.rep.metric
-    return [metric[b] * rows[a][b] for a, b in space.pairs], 1
-
-
-def _pair_dots(left: list, moved: list) -> List[List[int]]:
-    """``_k_pair_so``'s rows as a dot product per pair a < b, at any size."""
-    return [[sum(map(mul, x, y)) if a < b else 0 for b, y in enumerate(moved)]
-            for a, x in enumerate(left)]
+    # row a, then b > a: the order of ``space.pairs``
+    return [metric[b] * r[b] for a, r in enumerate(rows) for b in range(a + 1, len(metric))], 1
 
 
 # a coefficient channel's kernel, by the kinds of (bx, by, target)
@@ -628,12 +588,6 @@ def random_element(space: EPSpace, rng: random.Random) -> EPElement:
         if name != "so" and name not in space.spinor_support:
             blocks[name] = [rng.randint(-3, 3)]
     return _integral(blocks, 1)
-
-
-def basis_spinor(space: EPSpace, block: str, k: int) -> EPElement:
-    col = [0] * space.rep.dim
-    col[space.spinor_support[block][k]] = 1
-    return _integral({block: col}, 1)
 
 
 def element_to_json(space: EPSpace, el: EPElement) -> dict:

@@ -13,10 +13,10 @@ vector is one ``itemgetter`` gather from the vector and its negation, with
 no arithmetic; a bilinear is that gather and one dot product.
 ``RowReducer`` is the one solver: incremental fraction-free row reduction
 on ints that turns an inconsistent row into a certificate.
-``pack_lanes`` and ``unpack_lanes`` hold an int vector as one Python int
-with a signed 64-bit lane per entry, so a scalar multiply-add of whole
-vectors is one big-int operation; it stays exact while every lane's
-magnitude stays below ``LANE_LIMIT``.
+``lane_sums`` is the one packed multiply-add: it holds each int vector as
+one Python int with a signed 64-bit lane per entry (``pack_lanes``), so a
+scalar multiply-add of a whole vector is one big-int operation, exact while
+every lane stays below ``LANE_LIMIT``; past that bound it sums entry by entry.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter, mul, neg
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import add, itemgetter, mul, neg
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 Vector = List[Q]
@@ -223,6 +224,36 @@ def unpack_lanes(packed: int, n: int) -> array:
     if _BIG_ENDIAN:
         lanes.byteswap()
     return lanes
+
+
+def lane_sums(rows: Iterable[Sequence[int]], vectors: Iterable, bound: int) -> Iterator:
+    """Per row r, lazily: ``_signed`` of sum over k of r[k] * vectors[k].
+    A row holds one int coefficient per vector; the vectors, a nonempty
+    iterable of int sequences, share one width.  ``bound`` is the caller's
+    bound on every |entry| of the vectors and of the sums.  Below
+    ``LANE_LIMIT`` each vector is packed once, each r[k] is one big-int
+    multiply-add, and a row sum s is one unpack of s - (s << 64 width), the
+    lanes of s then of -s, none of which can carry into its neighbour.  At
+    or past the bound, ``_entry_sums`` takes over."""
+    if bound >= LANE_LIMIT:
+        yield from _entry_sums(rows, list(vectors))
+        return
+    vectors = iter(vectors)
+    first = next(vectors)
+    width = len(first)
+    packed = [pack_lanes(first), *map(pack_lanes, vectors)]
+    for r in rows:
+        s = sum(map(mul, r, packed))
+        yield unpack_lanes(s - (s << 64 * width), 2 * width)
+
+
+def _entry_sums(rows: Iterable[Sequence[int]], vectors: list) -> Iterator[list]:
+    """``lane_sums`` entry by entry, exact for ints of any size."""
+    for r in rows:
+        acc = [0] * len(vectors[0])
+        for c, v in zip(compress(r, r), compress(vectors, r)):
+            acc = list(map(add, acc, map(c.__mul__, v)))
+        yield _signed(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import mul
 from typing import Dict, List, Tuple
 
-from .linalg import LANE_LIMIT, pack_lanes, unpack_lanes
+from .linalg import lane_sums
 
 Vector = Tuple[Q, ...]
 
@@ -129,26 +130,21 @@ class RootSystem:
     def pairings(self) -> Tuple[Tuple[int, ...], ...]:
         """pairings[j][i] = 2(r_i, r_j)/(r_j, r_j), exact integers.
 
-        Built once per system on packed 64-bit lanes: each coordinate of the
-        doubled roots is one ``pack_lanes`` int over all roots, so column j
-        is ``rank`` multiply-adds and one unpack.  Lane i holds
-        2(s_i, s_j), exact while 2 * sum over c of |s_i[c]| * |s_j[c]| stays
-        below 2^63 for every i and j; by Cauchy-Schwarz that holds exactly
-        when 2 * max (s_i, s_i) < 2^63, and a system past it raises
-        ArithmeticError.  A pairing that is not integral raises
-        ArithmeticError too, as no root system has one.
+        Built once per system as one ``lane_sums`` over the coordinate
+        vectors of the doubled roots s (one entry per root): column j takes
+        the coefficients 2 s_j, so its entry i is 2(s_i, s_j), at most
+        2 max (s, s) by Cauchy-Schwarz, and exact at any size.  A pairing
+        that is not integral raises ArithmeticError, as no root system has
+        one.
         """
         scaled = self.scaled
         norms = [sum(map(mul, s, s)) for s in scaled]
-        if 2 * max(norms) >= LANE_LIMIT:
-            raise ArithmeticError("pairing table needs 2 * max (2r, 2r) < 2^63")
-        packed = [pack_lanes(c) for c in zip(*scaled)]
+        doubled = ([2 * c for c in s] for s in scaled)
         cols = []
-        for sj, nj in zip(scaled, norms):
-            nums = unpack_lanes(2 * sum(map(mul, sj, packed)), len(scaled))
-            if any(x % nj for x in nums):
+        for col, nj in zip(lane_sums(doubled, zip(*scaled), 2 * max(norms)), norms):
+            if any(x % nj for x in islice(col, len(scaled))):
                 raise ArithmeticError("pairing is not integral; not a root system")
-            cols.append(tuple(x // nj for x in nums))
+            cols.append(tuple(x // nj for x in islice(col, len(scaled))))
         return tuple(cols)
 
 

@@ -205,7 +205,10 @@ class TElement:
     def from_json(space: TSpace, data: dict) -> "TElement":
         if not isinstance(data, dict):
             raise TAlgebraError("element must be a JSON object")
-        if data.get("q") != space.q or data.get("n") != space.n:
+        q, n = data.get("q"), data.get("n")
+        if type(q) is not int or type(n) is not int:
+            raise TAlgebraError("element labels q and n must be JSON integers")
+        if (q, n) != (space.q, space.n):
             raise TAlgebraError("element labeled for a different space")
         r, v, psi = data.get("r"), data.get("v"), data.get("psi")
         if not (isinstance(r, list) and isinstance(v, list) and isinstance(psi, list)

@@ -11,15 +11,16 @@ C gamma_a, and ``fold`` is the element constructor's Fraction scan over
 every entry.  ``so_list`` and ``so_dict`` convert an so block between the
 pair-dict and the list over ``space.pairs``; ``legacy_blocks`` gives an
 element's blocks in the earlier shapes (so a pair-dict, a scalar a bare
-int), and ``values`` its nonzero entries as values.  ``ep_scale`` and
-``LEVEL_Q`` (each level's division-algebra parameter) are test helpers.
+int), and ``values`` its nonzero entries as values.  ``basis_spinor``,
+``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
+test helpers.
 """
 
 from fractions import Fraction as Q
 from math import lcm
 
 from linalg_oracle import monomial_apply, monomial_bilinear
-from magicstar.ep import EPElement, _integral, _times, basis_spinor, jacobiator
+from magicstar.ep import EPElement, _integral, _times, jacobiator
 from magicstar.linalg import _reader, mat_mul
 
 
@@ -153,6 +154,13 @@ def commutator(space, x: dict, y: dict):
                 key, flip = cp
                 out[key] = out.get(key, 0) + s * flip * v
     return {k: v for k, v in out.items() if v}, 1
+
+
+def basis_spinor(space, block: str, k: int) -> EPElement:
+    """The k-th basis vector on the block's support, as a full column."""
+    col = [0] * space.rep.dim
+    col[space.spinor_support[block][k]] = 1
+    return _integral({block: col}, 1)
 
 
 def find_basis_witness(space, limit: int = 4096):

@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from ep_oracle import basis_spinor
 from linalg_oracle import det3
 from talgebra_oracle import diagonal
 from magicstar import clifford as cl
@@ -87,7 +88,7 @@ def test_criterion_04_jacobi_closure_at_n0():
     sp = ep_mod.make_ep("der", 0, coeffs["der"])
     width = len(sp.spinor_support["psi"])
     assert width == 16
-    basis = [ep_mod.basis_spinor(sp, "psi", k) for k in range(width)]
+    basis = [basis_spinor(sp, "psi", k) for k in range(width)]
     for a, b, c in itertools.product(range(width), repeat=3):
         assert ep_mod.jacobiator(sp, basis[a], basis[b], basis[c]).is_zero()
     # seeded random triples for the other three families

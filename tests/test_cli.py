@@ -249,6 +249,26 @@ def test_talg_malformed_entry_exit_1(tmp_path, capsys, entry):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def test_talg_deeply_nested_file_exit_1(tmp_path, capsys):
+    # json.load recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code = run(["talg", "--q", "8", "--n", "0", "norm", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: element file nests too deeply to decode\n"
+
+
+def test_talg_float_label_exit_1(tmp_path, capsys):
+    # "q": 2.0 equals 2 in Python but is not a JSON integer
+    payload = {"q": 2.0, "n": 0, "r": ["1", "2", "3"], "v": ["1", "0"], "psi": [["1", "0"], ["0", "1"]]}
+    code, out, err = _talg_norm(tmp_path, capsys, payload)
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: element labels q and n must be JSON integers\n"
+
+
 def test_ep_zero_samples_exit_1(capsys):
     # n = 0 never samples, but the count is still refused
     for n in ("1", "0"):

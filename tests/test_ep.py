@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import ep_oracle
 import magicstar.ep as ep_mod
-from ep_oracle import LEVEL_Q, ep_scale, so_dict, so_list
+import magicstar.linalg as linalg_mod
+from ep_oracle import LEVEL_Q, basis_spinor, ep_scale, so_dict, so_list
 from linalg_oracle import FractionReducer, grid
 from magicstar.clifford import Signature
 from magicstar.ep import (
     BracketCoeffs,
     EPElement,
     EPError,
-    basis_spinor,
     bracket,
     calibrate,
     default_coeffs,
@@ -636,18 +636,24 @@ def test_act_matches_pair_actions(case, seed):
         assert _k_act(sp, ("so", block), so_list(sp, x), psi) == ep_oracle.act(sp, actions, x, psi)
 
 
+def count_entry_sums(monkeypatch, paths):
+    """Append "entries" to ``paths`` each time ``lane_sums`` falls back to
+    summing entry by entry."""
+    entry_sums = linalg_mod._entry_sums
+
+    def counted(*args):
+        paths.append("entries")
+        return entry_sums(*args)
+
+    monkeypatch.setattr(linalg_mod, "_entry_sums", counted)
+
+
 def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
     # sum |x| * max |psi| just below LANE_LIMIT packs, with some lane of
     # the row at that magnitude; one step further falls back
     sp, actions, _ = oracle_space("der", 0, "unprimed")
     paths = []
-    act_rows = ep_mod._act_rows
-
-    def counted(*args):
-        paths.append("pairs")
-        return act_rows(*args)
-
-    monkeypatch.setattr(ep_mod, "_act_rows", counted)
+    count_entry_sums(monkeypatch, paths)
     for x in ({(0, 1): 1}, {(0, 1): -8}, {(0, 1): 1, (0, 2): 1}):
         total = sum(map(abs, x.values()))
         cap = (LANE_LIMIT - 1) // total
@@ -657,7 +663,7 @@ def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
                 got = _k_act(sp, ("so", "psi"), so_list(sp, x), psi)
                 assert got == ep_oracle.act(sp, actions, x, psi)
                 assert max(map(abs, got[0])) == total * peak
-        assert paths == ["pairs", "pairs"]
+        assert paths == ["entries", "entries"]
         paths.clear()
 
 
@@ -677,15 +683,9 @@ def test_pair_so_matches_pair_forms(case, seed):
 def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
     # a lane of row a is at most |image| * max |psi| * max |phi|; operands
     # one step below LANE_LIMIT pack, with the lane of one pair at that
-    # magnitude; exactly at the bound each pair is one dot product
+    # magnitude; exactly at the bound the rows are summed entry by entry
     paths = []
-    pair_dots = ep_mod._pair_dots
-
-    def counted(*args):
-        paths.append("dots")
-        return pair_dots(*args)
-
-    monkeypatch.setattr(ep_mod, "_pair_dots", counted)
+    count_entry_sums(monkeypatch, paths)
     for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
         sp, _, forms = oracle_space(*case)
         bx, by = sp.spinor_blocks()[0], sp.spinor_blocks()[-1]
@@ -705,7 +705,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
                     assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
                     assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
             assert len(support) * (cap + 1) * q == LANE_LIMIT
-            assert paths == ["dots", "dots"]
+            assert paths == ["entries", "entries"]
             paths.clear()
         # a zero operand beside one past 2^63: the guard counts the zero
         # as 1, so the other is never packed
@@ -714,7 +714,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
             big[c] = 2 ** 63 + 5
         for psi, phi in ((zero, big), (big, zero)):
             assert _k_pair_so(sp, (by, by), psi, phi) == ([0] * len(sp.pairs), 1)
-        assert paths == ["dots", "dots"]
+        assert paths == ["entries", "entries"]
         paths.clear()
 
 
@@ -724,20 +724,39 @@ def test_commutator_matches_endpoint_index(case, seed):
     sp, _, _ = oracle_space(*case)
     rng = random.Random(seed)
     x, y = draw_so(rng, sp), draw_so(rng, sp)
-    got = _k_commutator(sp, ("so", "so"), so_list(sp, x), so_list(sp, y))
-    assert got == listed(sp, ep_oracle.commutator(sp, x, y))
+    # the drawn x, then x lifted past the lane bound m * max |x| * max |y|
+    for x in (x, {key: v << 63 for key, v in x.items()}):
+        got = _k_commutator(sp, ("so", "so"), so_list(sp, x), so_list(sp, y))
+        assert got == listed(sp, ep_oracle.commutator(sp, x, y))
+
+
+def test_commutator_matches_endpoint_index_at_the_lane_bound(monkeypatch):
+    # m * max |x| * max |y| one step below LANE_LIMIT packs; at or just past
+    # it the rows of M are summed entry by entry
+    sp, _, _ = oracle_space("der", 0, "unprimed")
+    m = len(sp.rep.metric)
+    paths = []
+    count_entry_sums(monkeypatch, paths)
+    y = {(0, 1): -1, (1, 2): 1, (0, 8): 1}
+    for peak in ((LANE_LIMIT - 1) // m, -(-LANE_LIMIT // m)):
+        for sign in (1, -1):
+            x = {(1, 2): sign * peak, (0, 2): peak, (2, 8): -peak}
+            got = _k_commutator(sp, ("so", "so"), so_list(sp, x), so_list(sp, y))
+            assert got == listed(sp, ep_oracle.commutator(sp, x, y))
+            # some entry of the bracket carries the peak's magnitude
+            assert max(map(abs, got[0])) >= peak
+    assert paths == ["entries", "entries"]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_benchmarked_inputs_take_the_packed_action(monkeypatch, seed):
     # the calibrations at n = 0 and the certificates at n = 1 never fall
-    # back to summing the action's rows entry by entry, nor to one dot
-    # product per pair in the pair form
+    # back to summing entry by entry, in the action, the pair form or the
+    # commutator
     def refuse(*args):
         raise AssertionError("a kernel left the packed lanes")
 
-    monkeypatch.setattr(ep_mod, "_act_rows", refuse)
-    monkeypatch.setattr(ep_mod, "_pair_dots", refuse)
+    monkeypatch.setattr(linalg_mod, "_entry_sums", refuse)
     for level in ep_mod.LEVELS:
         calibrate(level, 0, seed=seed)
         jacobi_infeasibility(level, 1, samples=3, seed=seed)

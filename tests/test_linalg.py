@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,7 @@ from magicstar.linalg import (
     _reader,
     _signed,
     kron,
+    lane_sums,
     mat_mul,
     pack_lanes,
     rat_parse,
@@ -319,6 +321,48 @@ def test_pack_lanes_refuses_values_past_a_lane():
     for bad in (2 ** 63, -(2 ** 63) - 1):
         with pytest.raises(OverflowError):
             pack_lanes([0, bad])
+
+
+def entrywise_sums(rows, vectors):
+    """``_signed`` of each row's combination of the vectors, entry by entry."""
+    width = len(vectors[0])
+    return [_signed([sum(c * v[k] for c, v in zip(r, vectors)) for k in range(width)])
+            for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_lane_sums_match_entrywise_sums(seed):
+    # rows with zero coefficients and an all-zero row; the vectors are
+    # capped so every sum stays within LANE_LIMIT - 1, then lifted past it
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 16), rng.randint(1, 6)
+    rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(k)] for _ in range(rng.randint(0, 4))]
+    rows.insert(rng.randint(0, len(rows)), [0] * k)
+    cap = (LANE_LIMIT - 1) // max(1, max(sum(map(abs, r)) for r in rows))
+    vectors = [random_lanes(rng, n, cap) for _ in range(k)]
+    lifted = [[x << 70 for x in v] for v in vectors]
+    # (vectors, bound, entry-by-entry fallbacks taken)
+    cases = ((vectors, LANE_LIMIT - 1, 0), (vectors, LANE_LIMIT, 2), (lifted, LANE_LIMIT << 70, 2))
+    for vs, bound, fallbacks in cases:
+        with mock.patch.object(linalg_mod, "_entry_sums", wraps=linalg_mod._entry_sums) as spy:
+            # rows and vectors as one-pass iterators, read one row per sum
+            row_iter = iter(rows)
+            sums = lane_sums(row_iter, iter(vs), bound)
+            first = next(sums)
+            assert len(list(row_iter)) == len(rows) - 1
+            got = [list(first)] + [list(s) for s in lane_sums(rows[1:], vs, bound)]
+        assert got == entrywise_sums(rows, vs)
+        assert spy.call_count == fallbacks
+
+
+def test_lane_sums_reach_the_lane_edge():
+    edge = LANE_LIMIT - 1
+    rows = [[1, 0], [1, 1], [-1, -1], [0, 0]]
+    vectors = [[2 ** 62, -(2 ** 62), 0], [2 ** 62 - 1, 1 - 2 ** 62, 5]]
+    got = [list(s) for s in lane_sums(rows, vectors, edge)]
+    assert got == entrywise_sums(rows, vectors)
+    assert got[1][:2] == [edge, -edge] and got[2][:2] == [-edge, edge]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 
+import magicstar.linalg as linalg_mod
 from linalg_oracle import dot
 from magicstar.linalg import LANE_LIMIT
 from magicstar.roots import MAX_ROOTS, AlgebraLabel, generate_roots, root_count
@@ -159,16 +161,26 @@ def test_pairing_table_refuses_non_integral_pairings():
         coroot_pairing(rs, rs.roots[0], rs.roots[1])
 
 
-def test_pairing_table_refuses_lanes_past_the_bound():
-    # lane i of column j holds 2(s_i, s_j); it fits a signed 64-bit lane
-    # while 2 * max (s, s) < 2^63, that is while |coordinate| < 2^31 here
-    edge = 2 ** 31
+def fraction_pairings(rs):
+    """2(r_i, r_j)/(r_j, r_j) as Fractions, indexed [j][i] like ``pairings``."""
+    return tuple(tuple(2 * dot(ri, rj) / dot(rj, rj) for ri in rs.roots) for rj in rs.roots)
+
+
+def test_pairing_table_is_exact_past_the_lane_bound():
+    # entry i of column j is 2(s_i, s_j), at most 2 * max (s, s); below
+    # 2^63 it fits a signed 64-bit lane, that is while |coordinate| < 2^31
+    # here, and at or past it the columns are summed entry by entry
+    edge, far = 2 ** 31, 2 ** 40
     assert 2 * (edge - 1) ** 2 < LANE_LIMIT <= 2 * edge ** 2
-    inside = hand_built(((edge - 1, 0), (0, 1 - edge), (1 - edge, 0)))
-    assert inside.pairings == ((2, 0, -2), (0, 2, 0), (-2, 0, 2))
-    with pytest.raises(ArithmeticError, match=r"2 \* max \(2r, 2r\) < 2\^63"):
-        hand_built(((edge, 0), (0, 1))).pairings
-    with pytest.raises(ArithmeticError, match=r"< 2\^63"):
+    with mock.patch.object(linalg_mod, "_entry_sums", wraps=linalg_mod._entry_sums) as spy:
+        inside = hand_built(((edge - 1, 0), (0, 1 - edge), (1 - edge, 0)))
+        assert inside.pairings == ((2, 0, -2), (0, 2, 0), (-2, 0, 2))
+        assert spy.call_count == 0
+        for scaled in (((edge, 0), (0, 1)), ((far, 0), (0, far), (-far, far), (far, -far))):
+            rs = hand_built(scaled)
+            assert rs.pairings == fraction_pairings(rs)
+        assert spy.call_count == 2
+    with pytest.raises(ArithmeticError, match="not integral"):
         hand_built(((3, 0), (10 ** 30, 10 ** 30))).pairings
 
 

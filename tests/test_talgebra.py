@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import math
 import random
 import sys
@@ -273,6 +274,18 @@ def test_element_json_roundtrip():
     assert back.coords() == el.coords()
     with pytest.raises(TAlgebraError):
         TElement.from_json(make_space(2, 0), data)
+
+
+def test_element_labels_must_be_json_ints():
+    # 8.0 == 8 and True == 1 in Python, but neither is a JSON integer
+    for q, n, bad in ((8, 0, {"q": 8.0}), (1, 0, {"q": True}), (2, 0, {"n": 0.0}), (2, 0, {"n": False})):
+        sp = make_space(q, 0)
+        data = {**element_to_json(sp, random_element(sp, random.Random(3))), **bad}
+        with pytest.raises(TAlgebraError, match="must be JSON integers"):
+            TElement.from_json(sp, data)
+        data = json.loads(json.dumps(data))
+        with pytest.raises(TAlgebraError, match="must be JSON integers"):
+            TElement.from_json(sp, data)
 
 
 # --- determinant oracle ------------------------------------------------------
