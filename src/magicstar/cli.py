@@ -128,7 +128,7 @@ def _cmd_ep(args) -> int:
         "level": level,
         "n": n,
         "dimension": ep_mod.dimension(level, n),
-        "grade_profile": {v: ep_mod.grade_profile(level, n, v) for v in ep_mod.gradings(level)},
+        "grade_profile": ep_mod.grade_profiles(level, n),
         "polarization": args.polarization,
         "seed": args.seed,
         "samples": args.samples,

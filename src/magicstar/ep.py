@@ -228,20 +228,14 @@ def dimension(level: str, n: int) -> int:
     return sum(d for _, d in _describe(level).components(n))
 
 
-def gradings(level: str) -> Tuple[str, ...]:
-    """The grading views ``grade_profile`` defines for the level."""
-    return ("canonical",) if _describe(level).extended is None else ("canonical", "extended")
-
-
-def grade_profile(level: str, n: int, variant: str = "canonical") -> List[Tuple[int, int]]:
-    """List of (grade, component dimension) for the chosen grading view."""
-    if variant not in ("canonical", "extended"):
-        raise EPError("variant must be canonical or extended")
-    view = _canonical if variant == "canonical" else _describe(level).extended
-    if view is None:
-        defined = [lv for lv, desc in _LEVELS.items() if desc.extended]
-        raise EPError("extended grading is defined for %s only" % " and ".join(defined))
-    return view(level, n)
+def grade_profiles(level: str, n: int) -> Dict[str, List[Tuple[int, int]]]:
+    """(grade, component dimension) lists by grading view: "canonical" for
+    every level, and "extended" for the levels that define it."""
+    out = {"canonical": _canonical(level, n)}
+    extended = _describe(level).extended
+    if extended is not None:
+        out["extended"] = extended(level, n)
+    return out
 
 
 @dataclass
@@ -318,23 +312,14 @@ class EPElement:
     """Integer numerators per graded block over one shared positive ``den``.
     Every block is one list over its fixed basis: so over ``EPSpace.pairs``,
     a scalar as one entry, a spinor as its full-length column.  An entry's
-    value is numerator / den.
-
-    Fraction entries are folded into ``den`` (the lcm of their
-    denominators), so every stored numerator is an int.
+    value is numerator / den.  The blocks are stored as given: every entry
+    must be an int and ``den`` a positive int (``linalg.lift`` puts
+    rationals into this form).
     """
 
     __slots__ = ("blocks", "den")
 
-    def __init__(self, blocks: Optional[Dict[str, list]] = None, den: int = 1):
-        blocks = blocks or {}
-        # an exact int skips the ABC instance check
-        dens = [v.denominator for val in blocks.values() for v in val
-                if type(v) is not int and isinstance(v, Q)]
-        if dens:
-            m = lcm(*dens)
-            blocks = {name: [int(v * m) for v in val] for name, val in blocks.items()}
-            den *= m
+    def __init__(self, blocks: Dict[str, list], den: int = 1):
         self.blocks = blocks
         self.den = den
 
@@ -348,14 +333,6 @@ class EPElement:
             for k, v in enumerate(val):
                 if v:
                     yield (name, k), v
-
-
-def _integral(blocks: dict, den: int) -> EPElement:
-    """Wrap blocks whose entries are already int numerators over ``den``."""
-    el = EPElement.__new__(EPElement)
-    el.blocks = blocks
-    el.den = den
-    return el
 
 
 def _times(val: list, c: int) -> list:
@@ -376,7 +353,7 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
             out[name] = _times(bv, fb)
         else:
             out[name] = [fa * x + fb * y for x, y in zip(av, bv)]
-    return _integral(out, den)
+    return EPElement(out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +501,7 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
                     value, den_factor = kernel(space, key, *args)
                     tag, coeff = _tag_for(name, unknowns, values)
                     c = sign * coeff  # int or Fraction
-                    el = _integral(
+                    el = EPElement(
                         {target: _times(value, c.numerator)},
                         den * den_factor * c.denominator,
                     )
@@ -578,7 +555,7 @@ def random_spinor_element(space: EPSpace, rng: random.Random, lo=-9, hi=9) -> EP
         for i in space.spinor_support[name]:
             col[i] = rng.randint(lo, hi)
         blocks[name] = col
-    return _integral(blocks, 1)
+    return EPElement(blocks)
 
 
 def random_element(space: EPSpace, rng: random.Random) -> EPElement:
@@ -587,7 +564,7 @@ def random_element(space: EPSpace, rng: random.Random) -> EPElement:
     for name in space.grades:
         if name != "so" and name not in space.spinor_support:
             blocks[name] = [rng.randint(-3, 3)]
-    return _integral(blocks, 1)
+    return EPElement(blocks)
 
 
 def element_to_json(space: EPSpace, el: EPElement) -> dict:

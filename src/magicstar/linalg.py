@@ -1,8 +1,9 @@
 """Exact rational scalars, signed-permutation matrices and row reduction.
 
-All arithmetic is exact: over `fractions.Fraction` (arbitrary precision,
-canonical form), or over Python-int numerators that share one positive
-denominator (see :func:`lift`), so nothing here ever rounds.
+All arithmetic is exact, so nothing here ever rounds.  The solver and
+the packed kernels take Python-int numerators over one shared positive
+denominator; :func:`lift` puts rationals into that form, and results
+that are not integral come back as `fractions.Fraction`.
 
 ``MonomialMatrix`` is the one matrix kind: a signed permutation (exactly
 one entry, +1 or -1, per row and per column).  Gamma matrices live here;
@@ -124,14 +125,6 @@ class MonomialMatrix:
 
     def is_diagonal(self) -> bool:
         return self.rows == tuple(range(self.dim))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialMatrix)
-            and self.dim == other.dim
-            and self.rows == other.rows
-            and self.signs == other.signs
-        )
 
 
 def _gather(seq: Sequence, idx: Sequence[int]) -> tuple:
@@ -280,17 +273,17 @@ class RowReducer:
         self.pivots: List[Tuple[int, List[int], int, dict]] = []
         self.nrows = 0
 
-    def add_row(self, coeffs: Sequence, rhs, den: int = 1) -> Optional[dict]:
-        """Add the equation ``coeffs . x = rhs``, each side over ``den``;
-        rational entries are lifted to int numerators over their lcm.
-        Returns a certificate dict {row index: Fraction} with coefficient 1
-        at this row if the row exposes infeasibility, else None."""
+    def add_row(self, coeffs: Sequence[int], rhs: int, den: int = 1) -> Optional[dict]:
+        """Add the equation ``coeffs . x = rhs``, int numerators on each side
+        over one positive ``den``; a row with any other entry is refused
+        before it is counted.  Returns a certificate dict {row index:
+        Fraction} with coefficient 1 at this row if the row exposes
+        infeasibility, else None."""
         row, r = list(coeffs), rhs
         if len(row) != self.ncols:
             raise ValueError("row has %d entries, expected %d" % (len(row), self.ncols))
         if not all(type(x) is int for x in row) or type(r) is not int:
-            nums, lifted = lift([Q(x) for x in row] + [Q(r)])
-            row, r, den = nums[:-1], nums[-1], den * lifted
+            raise TypeError("row entries must be ints; lift rationals with linalg.lift")
         new = self.nrows
         self.nrows += 1
         steps = []

@@ -494,7 +494,7 @@ def _random_hermitian(rng: random.Random, lo=-4, hi=4) -> OctonionHermitian3:
     return OctonionHermitian3.from_coords([rng.randint(lo, hi) for _ in range(27)])
 
 
-def calibrate_embedding(space: TSpace, screen: int = 4, verify: int = 48, seed: int = 7) -> Calibration:
+def calibrate_embedding(space: TSpace) -> Calibration:
     """Search the finite family of slot assignments between the octonionic
     matrix coordinates and the spinor carrier, keeping the one that makes
     the cubic norm equal the determinant exactly.
@@ -504,14 +504,15 @@ def calibrate_embedding(space: TSpace, screen: int = 4, verify: int = 48, seed: 
     freedom left is which model half carries the pair, which off-diagonal
     entry feeds which slot, and conjugation/sign choices; a candidate on
     the half outside the chiral carrier fails ``embed_jordan``'s carrier
-    check.  Failure of every candidate is a hard error: it would falsify
-    the stored conventions.
+    check.  A candidate passes on 4 screening matrices, then on 48
+    verification matrices, all drawn at seed 7.  Failure of every candidate
+    is a hard error: it would falsify the stored conventions.
     """
     if space.q != 8 or space.n != 0:
         raise TAlgebraError("calibration is defined for q=8, n=0")
-    rng = random.Random(seed)
-    screens = [_random_hermitian(rng) for _ in range(screen)]
-    verifies = [_random_hermitian(rng, -6, 6) for _ in range(verify)]
+    rng = random.Random(7)
+    screens = [_random_hermitian(rng) for _ in range(4)]
+    verifies = [_random_hermitian(rng, -6, 6) for _ in range(48)]
     validated = 0
     winner = None
     choices = itertools.product(

@@ -7,9 +7,10 @@ commutator by the endpoints of its second operand.  Their so operands
 and results are pair-dicts {(a, b): v}, the nonzero entries only; each
 returns ``(value, den_factor)`` like the kernel it mirrors.  ``gathers``
 builds the spinor readers from transposed gammas and the products
-C gamma_a, and ``fold`` is the element constructor's Fraction scan over
-every entry.  ``so_list`` and ``so_dict`` convert an so block between the
-pair-dict and the list over ``space.pairs``; ``legacy_blocks`` gives an
+C gamma_a, and ``fold`` turns blocks with Fraction entries into int
+numerators over one den, the element constructor's input.  ``so_list``
+and ``so_dict`` convert an so block between the pair-dict and the list
+over ``space.pairs``; ``legacy_blocks`` gives an
 element's blocks in the earlier shapes (so a pair-dict, a scalar a bare
 int), and ``values`` its nonzero entries as values.  ``basis_spinor``,
 ``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
@@ -20,7 +21,7 @@ from fractions import Fraction as Q
 from math import lcm
 
 from linalg_oracle import monomial_apply, monomial_bilinear
-from magicstar.ep import EPElement, _integral, _times, jacobiator
+from magicstar.ep import EPElement, _times, jacobiator
 from magicstar.linalg import _reader, mat_mul
 
 
@@ -160,7 +161,7 @@ def basis_spinor(space, block: str, k: int) -> EPElement:
     """The k-th basis vector on the block's support, as a full column."""
     col = [0] * space.rep.dim
     col[space.spinor_support[block][k]] = 1
-    return _integral({block: col}, 1)
+    return EPElement({block: col})
 
 
 def find_basis_witness(space, limit: int = 4096):
@@ -191,7 +192,7 @@ def ep_scale(a: EPElement, c) -> EPElement:
     if not c:
         return EPElement({})
     c = Q(c)
-    return _integral(
+    return EPElement(
         {name: _times(val, c.numerator) for name, val in a.blocks.items()},
         a.den * c.denominator,
     )

@@ -3,13 +3,15 @@ use: the entry grid of a monomial, the schoolbook product, the Kronecker
 product and matrix-vector apply on grids, dot products, the column loops
 ``monomial_apply`` and ``monomial_bilinear`` over a monomial's own storage
 (the reference kernels of ``ep_oracle`` and ``clifford_oracle``), the 3x3
-determinant, a kernel basis read off a ``RowReducer``'s pivots, and
-``FractionReducer``, the reduced row echelon form over Fractions that the
-fraction-free ``RowReducer`` is checked against.  It shares no code with
-the kernels it checks.
+determinant, a kernel basis read off a ``RowReducer``'s pivots,
+``add_rational_row``, which feeds a ``RowReducer`` a row of rationals as int
+numerators over their lcm, and ``FractionReducer``, the reduced row echelon
+form over Fractions that the fraction-free ``RowReducer`` is checked
+against.  It shares no code with the kernels it checks.
 """
 
 from fractions import Fraction as Q
+from math import lcm
 from operator import mul
 
 
@@ -86,6 +88,15 @@ def kernel(red):
                 v[col] = -sum((row[j] * v[j] for j in range(col + 1, red.ncols)), Q(0)) / row[col]
             basis.append(v)
     return basis
+
+
+def add_rational_row(red, coeffs, rhs):
+    """``red.add_row`` on the equation ``coeffs . x = rhs`` of rationals,
+    lifted to int numerators over the lcm of their denominators."""
+    xs = [Q(x) for x in (*coeffs, rhs)]
+    den = lcm(*(x.denominator for x in xs))
+    nums = [x.numerator * (den // x.denominator) for x in xs]
+    return red.add_row(nums[:-1], nums[-1], den)
 
 
 class FractionReducer:

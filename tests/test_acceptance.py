@@ -128,10 +128,10 @@ def test_criterion_05_jacobi_violation_at_n1():
 def test_criterion_06_dimension_bookkeeping():
     t0 = time.monotonic()
     assert [ep_mod.dimension(lv, 0) for lv in ep_mod.LEVELS] == [52, 78, 133, 248]
-    conf = ep_mod.grade_profile("conf", 0, "extended")
+    conf = ep_mod.grade_profiles("conf", 0)["extended"]
     assert [d for _, d in conf] == [1, 32, 67, 32, 1]
     assert sum(d for _, d in conf) == 133
-    qconf = ep_mod.grade_profile("qconf", 0, "extended")
+    qconf = ep_mod.grade_profiles("qconf", 0)["extended"]
     assert [d for _, d in qconf] == [14, 64, 92, 64, 14]
     assert sum(d for _, d in qconf) == 248
     _report(6, "dimensions 52/78/133/248 and extended profiles", t0, 5)

@@ -189,14 +189,14 @@ def _intertwiner_space(rep, t):
         for a in range(n):
             for b in range(n):
                 # sum_k C[a,k] g[k,b] - t * sum_k g^T[a,k] C[k,b] = 0
-                row = [Q(0)] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
                     if gd[k][b]:
                         row[a * n + k] += gd[k][b]
                     if gd[k][a]:
                         row[k * n + b] -= t * gd[k][a]
                 if any(row):
-                    red.add_row(row, Q(0))
+                    red.add_row(row, 0)
     return linalg_oracle.kernel(red)
 
 
@@ -217,7 +217,7 @@ def test_conjugation_matches_solver_oracle(p, q, t, space_dim):
     cert_free = True
     for pos in range(n * n):
         row = [space[k][pos] for k in range(space_dim)]
-        if red.add_row(row, flat[pos]) is not None:
+        if linalg_oracle.add_rational_row(red, row, flat[pos]) is not None:
             cert_free = False
             break
     assert cert_free, "construction lies outside the solver solution space"

@@ -398,10 +398,11 @@ def rational_system(rng, consistent=False):
 
 
 def feed(ncols, rows, rhs):
-    """Feed rows in order; the reducer, the rows fed, and the first certificate."""
+    """Feed rational rows in order, lifted to int numerators; the reducer,
+    the rows fed, and the first certificate."""
     red = RowReducer(ncols)
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        cert = red.add_row(row, b)
+        cert = oracle.add_rational_row(red, row, b)
         if cert is not None:
             return red, i + 1, cert
     return red, len(rows), None
@@ -477,7 +478,10 @@ def test_row_reducer_equals_fraction_oracle(seed):
     ncols, rows, rhs, dens = ranked_system(random.Random(seed))
     red, ref = RowReducer(ncols), oracle.FractionReducer(ncols)
     for row, b, den in zip(rows, rhs, dens):
-        cert = red.add_row(row, b, den) if den > 1 else red.add_row(row, b)
+        if all(type(x) is int for x in (*row, b)):
+            cert = red.add_row(row, b, den) if den > 1 else red.add_row(row, b)
+        else:
+            cert = oracle.add_rational_row(red, row, b)
         want = ref.add_row([Q(x, den) for x in row], Q(b, den))
         assert cert == want
         assert all(type(c) is Q for c in (cert or {}).values())
@@ -494,3 +498,15 @@ def test_row_reducer_refuses_a_row_of_the_wrong_length():
     red = RowReducer(3)
     with pytest.raises(ValueError, match="expected 3"):
         red.add_row([1, 2], 0)
+
+
+def test_row_reducer_refuses_fraction_rows_before_counting_them():
+    red = RowReducer(3)
+    assert red.add_row([2, 0, 1], 3) is None
+    before = (red.nrows, [(col, list(row), r, dict(p)) for col, row, r, p in red.pivots])
+    for row, b in (([Q(1, 2), 1, 0], 1), ([1, 1, 0], Q(1)), ([1.0, 1, 0], 1)):
+        with pytest.raises(TypeError, match="linalg.lift"):
+            red.add_row(row, b)
+        assert (red.nrows, red.pivots) == before
+    # the next row keeps index 1, so its certificate names rows 0 and 1
+    assert red.add_row([4, 0, 2], 7) == {0: Q(-2), 1: Q(1)}
