@@ -124,6 +124,8 @@ def _cmd_ep(args) -> int:
     ep_mod.signature_for(level, n)  # size check before any work
     if args.samples < 1:
         raise ep_mod.EPError("samples must be at least 1")
+    if n == 0 and args.polarization == "primed":
+        raise ep_mod.EPError("--polarization primed applies at n >= 1; n = 0 calibrates unprimed")
     report = {
         "level": level,
         "n": n,

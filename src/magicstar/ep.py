@@ -439,6 +439,8 @@ def make_ep(
     sig = signature_for(level, n)
     if polarization not in ("unprimed", "primed"):
         raise EPError("polarization must be unprimed or primed")
+    if polarization == "primed" and desc.swap is None:
+        raise EPError("level %s has no chiral split to polarize" % level)
     rep = build_rep(sig)
     C = conjugation(rep, +1)
     total = sig.total
@@ -659,6 +661,8 @@ def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> Calib
     spanning set of seeded random triples and re-verified on fresh ones.
     Fails loudly when no solution exists or freedom extends beyond rescaling.
     """
+    if n != 0:
+        raise EPError("calibrate requires n = 0; jacobi_infeasibility certifies n >= 1")
     space = make_ep(level, n)
     desc = _describe(level)
     unknown_names, tags = desc.unknowns, desc.tags(tuple(space.grades))

@@ -12,12 +12,15 @@ of the orthogonal space with one time direction, contracted against
 spinor bilinears built from the time gamma.  The overall scale is anchored
 by N(diag) = r1 r2 r3; the spinor-term sign is anchored by equality with
 the octonionic 3x3 determinant at q = 8, n = 0 (see calibrate_embedding).
-The spinor block is read on its carrier support only, through
-``linalg._reader`` gathers.
+The spinor block is read on its carrier only, through ``linalg._reader``
+gathers: the plus half where the spinor is chiral (q = 4, 8), the whole
+spinor otherwise.
 
-For q = 1 the width formula doubles the spinor block; the resulting total
-dimension 8 at n = 0 differs from the six-dimensional rank-3 real matrix
-algebra, and no determinant oracle is wired there.
+At n = 0 the dimensions 6, 9, 15, 27 for q = 1, 2, 4, 8 are those of the
+rank-3 Jordan algebras over R, C, H and O.  At q = 1 the element
+(r1/2, r2/2, 4 r3, v = (-a1/2), psi = ((a2 + a3, a2 - a3))) has the norm
+det [[r1, a1, a2], [a1, r2, a3], [a2, a3, r3]]; the octonionic oracle
+below is wired at q = 8.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class TAlgebraError(ValueError):
 
 
 def spinor_width(q: int, n: int) -> int:
-    return 2 ** ((q + 1) // 2 + 4 * n + (1 if q == 1 else 0))
+    return 2 ** ((q + 1) // 2 + 4 * n)
 
 
 def total_dimension(q: int, n: int) -> int:
@@ -77,7 +80,7 @@ class TSpace:
     fund: int
     rep: CliffordRep
     norm_forms: Tuple[MonomialMatrix, ...]  # time-gamma times gamma_nu, all symmetric
-    carriers: Tuple[Tuple[int, ...], ...]   # coordinate support per carrier copy
+    support: Tuple[int, ...]  # coordinates of the spinor carrier
 
     @cached_property
     def form_readers(self) -> Tuple[Callable[[list], tuple], ...]:
@@ -161,11 +164,8 @@ def make_space(q: int, n: int) -> TSpace:
         forms.append(m)
     width = spinor_width(q, n)
     fund = _FUND[q]
-    # the carrier is one support, the plus half where the spinor is chiral
-    # and the whole spinor otherwise, in two copies at q = 1
     support = tuple(chiral_indices(rep)[0]) if q in (4, 8) else tuple(range(rep.dim))
-    copies = 2 if q == 1 else 1
-    if copies * len(support) != fund * width:
+    if len(support) != fund * width:
         raise AssertionError("spinor carrier does not match the width formula")
     return TSpace(
         q=q,
@@ -175,7 +175,7 @@ def make_space(q: int, n: int) -> TSpace:
         fund=fund,
         rep=rep,
         norm_forms=tuple(forms),
-        carriers=(support,) * copies,
+        support=support,
     )
 
 
@@ -253,37 +253,29 @@ def _vector_coords(space: TSpace, el: TElement) -> List[Q]:
 def _carrier_reader(space: TSpace, m: MonomialMatrix, flip: int = 1) -> Callable[[list], tuple]:
     """_signed(psi) -> flip * (m^T psi) on the carrier support, for psi on
     it; m must map the support into itself."""
-    support = space.carriers[0]
+    support = space.support
     pos = {c: k for k, c in enumerate(support)}
     if not all(m.rows[c] in pos for c in support):
         raise AssertionError("gamma product leaks outside the spinor carrier")
     return _reader(m, support, list(range(2 * len(support))), pos, flip)
 
 
-def _carrier_copies(space: TSpace, el: TElement) -> Tuple[List[List[int]], int]:
-    """The spinor block as int numerators over one shared denominator
-    ``den``, split into one list per carrier copy."""
-    nums, den = lift([x for col in el.psi for x in col])
-    k = len(space.carriers[0])
-    return [nums[i:i + k] for i in range(0, len(nums), k)], den
-
-
 class _Lifted(NamedTuple):
     """What the norm and its gradient share, computed once per element."""
 
-    moved: List[List[tuple]]  # per carrier copy psi, per norm form M: M psi, over den
+    moved: List[tuple]        # per norm form M: M psi, over den
     den: int
-    bil: List[int]            # B_nu = sum of psi^T (gamma_time gamma_nu) psi, over den^2
+    bil: List[int]            # B_nu = psi^T (gamma_time gamma_nu) psi, over den^2
     vec: List[int]            # lightcone vector, numerators over vden
     vden: int
 
 
 def _lift_element(space: TSpace, el: TElement) -> _Lifted:
     _check_shape(space, el)
-    copies, den = _carrier_copies(space, el)
-    moved = [[read(signed) for read in space.form_readers] for signed in map(_signed, copies)]
-    bil = [sum(sum(map(mul, psi, mv[k])) for psi, mv in zip(copies, moved))
-           for k in range(len(space.norm_forms))]
+    psi, den = lift([x for col in el.psi for x in col])
+    signed = _signed(psi)
+    moved = [read(signed) for read in space.form_readers]
+    bil = [sum(map(mul, psi, mv)) for mv in moved]
     vec, vden = lift(_vector_coords(space, el))
     return _Lifted(moved, den, bil, vec, vden)
 
@@ -303,9 +295,9 @@ def _gradient(el: TElement, lf: _Lifted) -> List[Q]:
     g_r2 = el.r1 * el.r3 + Q(b_plus - b_minus, 2 * bden)
     g_r3 = el.r1 * el.r2 - sum(x * x for x in el.v)
     g_v = [-2 * el.r3 * x + Q(b, bden) for x, b in zip(el.v, lf.bil)]
-    # spinor part: 2 * sum_nu V^nu (M_nu psi) on each carrier copy
+    # spinor part: 2 * sum_nu V^nu (M_nu psi)
     sden = lf.den * lf.vden
-    g_psi = [Q(2 * sum(map(mul, lf.vec, entry)), sden) for mv in lf.moved for entry in zip(*mv)]
+    g_psi = [Q(2 * sum(map(mul, lf.vec, entry)), sden) for entry in zip(*lf.moved)]
     return [g_r1, g_r2, g_r3] + g_v + g_psi
 
 
@@ -381,8 +373,8 @@ def infinitesimal_rotation(space: TSpace, el: TElement, pair: Tuple[int, int]) -
     # -eta_a eta_b gamma_a gamma_b: verify_relations proved gamma^T = eta gamma
     prod = mat_mul(space.rep.gammas[a], space.rep.gammas[b])
     read = _carrier_reader(space, prod, -metric[a] * metric[b])
-    copies, den = _carrier_copies(space, el)
-    dpsi = [Q(t, 2 * den) for psi in copies for t in read(_signed(psi))]
+    psi, den = lift([x for col in el.psi for x in col])
+    dpsi = [Q(t, 2 * den) for t in read(_signed(psi))]
     return [d_r1, d_r2, Q(0)] + dv + dpsi
 
 
@@ -482,7 +474,7 @@ def embed_jordan(space: TSpace, j: OctonionHermitian3, cal: Calibration) -> TEle
     a1 = oct_conj(j.a1) if cal.v_conj else j.a1
     el.v = list(a1)
     col = _model_column(j, cal.block, cal.u_slot, cal.w_slot)
-    support = space.carriers[0]
+    support = space.support
     sset = set(support)
     if any(col[i] for i in range(32) if i not in sset):
         raise TAlgebraError("embedding landed outside the spinor carrier")

@@ -224,6 +224,28 @@ def _talg_norm(tmp_path, capsys, payload):
     return code, captured.out, captured.err
 
 
+def test_talg_q1_norm_is_the_real_symmetric_determinant(tmp_path, capsys):
+    # T(1, 0) = J3(R): this element is det [[2, 1, 1], [1, 3, 1], [1, 1, 5]]
+    payload = {"q": 1, "n": 0, "r": ["1", "3/2", "20"], "v": ["-1/2"], "psi": [["2", "0"]]}
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(payload))
+    code, out = capture(capsys, ["talg", "--q", "1", "--n", "0", "norm", "--input", str(path)])
+    assert code == 0
+    assert out == '{"N":"22"}\n'
+
+
+def test_talg_q1_two_carrier_copies_exit_1(tmp_path, capsys):
+    # the width-4 spinor block of the retired doubled T(1, 0)
+    payload = {"q": 1, "n": 0, "r": ["1", "1", "1"], "v": ["0"], "psi": [["1", "0", "0", "1"]]}
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(payload))
+    code = run(["talg", "--q", "1", "--n", "0", "norm", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: spinor block has the wrong shape\n"
+
+
 def test_talg_missing_block_exit_1(tmp_path, capsys):
     payload = {"q": 2, "n": 0, "v": ["1", "0"], "psi": [["1", "0"], ["0", "1"]]}
     code, out, err = _talg_norm(tmp_path, capsys, payload)
@@ -277,6 +299,28 @@ def test_ep_zero_samples_exit_1(capsys):
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+def test_ep_primed_at_n0_exit_1(capsys):
+    # n = 0 calibrates unprimed, so a primed request there is refused
+    # before anything is built, for every level
+    for level in ("der", "str0", "conf", "qconf"):
+        code = run(["ep", "--level", level, "--n", "0", "--polarization", "primed"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --polarization primed applies at n >= 1; n = 0 calibrates unprimed\n"
+        )
+
+
+def test_ep_primed_der_exit_1(capsys):
+    # der has no chiral split, so no polarization to prime
+    code = run(["ep", "--level", "der", "--n", "1", "--polarization", "primed"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: level der has no chiral split to polarize\n"
 
 
 # exact stdout of ``ep --level L --n 0`` with the defaults: the grade

@@ -99,6 +99,13 @@ def test_make_ep_str0_polarization_swaps_blocks():
     assert a.spinor_support["psi_m"] == b.spinor_support["psi_p"]
 
 
+def test_make_ep_refuses_primed_without_a_chiral_split():
+    with pytest.raises(EPError, match="level der has no chiral split"):
+        make_ep("der", 0, polarization="primed")
+    for level in ("str0", "conf", "qconf"):
+        assert make_ep(level, 0, polarization="primed").polarization == "primed"
+
+
 @pytest.mark.parametrize("level", ["der", "str0", "conf", "qconf"])
 def test_bracket_antisymmetry(level):
     sp = make_ep(level, 0)
@@ -175,6 +182,18 @@ def test_der0_jacobiator_zero_on_random_triples():
 def test_calibrate_der_returns_unit():
     rep = calibrate("der", 0, seed=7, triples=4)
     assert rep.coeffs.values["pair_so"] == 1
+
+
+def test_calibrate_refuses_n_other_than_0(monkeypatch):
+    """Jacobi fails at n >= 1, where jacobi_infeasibility certifies it;
+    calibrate refuses such n before it builds a space."""
+    def build(*args, **kwargs):
+        raise AssertionError("calibrate built a space")
+
+    monkeypatch.setattr(ep_mod, "make_ep", build)
+    for n in (1, 2, -1):
+        with pytest.raises(EPError, match="jacobi_infeasibility certifies n >= 1"):
+            calibrate("der", n)
 
 
 def test_calibrate_str0_unique_ratio():

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -87,7 +88,11 @@ def test_octonion_conjugation_norm():
 
 # --- spaces and the norm -----------------------------------------------------
 
-@pytest.mark.parametrize("q,n,dim", [(8, 0, 27), (4, 0, 15), (2, 0, 9), (8, 1, 275), (1, 0, 8)])
+# T(1, 1) has dimension 44, the tip of der's EP Magic Star at n = 1, as
+# T(1, 0) = J3(R) (dimension 6) is its tip at n = 0
+@pytest.mark.parametrize("q,n,dim", [
+    (8, 0, 27), (4, 0, 15), (2, 0, 9), (8, 1, 275), (1, 0, 6), (1, 1, 44),
+])
 def test_total_dimension(q, n, dim):
     assert total_dimension(q, n) == dim
     sp = make_space(q, n)
@@ -99,8 +104,20 @@ def test_spinor_width_table():
     assert spinor_width(8, 0) == 16
     assert spinor_width(4, 0) == 4
     assert spinor_width(2, 0) == 2
-    assert spinor_width(1, 0) == 4
+    assert spinor_width(1, 0) == 2
     assert spinor_width(8, 1) == 256
+
+
+def test_q1_norm_is_the_real_symmetric_determinant():
+    """T(1, 0) is J3(R): the element (r1/2, r2/2, 4 r3, v = (-a1/2),
+    psi = ((a2 + a3, a2 - a3))) has cubic norm det [[r1, a1, a2],
+    [a1, r2, a3], [a2, a3, r3]].  Both sides are polynomials of degree at
+    most 3 in each of the six variables, so agreeing on the four values
+    {-1, 0, 1, 2} of every variable makes them equal everywhere."""
+    sp = make_space(1, 0)
+    for r1, r2, r3, a1, a2, a3 in itertools.product((-1, 0, 1, 2), repeat=6):
+        el = TElement(Q(r1, 2), Q(r2, 2), Q(4 * r3), [Q(-a1, 2)], [[Q(a2 + a3), Q(a2 - a3)]])
+        assert cubic_norm(sp, el) == det3([[r1, a1, a2], [a1, r2, a3], [a2, a3, r3]])
 
 
 def test_make_space_rejects_bad_q():
@@ -198,7 +215,7 @@ def test_rotation_refuses_a_carrier_the_generator_leaves():
     psi = 0, where no output entry could show the leak."""
     sp = make_space(2, 0)
     half = (0, 1)
-    bad = replace(sp, carriers=(half, half))  # still fund * width entries
+    bad = replace(sp, support=half, fund=1)  # one column of width entries
     gammas = sp.rep.gammas
     leaks = {pair: not all(mat_mul(gammas[pair[0]], gammas[pair[1]]).rows[c] in half for c in half)
              for pair in so_generator_pairs(sp)}
@@ -450,16 +467,12 @@ def rational_element(rng):
     return q, el
 
 
-def reference_columns(sp, el):
-    flat = [x for col in el.psi for x in col]
-    cols, pos = [], 0
-    for support in sp.carriers:
-        full = [Q(0)] * sp.rep.dim
-        for i in support:
-            full[i] = flat[pos]
-            pos += 1
-        cols.append(full)
-    return cols
+def reference_column(sp, el):
+    """The spinor block as one full-length column, zero off the carrier."""
+    full = [Q(0)] * sp.rep.dim
+    for i, x in zip(sp.support, (x for col in el.psi for x in col)):
+        full[i] = x
+    return full
 
 
 def reference_norm_and_gradient(q, el):
@@ -468,9 +481,9 @@ def reference_norm_and_gradient(q, el):
     and V = (v, (r1-r2)/2, (r1+r2)/2)."""
     sp = PROPERTY_SPACES[q]
     forms = DENSE_FORMS[q]
-    cols = reference_columns(sp, el)
+    col = reference_column(sp, el)
     vec = list(el.v) + [(el.r1 - el.r2) / 2, (el.r1 + el.r2) / 2]
-    bil = [sum(dot(col, apply(m, col)) for col in cols) for m in forms]
+    bil = [dot(col, apply(m, col)) for m in forms]
     vv = sum(x * x for x in el.v)
     norm = el.r3 * (el.r1 * el.r2 - vv) + sum(w * b for w, b in zip(vec, bil))
     grad = [
@@ -479,9 +492,8 @@ def reference_norm_and_gradient(q, el):
         el.r1 * el.r2 - vv,
     ]
     grad += [-2 * el.r3 * x + b for x, b in zip(el.v, bil)]
-    for support, col in zip(sp.carriers, cols):
-        moved = [apply(m, col) for m in forms]
-        grad += [2 * sum(w * mc[i] for w, mc in zip(vec, moved)) for i in support]
+    moved = [apply(m, col) for m in forms]
+    grad += [2 * sum(w * mc[i] for w, mc in zip(vec, moved)) for i in sp.support]
     return norm, grad
 
 
@@ -506,17 +518,15 @@ def test_norm_and_gradient_equal_fraction_reference(seed):
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
 def test_rotation_equal_dense_product(seed):
-    """The spinor delta is gamma_a gamma_b psi / 2 on each carrier copy, the
+    """The spinor delta is gamma_a gamma_b psi / 2 on the carrier, the
     product taken on dense grids; a pair is taken in either order."""
     rng = random.Random(seed)
     q, el = rational_element(rng)
     sp = PROPERTY_SPACES[q]
     a, b = rng.sample(rng.choice(so_generator_pairs(sp)), 2)
     dense = matmul(grid(sp.rep.gammas[a]), grid(sp.rep.gammas[b]))
-    expected = []
-    for support, col in zip(sp.carriers, reference_columns(sp, el)):
-        moved = apply(dense, col)
-        expected += [moved[i] / 2 for i in support]
+    moved = apply(dense, reference_column(sp, el))
+    expected = [moved[i] / 2 for i in sp.support]
     delta = infinitesimal_rotation(sp, el, (a, b))
     assert delta[3 + sp.vector_dim:] == expected
 
