@@ -2,8 +2,9 @@
 reports, graded-algebra Jacobi reports and cubic-norm evaluations.
 
 Exit codes: 0 success (and, for ``ep``, claim matched), 1 usage error,
-2 claim mismatch, 3 I/O failure.  All output is deterministic for fixed
-inputs and seeds.
+2 claim mismatch, 3 I/O failure.  Commands write their files before
+stdout, so exit 3 prints nothing there.  All output is deterministic for
+fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .clifford import (
 from .linalg import rat_str
 from .roots import AlgebraLabel, generate_roots, root_count
 from .talgebra import (
-    TAlgebraError,
     TElement,
     cubic_norm,
     entropy_of_norm,
@@ -70,17 +70,12 @@ def _cmd_star(args) -> int:
     chart = star_mod.project(rs, choice)
     counts = star_mod.chart_counts(chart)
     counts["candidates_validated"] = choice.candidates_validated
-    # files first, so a failed write prints no result on stdout
-    try:
-        if args.svg:
-            with open(args.svg, "w") as fh:
-                fh.write(star_mod.emit_chart(chart, "svg"))
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(star_mod.emit_chart(chart, "csv"))
-    except OSError as exc:
-        print("i/o failure: %s" % exc, file=sys.stderr)
-        return 3
+    if args.svg:
+        with open(args.svg, "w") as fh:
+            fh.write(star_mod.emit_chart(chart, "svg"))
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(star_mod.emit_chart(chart, "csv"))
     print(_dump(counts))
     return 0
 
@@ -106,16 +101,12 @@ def _cmd_clifford(args) -> int:
         "chiral": rc.chiral,
         "bilinears": bilinears,
     }
-    print(_dump(summary))
     if args.emit:
-        try:
-            with open(args.emit, "w") as fh:
-                for mu, g in enumerate(rep.gammas):
-                    for c in range(rep.dim):
-                        fh.write("%d,%d,%d,%d\n" % (mu, g.rows[c], c, g.signs[c]))
-        except OSError as exc:
-            print("i/o failure: %s" % exc, file=sys.stderr)
-            return 3
+        with open(args.emit, "w") as fh:
+            for mu, g in enumerate(rep.gammas):
+                for c in range(rep.dim):
+                    fh.write("%d,%d,%d,%d\n" % (mu, g.rows[c], c, g.signs[c]))
+    print(_dump(summary))
     return 0
 
 
@@ -173,9 +164,6 @@ def _cmd_talg(args) -> int:
     try:
         with open(args.input) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        print("i/o failure: %s" % exc, file=sys.stderr)
-        return 3
     except RecursionError:
         raise ValueError("element file nests too deeply to decode") from None
     el = TElement.from_json(space, data)
@@ -245,9 +233,12 @@ def run(argv) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, TAlgebraError) as exc:
+    except ValueError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
+    except OSError as exc:
+        print("i/o failure: %s" % exc, file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -63,11 +63,20 @@ class TAlgebraError(ValueError):
     pass
 
 
+def _check_label(q: int, n: int) -> None:
+    if q not in (1, 2, 4, 8):
+        raise TAlgebraError("q must be one of 1, 2, 4, 8")
+    if n < 0:
+        raise TAlgebraError("n must be non-negative")
+
+
 def spinor_width(q: int, n: int) -> int:
+    _check_label(q, n)
     return 2 ** ((q + 1) // 2 + 4 * n)
 
 
 def total_dimension(q: int, n: int) -> int:
+    _check_label(q, n)
     return q + 3 + 8 * n + _FUND[q] * spinor_width(q, n)
 
 
@@ -145,10 +154,7 @@ def _octonionic_rep(n: int) -> CliffordRep:
 
 def make_space(q: int, n: int) -> TSpace:
     """Build the orthogonal representation and cache the norm bilinears."""
-    if q not in (1, 2, 4, 8):
-        raise TAlgebraError("q must be one of 1, 2, 4, 8")
-    if n < 0:
-        raise TAlgebraError("n must be non-negative")
+    _check_label(q, n)
     sig = Signature(q + 1 + 8 * n, 1)
     rep_dim(sig)  # the q = 8 model is built by Kronecker products, not by build_rep
     if q == 8:

@@ -106,6 +106,14 @@ def test_clifford_class_seven_exit_1(capsys, p, q):
     assert "p-q = 7 mod 8" in captured.err and captured.err.count("\n") == 1
 
 
+def test_clifford_unwritable_emit_prints_nothing_exit_3(tmp_path, capsys):
+    code = run(["clifford", "1", "1", "--emit", str(tmp_path / "missing" / "g.csv")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("i/o failure: ") and captured.err.count("\n") == 1
+
+
 def test_clifford_emit(tmp_path, capsys):
     path = tmp_path / "g.txt"
     code, _ = capture(capsys, ["clifford", "1", "1", "--emit", str(path)])

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from dataclasses import replace
@@ -86,6 +87,40 @@ def test_octonion_conjugation_norm():
     assert all(t == 0 for t in oct_mul(x, oct_conj(x))[1:])
 
 
+def _unit(a):
+    return tuple(int(k == a) for k in range(8))
+
+
+def _associator(x, y, z):
+    return tuple(p - q for p, q in zip(oct_mul(oct_mul(x, y), z), oct_mul(x, oct_mul(y, z))))
+
+
+def test_octonion_associator_alternates_on_the_basis():
+    """The associator is trilinear, so alternativity ((x x) y = x (x y) and
+    (y x) x = y (x x) for all x, y) holds iff the associator vanishes with
+    two equal neighbouring basis arguments and changes sign when they swap."""
+    zero = (0,) * 8
+    for a, b, c in itertools.product(range(8), repeat=3):
+        ea, eb, ec = _unit(a), _unit(b), _unit(c)
+        assert _associator(ea, ea, ec) == zero
+        assert _associator(ea, ec, ec) == zero
+        left = zip(_associator(ea, eb, ec), _associator(eb, ea, ec))
+        right = zip(_associator(ea, eb, ec), _associator(ea, ec, eb))
+        assert all(p + q == 0 for p, q in left)
+        assert all(p + q == 0 for p, q in right)
+
+
+def test_octonion_composition_on_the_basis():
+    """<x y, z w> + <x w, z y> = 2 <x, z> <y, w> is the full polarization of
+    n(x y) = n(x) n(y); both sides are 4-linear, so the basis proves it."""
+    units = [_unit(a) for a in range(8)]
+    prods = [[oct_mul(x, y) for y in units] for x in units]
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        lhs = sum(map(operator.mul, prods[a][b], prods[c][d]))
+        lhs += sum(map(operator.mul, prods[a][d], prods[c][b]))
+        assert lhs == 2 * (a == c) * (b == d)
+
+
 # --- spaces and the norm -----------------------------------------------------
 
 # T(1, 1) has dimension 44, the tip of der's EP Magic Star at n = 1, as
@@ -123,6 +158,13 @@ def test_q1_norm_is_the_real_symmetric_determinant():
 def test_make_space_rejects_bad_q():
     with pytest.raises(TAlgebraError):
         make_space(3, 0)
+
+
+@pytest.mark.parametrize("q,n,message", [(3, 0, "q must be one of"), (1, -1, "non-negative")])
+def test_width_and_dimension_refuse_what_make_space_refuses(q, n, message):
+    for f in (spinor_width, total_dimension, make_space):
+        with pytest.raises(TAlgebraError, match=message):
+            f(q, n)
 
 
 def test_lightcone_roundtrip():
