@@ -20,11 +20,11 @@ Classes 3, 5 and 7 mod 8 are refused by name.  Classes 3 and 7 are complex
 matrix algebras; class 7 would adjoin the volume element of a p-q = 0
 parent as a minus generator, but that element squares to +1.
 
-The relations and the conjugations are checked on labels, after a check of
-every column proves each label once per rep (see ``_pauli`` and
-``CliffordRep.labels``): O(m dim + m^2) for m gammas.  A gamma that is not a
-Pauli string, as in the octonionic model of ``talgebra``, is checked by the
-column loop over every pair, O(m^2 dim).
+Every gamma of a ``CliffordRep`` is a Pauli string, the octonionic model of
+``talgebra`` included.  A check of every column proves each label once per
+rep (see ``_pauli`` and ``CliffordRep.labels``), and the relations, the
+chirality and the conjugations run on the labels: O(m dim + m^2) for m
+gammas.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import MonomialMatrix, mat_mul, mat_prod
+from .linalg import MonomialMatrix
 
 Label = Tuple[int, int, int]  # (s, a, b) of s X^a Z^b
 
@@ -71,11 +71,15 @@ class CliffordRep:
     metric: Tuple[int, ...]  # +1 for the first p generators, then -1
 
     @cached_property
-    def labels(self) -> Tuple[Optional[Label], ...]:
-        """The Pauli label of each gamma (None for a gamma that is no Pauli
-        string), proven once per rep; ``dataclasses.replace`` makes a new rep,
-        whose labels are proven afresh."""
-        return tuple(_pauli(g) for g in self.gammas)
+    def labels(self) -> Tuple[Label, ...]:
+        """The Pauli label of each gamma, proven once per rep (a new rep from
+        ``dataclasses.replace`` proves its own); a gamma that is no Pauli
+        string raises AssertionError."""
+        labels = tuple(map(_pauli, self.gammas))
+        for i, label in enumerate(labels):
+            if label is None:
+                raise AssertionError("gamma_%d is not a Pauli string" % i)
+        return labels
 
 
 @dataclass(frozen=True)
@@ -133,11 +137,6 @@ def _flip(block: List[Label]) -> List[Label]:
     changes sign, and anticommutation with the rest is kept."""
     vol = _prod(block)
     return [_mul(vol, g) for g in block]
-
-
-def _squares_to(m: MonomialMatrix, sign: int) -> bool:
-    sq = mat_mul(m, m)
-    return sq.is_diagonal() and all(s == sign for s in sq.signs)
 
 
 # The largest representation any command builds (qconf at n = 1, Cl(20,4)).
@@ -246,60 +245,42 @@ def verify_relations(rep: CliffordRep) -> None:
 
     On labels, (s X^a Z^b)^2 = (-1)^popcount(a & b), and two gammas
     anticommute when popcount(a_i & b_j) + popcount(b_i & a_j) is odd.  A
-    pair with a gamma that is not a Pauli string is compared column by
-    column.
+    gamma that is not a Pauli string fails at ``rep.labels``.
     """
-    n = rep.sig.total
     if any(g.dim != rep.dim for g in rep.gammas):
         raise AssertionError("a gamma does not act on the representation space")
     labels = rep.labels
-    for i in range(n):
-        gi, li = rep.gammas[i], labels[i]
-        if li is not None:
-            squares = _sign(li[1] & li[2]) == rep.metric[i]
-        else:
-            squares = _squares_to(gi, rep.metric[i])
-        if not squares:
+    for i, (_, ai, bi) in enumerate(labels):
+        if _sign(ai & bi) != rep.metric[i]:
             raise AssertionError("gamma_%d squares to the wrong value" % i)
-        ri, si = gi.rows, gi.signs
-        for j in range(i + 1, n):
-            lj = labels[j]
-            if li is not None and lj is not None:
-                anticommute = _sign((li[1] & lj[2]) ^ (li[2] & lj[1])) == -1
-            else:
-                rj, sj = rep.gammas[j].rows, rep.gammas[j].signs
-                anticommute = all(
-                    ri[rj[c]] == rj[ri[c]] and si[rj[c]] * sj[c] == -sj[ri[c]] * si[c]
-                    for c in range(rep.dim)
-                )
-            if not anticommute:
+        for j in range(i + 1, len(labels)):
+            _, aj, bj = labels[j]
+            if _sign((ai & bj) ^ (bi & aj)) != -1:
                 raise AssertionError("gamma_%d and gamma_%d fail to anticommute" % (i, j))
 
 
 def chirality(rep: CliffordRep) -> MonomialMatrix:
-    """Product of all gammas, sign-normalized; defined in even dimension.
-    The product is taken on the labels when every gamma is a Pauli string."""
+    """Product of all gammas, taken on their labels and sign-normalized;
+    defined in even dimension."""
     if rep.sig.total % 2 == 1:
         raise ValueError("chirality needs an even total dimension")
-    labels = rep.labels
-    if None in labels:
-        omega = mat_prod(rep.gammas)
-    else:
-        omega = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, _prod(labels)))
+    omega = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, _prod(rep.labels)))
     if omega.is_diagonal() and omega.signs[0] == -1:
         omega = omega.neg()
     return omega
 
 
 def chiral_indices(rep: CliffordRep) -> Tuple[List[int], List[int]]:
-    """Index sets of the two chiral halves, when they exist over the reals."""
+    """Index sets of the two chiral halves, when they exist over the reals.
+    The chirality's square is read off its label first."""
     omega = chirality(rep)
-    if not omega.is_diagonal():
-        raise ValueError("chirality operator is not diagonal in this basis")
-    if not _squares_to(omega, 1):
+    _, a, b = _prod(rep.labels)
+    if _sign(a & b) == -1:
         raise ValueError(
             "chirality squares to -1 in signature %s; no real chiral split" % rep.sig
         )
+    if not omega.is_diagonal():
+        raise ValueError("chirality operator is not diagonal in this basis")
     plus = [i for i in range(rep.dim) if omega.signs[i] == 1]
     minus = [i for i in range(rep.dim) if omega.signs[i] == -1]
     return plus, minus
@@ -315,21 +296,15 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     order and signed so that C[0][0] is not -1.  They are composed and
     tested on the Pauli labels of the gammas: C = X^a_C Z^b_C intertwines
     g = s X^a Z^b exactly when (-1)^popcount(a_C & b + b_C & a + a & b) =
-    transpose_sign, and C^T = (-1)^popcount(a_C & b_C) C.  Gammas that are
-    not Pauli strings raise ValueError.
+    transpose_sign, and C^T = (-1)^popcount(a_C & b_C) C.
     """
     if transpose_sign not in (1, -1):
         raise ValueError("transpose_sign must be +1 or -1")
     labels = rep.labels
-    if None in labels:
-        raise ValueError("conjugation needs gammas that are Pauli strings")
     p, n = rep.sig.p, rep.sig.total
     t = transpose_sign
     for subset in ((), range(p, n), range(p), range(n)):
-        ac = bc = 0
-        for i in subset:
-            ac ^= labels[i][1]
-            bc ^= labels[i][2]
+        _, ac, bc = _prod([(1, 0, 0)] + [labels[i] for i in subset])
         if all(_sign((ac & b) ^ (bc & a) ^ (a & b)) == t for _, a, b in labels):
             c = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, (1, ac, bc)))
             return BilinearForm(c, _sign(ac & bc), t)

@@ -1,18 +1,15 @@
 """Octonion arithmetic over exact rationals.
 
-The table is Cayley-Dickson doubling (Baez, "The Octonions", 2002):
-x * y = (p r - conj(s) q,  s p + q conj(r)) for pairs x = (p, q), y = (r, s)
-from the half-size algebra.  With conj(e_k) = -e_k for k != 0, e_a e_b =
-+-e_(a ^ b); the sign in dimension 2h (halves split at h) is 1 at h = 0, else
+The octonions are a twisted group algebra of Z_2^3 (Albuquerque and Majid,
+"Quasialgebra structure of the octonions", J. Algebra, 1999): e_a e_b =
+(-1)^f(a, b) e_(a ^ b), with a_i the bits of a and
 
-    a, b < h:   sign(a, b, h/2)
-    a < h <= b: sign(b-h, a, h/2)
-    b < h <= a: sign(a-h, b, h/2), negated if b != 0
-    a, b >= h:  -sign(b-h, a-h, h/2), negated if b != h
+    f(a, b) = sum_{i <= j} a_i b_j + a_0 a_1 b_2 + a_0 b_1 a_2 + b_0 a_1 a_2  (mod 2).
 
-Basis: e0 = 1, (e1, e2, e3) = (i, j, k), e4 = (0, 1), e5 = (0, i),
-e6 = (0, j), e7 = (0, k).  Derived unit products include e1 e2 = e3,
-e1 e4 = e5, e2 e4 = e6, e3 e4 = e7.
+f is linear in b, so left multiplication by e_a is the Pauli string
+X^a Z^z(a), z = (0, 7, 6, 5, 4, 1, 3, 2), on the bits of the basis index.
+Derived unit products include e1 e2 = -e3, e1 e4 = -e5, e2 e4 = -e6,
+e3 e4 = -e7.
 """
 
 from __future__ import annotations
@@ -25,19 +22,16 @@ from .linalg import MonomialMatrix
 Octonion = Tuple[Q, Q, Q, Q, Q, Q, Q, Q]
 
 
-def _sign(a: int, b: int, h: int) -> int:
-    if h == 0:
-        return 1
-    if a < h and b < h:
-        return _sign(a, b, h // 2)
-    if a < h:
-        return _sign(b - h, a, h // 2)
-    if b < h:
-        return _sign(a - h, b, h // 2) * (-1 if b else 1)
-    return -_sign(b - h, a - h, h // 2) * (-1 if b != h else 1)
+def _sign(a: int, b: int) -> int:
+    """(-1)^f(a, b)."""
+    x = [a >> i & 1 for i in range(3)]
+    y = [b >> i & 1 for i in range(3)]
+    f = sum(x[i] * y[j] for j in range(3) for i in range(j + 1))
+    f += x[0] * x[1] * y[2] + x[0] * y[1] * x[2] + y[0] * x[1] * x[2]
+    return -1 if f & 1 else 1
 
 
-MUL_SIGN = [[_sign(a, b, 4) for b in range(8)] for a in range(8)]
+MUL_SIGN = [[_sign(a, b) for b in range(8)] for a in range(8)]
 
 
 def oct_from(coords: Sequence) -> Octonion:

@@ -134,7 +134,8 @@ def _octonionic_rep(n: int) -> CliffordRep:
 
     Keeping the octonionic block structure makes the determinant
     identification an exact signed-permutation map; a generic construction
-    intertwines with it only up to an irrational scale.
+    intertwines with it only up to an irrational scale.  Every L_a is a
+    Pauli string (see ``octonion``), so every gamma here is one too.
     """
     base = _model_gammas()  # [e0..e7, z, t]
     if n == 0:

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction as Q
 
 import pytest
 
-from magicstar import cli
+from magicstar import cli, talgebra
 from magicstar.cli import run
+from talgebra_oracle import element_to_json
 
 
 def capture(capsys, argv):
@@ -240,6 +242,27 @@ def test_talg_q1_norm_is_the_real_symmetric_determinant(tmp_path, capsys):
     code, out = capture(capsys, ["talg", "--q", "1", "--n", "0", "norm", "--input", str(path)])
     assert code == 0
     assert out == '{"N":"22"}\n'
+
+
+def test_talg_q8_norm_is_the_octonionic_determinant(tmp_path, capsys):
+    # A1, A2 and A3 all nonzero, so psi is nonzero and the trilinear term is -1:
+    # det = 30 - 2 n(A3) - 3 n(A2) - 5 n(A1) + 2 Re((A1 A3) A2) = 6
+    j = talgebra.OctonionHermitian3.from_coords(
+        [2, 3, 5] + [1, 1, 0, 0, 0, 0, 0, 0] + [0, 0, 1, 0, 1, 0, 0, 0] + [0, 1, 0, 1, 0, 0, 1, 0])
+    space = talgebra.make_space(8, 0)
+    el = talgebra.embed_jordan(space, j, talgebra.calibrate_embedding(space))
+    assert any(el.psi[0])
+    path = tmp_path / "j3o.json"
+    path.write_text(json.dumps(element_to_json(space, el)))
+    det = talgebra.jordan_determinant(j)
+    argv = ["talg", "--q", "8", "--n", "0", "norm", "--input", str(path)]
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert out == '{"N":"%s"}\n' % det
+    code, out = capture(capsys, argv[:5] + ["grad"] + argv[6:])
+    assert code == 0
+    grad = [Q(g) for g in json.loads(out)["grad"]]
+    assert sum(g * c for g, c in zip(grad, el.coords())) == 3 * det
 
 
 def test_talg_q1_two_carrier_copies_exit_1(tmp_path, capsys):

@@ -158,6 +158,13 @@ def test_chirality_odd_dimension_rejected():
         chirality(rep)
 
 
+@pytest.mark.parametrize("sig", [(3, 1), (1, 3), (2, 0), (6, 0)])
+def test_chiral_indices_names_a_chirality_squaring_to_minus_one(sig):
+    # a diagonal signed permutation squares to +1, so the square is the reason
+    with pytest.raises(ValueError, match="squares to -1"):
+        chiral_indices(build_rep(Signature(*sig)))
+
+
 def test_nine_one_chiral_16_16():
     plus, minus = chiral_indices(build_rep(Signature(9, 1)))
     assert len(plus) == len(minus) == 16
@@ -393,10 +400,20 @@ def _accepts(check, rep):
     return True
 
 
+def _is_pauli_string(g):
+    """Whether g equals s X^a Z^b for its own s = signs[0], a = rows[0] and
+    some b, compared column by column."""
+    return any(g == _pauli_string(g.dim, g.signs[0], g.rows[0], b) for b in range(g.dim))
+
+
 @settings(max_examples=300, deadline=None)
 @given(gamma_families())
 def test_verify_relations_matches_column_loop(rep):
-    assert _accepts(verify_relations, rep) == _accepts(clifford_oracle.verify_relations, rep)
+    # every gamma of a rep must be a Pauli string: the production check
+    # accepts exactly the families the column loop accepts and that hold
+    # only Pauli strings
+    want = all(map(_is_pauli_string, rep.gammas)) and _accepts(clifford_oracle.verify_relations, rep)
+    assert _accepts(verify_relations, rep) == want
 
 
 def _with_gamma(rep, i, g):
@@ -409,7 +426,7 @@ def _sign_flipped(g, c):
     return MonomialMatrix(g.dim, g.rows, tuple(signs))
 
 
-def test_mutated_gamma_rejected_on_label_and_column_paths():
+def test_mutated_gamma_rejected_on_labels():
     rep = build_rep(Signature(20, 4))
     # times Z on the lowest index bit: still a Pauli string, so the label check rejects it
     z1 = _pauli_string(rep.dim, 1, 0, 1)
@@ -417,11 +434,12 @@ def test_mutated_gamma_rejected_on_label_and_column_paths():
     assert _pauli(relabelled) is not None
     with pytest.raises(AssertionError):
         verify_relations(_with_gamma(rep, 3, relabelled))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="gamma_3 is not a Pauli string"):
         verify_relations(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 1234)))
+    # the octonionic model's gammas are Pauli strings too, and checked the same way
     model = talgebra.make_space(8, 0).rep
-    assert _pauli(model.gammas[1]) is None
-    with pytest.raises(AssertionError):
+    assert _pauli(model.gammas[1]) is not None
+    with pytest.raises(AssertionError, match="gamma_1 is not a Pauli string"):
         verify_relations(_with_gamma(model, 1, _sign_flipped(model.gammas[1], 5)))
 
 
@@ -431,14 +449,22 @@ def test_cached_labels_do_not_carry_over_to_a_mutated_rep():
     conjugation(rep, 1)
     assert rep.labels == tuple(_pauli(g) for g in rep.gammas)
     z1 = _pauli_string(rep.dim, 1, 0, 1)
-    for bad in (_with_gamma(rep, 3, mat_mul(rep.gammas[3], z1)),
-                _with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 5))):
-        assert bad.labels[3] != rep.labels[3]
-        with pytest.raises(AssertionError):
-            verify_relations(bad)
-    # a gamma that is no Pauli string: the conjugation refuses it
-    with pytest.raises(ValueError, match="Pauli"):
-        conjugation(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 5)), 1)
+    bad = _with_gamma(rep, 3, mat_mul(rep.gammas[3], z1))
+    assert bad.labels[3] != rep.labels[3]
+    with pytest.raises(AssertionError):
+        verify_relations(bad)
+
+
+@pytest.mark.parametrize("check", [
+    lambda rep: rep.labels,
+    verify_relations,
+    chirality,
+    lambda rep: conjugation(rep, 1),
+], ids=["labels", "verify_relations", "chirality", "conjugation"])
+def test_a_gamma_that_is_no_pauli_string_is_refused(check):
+    rep = build_rep(Signature(9, 1))
+    with pytest.raises(AssertionError, match="gamma_3 is not a Pauli string"):
+        check(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 5)))
 
 
 def test_verify_relations_refuses_a_gamma_of_another_dimension():
@@ -470,6 +496,10 @@ def test_conjugation_matches_oracle_on_every_small_signature():
     assert built == 77
 
 
-def test_conjugation_refuses_gammas_that_are_not_pauli_strings():
-    with pytest.raises(ValueError, match="Pauli"):
-        conjugation(talgebra.make_space(8, 0).rep, 1)
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("t", [1, -1])
+def test_conjugation_of_the_octonionic_model_matches_oracle(n, t):
+    rep = talgebra.make_space(8, n).rep
+    want = clifford_oracle.conjugation(rep, t)
+    got = conjugation(rep, t)
+    assert (got.C.rows, got.C.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linalg_oracle import apply, det3, dot, grid, matmul
+from magicstar.clifford import _pauli
 from magicstar.linalg import MonomialMatrix, mat_mul
 from magicstar.octonion import (
+    left_mult_matrix,
     oct_conj,
     oct_from,
     oct_mul,
@@ -119,6 +121,13 @@ def test_octonion_composition_on_the_basis():
         lhs = sum(map(operator.mul, prods[a][b], prods[c][d]))
         lhs += sum(map(operator.mul, prods[a][d], prods[c][b]))
         assert lhs == 2 * (a == c) * (b == d)
+
+
+def test_octonion_left_multiplications_are_pauli_strings():
+    # f(a, b) is linear in b: L_a = X^a Z^z(a) on the bits of the basis index
+    z = (0, 7, 6, 5, 4, 1, 3, 2)
+    assert [_pauli(left_mult_matrix(a)) for a in range(8)] == [(1, a, z[a]) for a in range(8)]
+    assert oct_mul(_unit(1), _unit(2)) == tuple(-x for x in _unit(3))
 
 
 # --- spaces and the norm -----------------------------------------------------
@@ -427,10 +436,11 @@ def test_model_commutant_is_the_scalars():
     assert s_mat == MonomialMatrix.identity(rep.dim)
 
 
-# sha256 over repr((dim, rows, signs)) of each gamma in order
+# sha256 over repr((dim, rows, signs)) of each gamma in order, with the
+# octonions signed by the Albuquerque-Majid cocycle, e_a e_b = (-1)^f(a, b) e_(a ^ b)
 OCTONIONIC_GAMMA_DIGESTS = {
-    0: "ab2b60c6ccc6d2ade73311446f06450448363ada2f766b213c8b7daf02e64132",
-    1: "23332d11780792831f592f5ba4c0dd4b74030ffd49e1e6482b8d0d10649d8b80",
+    0: "efa8ef68afb19069cb976cac6c12f66ae6c061c80d9dac122b1c5a65ff318664",
+    1: "9429e1d2342a52d4eda0f189e3240f16317ffa6485b7c393ba074f285941f6e8",
 }
 
 
@@ -440,6 +450,15 @@ def test_octonionic_gammas_pinned(n):
     for g in make_space(8, n).rep.gammas:
         h.update(repr((g.dim, g.rows, g.signs)).encode())
     assert h.hexdigest() == OCTONIONIC_GAMMA_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_octonionic_gammas_are_pauli_strings(n):
+    # each label, read back column by column: column c holds s (-1)^popcount(c & b) at row c ^ a
+    rep = make_space(8, n).rep
+    for g, (s, a, b) in zip(rep.gammas, rep.labels, strict=True):
+        assert g.rows == tuple(c ^ a for c in range(g.dim))
+        assert g.signs == tuple(s * (-1) ** bin(c & b).count("1") for c in range(g.dim))
 
 
 def test_embedding_structure():
