@@ -1,39 +1,37 @@
 """Real monomial gamma-matrix representations in arbitrary signature.
 
-Every gamma is a Pauli string s X^a Z^b on the bits of the basis index and
-is built as its label (s, a, b): a product is (s1 s2 (-1)^popcount(b1 & a2),
-a1 ^ a2, b1 ^ b2), and a Kronecker product with a 2x2 factor shifts a and b
-up one bit.  Generators come from small bases by three moves on labels:
+Every gamma is a Pauli string s X^a Z^b on the bits of the basis index, and
+a ``CliffordRep`` holds it as its label (s, a, b): a product is
+(s1 s2 (-1)^popcount(b1 & a2), a1 ^ a2, b1 ^ b2), and a Kronecker product
+with a factor on k bits is (s1 s2, a1 << k | a2, b1 << k | b2).
+Generators come from small bases by three moves on labels:
 
-* doubling (p,q) -> (p+1,q+1): old gammas tensor SIGMA3, plus the fresh
-  1 x SIGMA1 and 1 x EPS;
+* doubling (p,q) -> (p+1,q+1): old gammas tensor Z, plus the fresh
+  1 x X and 1 x XZ;
 * flipping a block of four same-sign generators through their 4-volume,
   which moves the signature by (+-4, -+4);
 * in odd total dimension, adjoining the volume element of a parent: of
   Cl(p-1, q), p-q = 0 mod 8, as a plus generator, or for p = 0 of
   Cl(0, q-1), p-q = 2 mod 8, as a minus generator.
 
-Each final gamma is then materialized once as a signed permutation.  Bases
-cover the real matrix types (p-q = 0,1,2 mod 8) and the quaternionic type 4
-and 6 mod 8 (quaternion left-multiplications are signed permutations).
+Bases cover the real matrix types (p-q = 0,1,2 mod 8) and the quaternionic
+type 4 and 6 mod 8 (quaternion left-multiplications are Pauli strings).
 Classes 3, 5 and 7 mod 8 are refused by name.  Classes 3 and 7 are complex
 matrix algebras; class 7 would adjoin the volume element of a p-q = 0
 parent as a minus generator, but that element squares to +1.
 
-Every gamma of a ``CliffordRep`` is a Pauli string, the octonionic model of
-``talgebra`` included.  A check of every column proves each label once per
-rep (see ``_pauli`` and ``CliffordRep.labels``), and the relations, the
-chirality and the conjugations run on the labels: O(m dim + m^2) for m
-gammas.
+The relations, the chirality and the conjugations run on the labels:
+O(m^2) for m gammas.  A gamma becomes a signed permutation only when
+``CliffordRep.gammas`` is read (``pauli_matrix``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .linalg import MonomialMatrix
+from .linalg import MonomialMatrix, _sign
 
 Label = Tuple[int, int, int]  # (s, a, b) of s X^a Z^b
 
@@ -67,24 +65,25 @@ class Signature:
 class CliffordRep:
     sig: Signature
     dim: int
-    gammas: Tuple[MonomialMatrix, ...]
+    labels: Tuple[Label, ...]  # (s, a, b) of each gamma s X^a Z^b
     metric: Tuple[int, ...]  # +1 for the first p generators, then -1
 
+    def __post_init__(self):
+        dim = self.dim
+        if dim < 1 or dim & (dim - 1) or not all(
+            s in (1, -1) and 0 <= a < dim and 0 <= b < dim for s, a, b in self.labels
+        ):
+            raise AssertionError("a gamma does not act on the representation space")
+
     @cached_property
-    def labels(self) -> Tuple[Label, ...]:
-        """The Pauli label of each gamma, proven once per rep (a new rep from
-        ``dataclasses.replace`` proves its own); a gamma that is no Pauli
-        string raises AssertionError."""
-        labels = tuple(map(_pauli, self.gammas))
-        for i, label in enumerate(labels):
-            if label is None:
-                raise AssertionError("gamma_%d is not a Pauli string" % i)
-        return labels
+    def gammas(self) -> Tuple[MonomialMatrix, ...]:
+        """Each gamma as a signed permutation, built on first use."""
+        return tuple(pauli_matrix(self.dim, label) for label in self.labels)
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    C: MonomialMatrix
+    C: Label
     symmetry: int
     transpose_sign: int
 
@@ -95,13 +94,9 @@ class RealityClass:
     chiral: bool
 
 
-SIGMA1 = MonomialMatrix(2, (1, 0), (1, 1))
-SIGMA3 = MonomialMatrix(2, (0, 1), (1, -1))
-EPS = MonomialMatrix(2, (1, 0), (1, -1))
-
-# Pauli labels of the generators: X = SIGMA1, Z = SIGMA3, XZ = EPS, and the
-# quaternion left multiplications L_I, L_J, L_K on the basis (1, i, j, k)
-_X, _Z, _XZ = (1, 1, 0), (1, 0, 1), (1, 1, 1)
+# Pauli labels of the generators, and the quaternion left multiplications
+# L_I, L_J, L_K on the basis (1, i, j, k)
+_I, _X, _Z, _XZ = (1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)
 _L_I, _L_J, _L_K = (1, 1, 1), (1, 2, 3), (1, 3, 2)
 
 
@@ -111,6 +106,13 @@ def _mul(l1: Label, l2: Label) -> Label:
     s1, a1, b1 = l1
     s2, a2, b2 = l2
     return (s1 * s2 * _sign(b1 & a2), a1 ^ a2, b1 ^ b2)
+
+
+def _kron(l1: Label, l2: Label, k: int) -> Label:
+    """Label of the Kronecker product of l1 with l2 on k bits, l1 index major."""
+    s1, a1, b1 = l1
+    s2, a2, b2 = l2
+    return (s1 * s2, a1 << k | a2, b1 << k | b2)
 
 
 def _prod(labels: Sequence[Label]) -> Label:
@@ -127,8 +129,8 @@ def _base(d0: int) -> Tuple[Tuple[int, int], int, List[Label], List[Label]]:
     if d0 == 6:
         return (0, 2), 4, [], [_L_I, _L_J]
     if d0 == 4:
-        # SIGMA1 x 1_4, then EPS x L for L = L_I, L_J, L_K
-        return (4, 0), 8, [(1, 4, 0)] + [(s, 4 | a, 4 | b) for s, a, b in (_L_I, _L_J, _L_K)], []
+        # X x 1_4, then XZ x L for L = L_I, L_J, L_K
+        return (4, 0), 8, [_kron(_X, _I, 2)] + [_kron(_XZ, m, 2) for m in (_L_I, _L_J, _L_K)], []
     raise AssertionError("no base for difference class %d" % d0)
 
 
@@ -167,8 +169,7 @@ def build_rep(sig: Signature) -> CliffordRep:
     """Construct monomial gammas for the signature, or refuse by obstruction
     or by size.  The relations of the result are verified."""
     dim, plus, minus = _route(sig)
-    gammas = tuple(MonomialMatrix(dim, *_pauli_columns(dim, g)) for g in plus + minus)
-    rep = CliffordRep(sig, dim, gammas, (1,) * sig.p + (-1,) * sig.q)
+    rep = CliffordRep(sig, dim, tuple(plus + minus), (1,) * sig.p + (-1,) * sig.q)
     verify_relations(rep)
     return rep
 
@@ -184,7 +185,7 @@ def _route(sig: Signature) -> Tuple[int, List[Label], List[Label]]:
         )
     rep_dim(sig)
     if (p, q) == (1, 0):
-        return 1, [(1, 0, 0)], []
+        return 1, [_I], []
     if d == 1:
         # adjoin the volume element of a parent of even total dimension:
         # Cl(p-1, q) has p-q = 0 mod 8 and a volume element squaring to +1;
@@ -194,12 +195,12 @@ def _route(sig: Signature) -> Tuple[int, List[Label], List[Label]]:
         return (dim, plus + [vol], minus) if p else (dim, plus, minus + [vol])
 
     # even total dimension: double (p, q) -> (p+1, q+1), with the old
-    # generators times SIGMA3 and the fresh 1 x SIGMA1 and 1 x EPS, then
-    # flip blocks of four through their 4-volume, (p, q) -> (p +- 4, q -+ 4)
+    # generators tensor Z and the fresh 1 x X and 1 x XZ, then flip
+    # blocks of four through their 4-volume, (p, q) -> (p +- 4, q -+ 4)
     (bp, bq), dim, plus, minus = _base(d)
     for _ in range((p + q - bp - bq) // 2):
-        plus = [(s, a << 1, b << 1 | 1) for s, a, b in plus] + [_X]
-        minus = [(s, a << 1, b << 1 | 1) for s, a, b in minus] + [_XZ]
+        plus = [_kron(g, _Z, 1) for g in plus] + [_X]
+        minus = [_kron(g, _Z, 1) for g in minus] + [_XZ]
         dim *= 2
     flips = (p - q - (bp - bq)) // 8
     for _ in range(flips):
@@ -211,44 +212,23 @@ def _route(sig: Signature) -> Tuple[int, List[Label], List[Label]]:
     return dim, plus, minus
 
 
-def _sign(x: int) -> int:
-    """(-1)^popcount(x)."""
-    return -1 if x.bit_count() & 1 else 1
-
-
-def _pauli_columns(dim: int, label: Label) -> Tuple[tuple, tuple]:
-    """Rows and signs of s X^a Z^b on ``dim`` = 2^k: column c holds
+def pauli_matrix(dim: int, label: Label) -> MonomialMatrix:
+    """s X^a Z^b on ``dim`` = 2^k as a signed permutation: column c holds
     s (-1)^popcount(c & b) at row c ^ a."""
     s, a, b = label
     signs = [s]
     while len(signs) < dim:
         bit = len(signs)
         signs = signs + ([-x for x in signs] if b & bit else signs)
-    return tuple(map(a.__xor__, range(dim))), tuple(signs)
-
-
-def _pauli(m: MonomialMatrix) -> Optional[Label]:
-    """The label (s, a, b) with m = s X^a Z^b, or None when m is no Pauli
-    string.  Column 0 and the power-of-two columns fix the label; comparing
-    every column against it makes the label a proof, not a sample."""
-    dim = m.dim
-    if dim & (dim - 1):
-        return None
-    s = m.signs[0]
-    b = sum(1 << k for k in range(dim.bit_length() - 1) if m.signs[1 << k] != s)
-    label = (s, m.rows[0], b)
-    return label if _pauli_columns(dim, label) == (m.rows, m.signs) else None
+    return MonomialMatrix(dim, tuple(map(a.__xor__, range(dim))), tuple(signs))
 
 
 def verify_relations(rep: CliffordRep) -> None:
     """Exact check of g_i^2 = metric_i and of anticommutation for every pair.
 
     On labels, (s X^a Z^b)^2 = (-1)^popcount(a & b), and two gammas
-    anticommute when popcount(a_i & b_j) + popcount(b_i & a_j) is odd.  A
-    gamma that is not a Pauli string fails at ``rep.labels``.
+    anticommute when popcount(a_i & b_j) + popcount(b_i & a_j) is odd.
     """
-    if any(g.dim != rep.dim for g in rep.gammas):
-        raise AssertionError("a gamma does not act on the representation space")
     labels = rep.labels
     for i, (_, ai, bi) in enumerate(labels):
         if _sign(ai & bi) != rep.metric[i]:
@@ -259,30 +239,28 @@ def verify_relations(rep: CliffordRep) -> None:
                 raise AssertionError("gamma_%d and gamma_%d fail to anticommute" % (i, j))
 
 
-def chirality(rep: CliffordRep) -> MonomialMatrix:
-    """Product of all gammas, taken on their labels and sign-normalized;
+def chirality(rep: CliffordRep) -> Label:
+    """Label of the product of all gammas, sign-normalized when diagonal;
     defined in even dimension."""
     if rep.sig.total % 2 == 1:
         raise ValueError("chirality needs an even total dimension")
-    omega = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, _prod(rep.labels)))
-    if omega.is_diagonal() and omega.signs[0] == -1:
-        omega = omega.neg()
-    return omega
+    s, a, b = _prod(rep.labels)
+    return (1 if a == 0 else s, a, b)
 
 
 def chiral_indices(rep: CliffordRep) -> Tuple[List[int], List[int]]:
-    """Index sets of the two chiral halves, when they exist over the reals.
-    The chirality's square is read off its label first."""
-    omega = chirality(rep)
-    _, a, b = _prod(rep.labels)
+    """Index sets of the two chiral halves, when they exist over the reals:
+    read off the chirality's label, whose square is (-1)^popcount(a & b)
+    and whose diagonal entry c is (-1)^popcount(c & b) when a = 0."""
+    _, a, b = chirality(rep)
     if _sign(a & b) == -1:
         raise ValueError(
             "chirality squares to -1 in signature %s; no real chiral split" % rep.sig
         )
-    if not omega.is_diagonal():
+    if a:
         raise ValueError("chirality operator is not diagonal in this basis")
-    plus = [i for i in range(rep.dim) if omega.signs[i] == 1]
-    minus = [i for i in range(rep.dim) if omega.signs[i] == -1]
+    plus = [c for c in range(rep.dim) if _sign(c & b) == 1]
+    minus = [c for c in range(rep.dim) if _sign(c & b) == -1]
     return plus, minus
 
 
@@ -294,7 +272,8 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     anticommute uniformly with each class; candidates are products of
     neither block, the minus block, the plus block, or both, tried in that
     order and signed so that C[0][0] is not -1.  They are composed and
-    tested on the Pauli labels of the gammas: C = X^a_C Z^b_C intertwines
+    tested on the Pauli labels of the gammas, and C is returned as its
+    label (1, a_C, b_C): C = X^a_C Z^b_C intertwines
     g = s X^a Z^b exactly when (-1)^popcount(a_C & b + b_C & a + a & b) =
     transpose_sign, and C^T = (-1)^popcount(a_C & b_C) C.
     """
@@ -304,10 +283,9 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     p, n = rep.sig.p, rep.sig.total
     t = transpose_sign
     for subset in ((), range(p, n), range(p), range(n)):
-        _, ac, bc = _prod([(1, 0, 0)] + [labels[i] for i in subset])
+        _, ac, bc = _prod([_I] + [labels[i] for i in subset])
         if all(_sign((ac & b) ^ (bc & a) ^ (a & b)) == t for _, a, b in labels):
-            c = MonomialMatrix(rep.dim, *_pauli_columns(rep.dim, (1, ac, bc)))
-            return BilinearForm(c, _sign(ac & bc), t)
+            return BilinearForm((1, ac, bc), _sign(ac & bc), t)
     raise CliffordNoBilinearError(
         "no conjugation with transpose sign %+d exists in signature %s" % (t, rep.sig)
     )

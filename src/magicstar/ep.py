@@ -273,7 +273,7 @@ def _gathers(rep: CliffordRep, conj, support) -> _Gathers:
     image = tuple(c for c in range(dim) if c not in pos) or support
     index = list(range(2 * dim))
     on_image = {c: k for k, c in enumerate(image)}
-    signed = tuple(zip(rep.gammas, rep.metric))
+    signed = tuple(zip(rep.labels, rep.metric))
     return _Gathers(
         support,
         itemgetter(*(pos.get(c, len(support)) for c in range(dim))),
@@ -452,7 +452,7 @@ def make_ep(
     if desc.swap is not None:
         plus, minus = map(tuple, chiral_indices(rep))
         is_plus = set(plus)
-        swaps = all((C.C.rows[c] in is_plus) != (c in is_plus) for c in range(rep.dim))
+        swaps = all((c ^ C.C[1] in is_plus) != (c in is_plus) for c in range(rep.dim))
         if swaps != desc.swap:
             raise AssertionError("conjugation chirality behavior does not match the level")
         if polarization == "primed":

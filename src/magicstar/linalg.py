@@ -6,12 +6,13 @@ denominator; :func:`lift` puts rationals into that form, and results
 that are not integral come back as `fractions.Fraction`.
 
 ``MonomialMatrix`` is the one matrix kind: a signed permutation (exactly
-one entry, +1 or -1, per row and per column).  Gamma matrices live here;
-products and Kronecker products of monomials stay monomial and cost
-O(dim).  ``_reader`` over ``_signed`` columns is the one implementation of
-vector arithmetic over that storage: a signed permutation applied to a
-vector is one ``itemgetter`` gather from the vector and its negation, with
-no arithmetic; a bilinear is that gather and one dot product.
+one entry, +1 or -1, per row and per column), the form in which a gamma is
+materialized on demand.  A gamma is held as its Pauli label (s, a, b) of
+s X^a Z^b (see ``clifford``), and ``_reader`` over ``_signed`` columns is
+the one implementation of vector arithmetic over a label: a Pauli string
+applied to a vector is one ``itemgetter`` gather from the vector and its
+negation, with no arithmetic; a bilinear is that gather and one dot
+product.
 ``RowReducer`` is the one solver: incremental fraction-free row reduction
 on ints that turns an inconsistent row into a certificate.
 ``lane_sums`` is the one packed multiply-add: it holds each int vector as
@@ -112,26 +113,10 @@ class MonomialMatrix:
         if not set(self.signs) <= {1, -1}:
             raise ValueError("monomial entries restricted to +1/-1")
 
-    @staticmethod
-    def identity(n: int) -> "MonomialMatrix":
-        return MonomialMatrix(n, tuple(range(n)), (1,) * n)
 
-    def transpose(self) -> "MonomialMatrix":
-        inverse = sorted(range(self.dim), key=self.rows.__getitem__)
-        return MonomialMatrix(self.dim, tuple(inverse), _gather(self.signs, inverse))
-
-    def neg(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.dim, self.rows, tuple(-s for s in self.signs))
-
-    def is_diagonal(self) -> bool:
-        return self.rows == tuple(range(self.dim))
-
-
-def _gather(seq: Sequence, idx: Sequence[int]) -> tuple:
-    """``seq[i]`` for each ``i`` in ``idx``, as a tuple."""
-    if len(idx) == 1:
-        return (seq[idx[0]],)
-    return itemgetter(*idx)(seq)
+def _sign(x: int) -> int:
+    """(-1)^popcount(x)."""
+    return -1 if x.bit_count() & 1 else 1
 
 
 def _signed(v: Sequence[int]) -> list:
@@ -139,40 +124,18 @@ def _signed(v: Sequence[int]) -> list:
     return [*v, *map(neg, v)]
 
 
-def _reader(m: MonomialMatrix, cols, index: list, pos=None, flip=1) -> Callable[[list], tuple]:
-    """_signed(v) -> flip * (m^T v) at ``cols``: v[m.rows[c]], with v
-    indexed through ``pos`` when given, read from the negated half where
-    flip * m.signs[c] is -1.  One gather, no arithmetic.  Positions are
-    taken from ``index``, list(range(k)), so readers share their int objects."""
-    n = m.dim if pos is None else len(pos)
+def _reader(label: Tuple[int, int, int], cols, index: list, pos=None, flip=1) -> Callable[[list], tuple]:
+    """_signed(v) -> flip * (m^T v) at ``cols`` for m = s X^a Z^b, the
+    ``label`` (s, a, b): v[c ^ a], with v indexed through ``pos`` when
+    given, read from the negated half where flip * s * (-1)^popcount(c & b)
+    is -1.  One gather, no arithmetic.  Positions are taken from ``index``,
+    list(range(2 k)) for v of length k, so readers share their int objects."""
+    s, a, b = label
+    n = len(index) // 2 if pos is None else len(pos)
     return itemgetter(*(
-        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] != flip else 0)]
+        index[(c ^ a if pos is None else pos[c ^ a]) + (n if flip * s != _sign(c & b) else 0)]
         for c in cols
     ))
-
-
-def mat_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    """Exact product, itself monomial, in O(dim)."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    signs = tuple(map(mul, _gather(a.signs, b.rows), b.signs))
-    return MonomialMatrix(a.dim, _gather(a.rows, b.rows), signs)
-
-
-def mat_prod(ms: Sequence[MonomialMatrix]) -> MonomialMatrix:
-    """Left-to-right product of a nonempty matrix list."""
-    out = ms[0]
-    for m in ms[1:]:
-        out = mat_mul(out, m)
-    return out
-
-
-def kron(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    """Kronecker product, a-index major, itself monomial."""
-    n = b.dim
-    rows = tuple(ra * n + rb for ra in a.rows for rb in b.rows)
-    signs = tuple(sa * sb for sa in a.signs for sb in b.signs)
-    return MonomialMatrix(a.dim * n, rows, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Sequence, Tuple
 
-from .linalg import MonomialMatrix
-
 Octonion = Tuple[Q, Q, Q, Q, Q, Q, Q, Q]
 
 
@@ -68,6 +66,7 @@ def oct_norm(x: Octonion) -> Q:
     return sum(a * a for a in x)
 
 
-def left_mult_matrix(i: int) -> MonomialMatrix:
-    """Left multiplication by the unit e_i as a signed permutation."""
-    return MonomialMatrix(8, tuple(i ^ b for b in range(8)), tuple(MUL_SIGN[i]))
+def left_mult_label(i: int) -> Tuple[int, int, int]:
+    """Left multiplication by the unit e_i as the Pauli label (1, i, z(i)):
+    bit k of z(i) is set where e_i e_(2^k) carries the sign -1."""
+    return (1, i, sum(1 << k for k in range(3) if MUL_SIGN[i][1 << k] == -1))

@@ -13,8 +13,9 @@ spinor bilinears built from the time gamma.  The overall scale is anchored
 by N(diag) = r1 r2 r3; the spinor-term sign is anchored by equality with
 the octonionic 3x3 determinant at q = 8, n = 0 (see calibrate_embedding).
 The spinor block is read on its carrier only, through ``linalg._reader``
-gathers: the plus half where the spinor is chiral (q = 4, 8), the whole
-spinor otherwise.
+gathers over Pauli labels, with no gamma matrix built: the plus half where
+the spinor is chiral (q = 4, 8), the whole spinor otherwise.  The q = 8
+gammas are labels too, Kronecker products of octonion left multiplications.
 
 At n = 0 the dimensions 6, 9, 15, 27 for q = 1, 2, 4, 8 are those of the
 rank-3 Jordan algebras over R, C, H and O.  At q = 1 the element
@@ -35,20 +36,25 @@ from operator import mul
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .clifford import (
-    EPS,
-    SIGMA1,
-    SIGMA3,
     CliffordRep,
+    Label,
     Signature,
+    _I,
+    _X,
+    _XZ,
+    _Z,
+    _kron,
+    _mul,
+    _prod,
     build_rep,
     chiral_indices,
     rep_dim,
     verify_relations,
 )
-from .linalg import MonomialMatrix, _reader, _signed, kron, lift, mat_mul, mat_prod, rat_parse
+from .linalg import _reader, _sign, _signed, lift, rat_parse
 from .octonion import (
     Octonion,
-    left_mult_matrix,
+    left_mult_label,
     oct_conj,
     oct_from,
     oct_mul,
@@ -57,6 +63,9 @@ from .octonion import (
 )
 
 _FUND = {1: 1, 2: 2, 4: 2, 8: 1}
+
+# the "basis" of a q = 8 element file with nonzero psi: ``octonion.MUL_SIGN``
+OCTONION_BASIS = "albuquerque-majid"
 
 
 class TAlgebraError(ValueError):
@@ -88,7 +97,7 @@ class TSpace:
     width: int
     fund: int
     rep: CliffordRep
-    norm_forms: Tuple[MonomialMatrix, ...]  # time-gamma times gamma_nu, all symmetric
+    norm_forms: Tuple[Label, ...]  # time-gamma times gamma_nu, all symmetric
     support: Tuple[int, ...]  # coordinates of the spinor carrier
 
     @cached_property
@@ -109,24 +118,23 @@ class TSpace:
         return self.vector_dim + 2
 
 
-def _model_gammas() -> List[MonomialMatrix]:
-    """Gammas of the ten-dimensional space on two octonion pairs.
+def _model_gammas() -> List[Label]:
+    """Labels of the gammas of the ten-dimensional space on two octonion
+    pairs.
 
     Coordinates: (u, w) in the first sixteen slots, (u', w') in the rest
     (Baez, "The Octonions", 2002).  Every generator exchanges the two
     pairs; the octonion directions act by left multiplications L_a, the
     cone pair by diagonal signs:
 
-        e_0 = s1 x s1 x L_0,  e_a = s1 x (-eps) x L_a  (a = 1..7),
-        z = s1 x s3 x 1_8,    t = eps x 1_16.
+        e_0 = X x X x L_0,  e_a = X x (-XZ) x L_a  (a = 1..7),
+        z = X x Z x 1_8,    t = XZ x 1_16.
     """
     gammas = [
-        kron(SIGMA1, kron(SIGMA1 if a == 0 else EPS.neg(), left_mult_matrix(a)))
+        _kron(_X, _kron(_X if a == 0 else (-1, 1, 1), left_mult_label(a), 3), 4)
         for a in range(8)
     ]
-    gammas.append(kron(SIGMA1, kron(SIGMA3, MonomialMatrix.identity(8))))
-    gammas.append(kron(EPS, MonomialMatrix.identity(16)))
-    return gammas
+    return gammas + [_kron(_X, _kron(_Z, _I, 3), 4), _kron(_XZ, _I, 4)]
 
 
 def _octonionic_rep(n: int) -> CliffordRep:
@@ -135,20 +143,16 @@ def _octonionic_rep(n: int) -> CliffordRep:
     Keeping the octonionic block structure makes the determinant
     identification an exact signed-permutation map; a generic construction
     intertwines with it only up to an irrational scale.  Every L_a is a
-    Pauli string (see ``octonion``), so every gamma here is one too.
+    Pauli string (see ``octonion``), so the model is built on labels.
     """
     base = _model_gammas()  # [e0..e7, z, t]
-    if n == 0:
-        gammas = base
-    else:
-        extra = build_rep(Signature(8 * n, 0))
-        iu = MonomialMatrix.identity(extra.dim)
-        omega = mat_prod(base)
-        gammas = [kron(g, iu) for g in base[:8]]
-        gammas += [kron(omega, d) for d in extra.gammas]
-        gammas += [kron(base[8], iu), kron(base[9], iu)]
+    k = 4 * n  # Cl(8n, 0) acts on 2^(4n) coordinates
+    extra = build_rep(Signature(8 * n, 0)).labels if n else ()
+    omega = _prod(base)
+    gammas = [_kron(g, _I, k) for g in base[:8]] + [_kron(omega, d, k) for d in extra]
+    gammas += [_kron(g, _I, k) for g in base[8:]]
     p = 9 + 8 * n
-    rep = CliffordRep(Signature(p, 1), gammas[0].dim, tuple(gammas), (1,) * p + (-1,))
+    rep = CliffordRep(Signature(p, 1), 32 << k, tuple(gammas), (1,) * p + (-1,))
     verify_relations(rep)
     return rep
 
@@ -157,18 +161,16 @@ def make_space(q: int, n: int) -> TSpace:
     """Build the orthogonal representation and cache the norm bilinears."""
     _check_label(q, n)
     sig = Signature(q + 1 + 8 * n, 1)
-    rep_dim(sig)  # the q = 8 model is built by Kronecker products, not by build_rep
+    rep_dim(sig)  # the q = 8 model is built from its own labels, not by build_rep
     if q == 8:
         rep = _octonionic_rep(n)
     else:
         rep = build_rep(sig)
-    time = rep.gammas[-1]
-    forms = []
-    for g in rep.gammas:
-        m = mat_mul(time, g)
-        if m.transpose() != m:
-            raise AssertionError("norm bilinear is not symmetric")
-        forms.append(m)
+    time = rep.labels[-1]
+    # (s X^a Z^b)^T = (-1)^popcount(a & b) s X^a Z^b
+    forms = tuple(_mul(time, g) for g in rep.labels)
+    if any(_sign(a & b) == -1 for _, a, b in forms):
+        raise AssertionError("norm bilinear is not symmetric")
     width = spinor_width(q, n)
     fund = _FUND[q]
     support = tuple(chiral_indices(rep)[0]) if q in (4, 8) else tuple(range(rep.dim))
@@ -181,7 +183,7 @@ def make_space(q: int, n: int) -> TSpace:
         width=width,
         fund=fund,
         rep=rep,
-        norm_forms=tuple(forms),
+        norm_forms=forms,
         support=support,
     )
 
@@ -229,6 +231,11 @@ class TElement:
             raise TAlgebraError("malformed element entry: %s" % exc) from None
         if len(r) != 3:
             raise TAlgebraError("r block needs three entries")
+        if q == 8 and any(map(any, psi)) and data.get("basis") != OCTONION_BASIS:
+            raise TAlgebraError(
+                'a q = 8 element with nonzero psi needs "basis": "%s", the octonion '
+                "sign table it is written in" % OCTONION_BASIS
+            )
         el = TElement(r[0], r[1], r[2], v, psi)
         _check_shape(space, el)
         return el
@@ -257,12 +264,12 @@ def _vector_coords(space: TSpace, el: TElement) -> List[Q]:
     return list(el.v) + [x_minus, x_plus]
 
 
-def _carrier_reader(space: TSpace, m: MonomialMatrix, flip: int = 1) -> Callable[[list], tuple]:
+def _carrier_reader(space: TSpace, m: Label, flip: int = 1) -> Callable[[list], tuple]:
     """_signed(psi) -> flip * (m^T psi) on the carrier support, for psi on
-    it; m must map the support into itself."""
+    it; the Pauli string m must map the support into itself."""
     support = space.support
     pos = {c: k for k, c in enumerate(support)}
-    if not all(m.rows[c] in pos for c in support):
+    if not all(c ^ m[1] in pos for c in support):
         raise AssertionError("gamma product leaks outside the spinor carrier")
     return _reader(m, support, list(range(2 * len(support))), pos, flip)
 
@@ -378,7 +385,7 @@ def infinitesimal_rotation(space: TSpace, el: TElement, pair: Tuple[int, int]) -
     dv = dvec[: space.vector_dim]
     # gamma_a gamma_b psi through the transpose, which is
     # -eta_a eta_b gamma_a gamma_b: verify_relations proved gamma^T = eta gamma
-    prod = mat_mul(space.rep.gammas[a], space.rep.gammas[b])
+    prod = _mul(space.rep.labels[a], space.rep.labels[b])
     read = _carrier_reader(space, prod, -metric[a] * metric[b])
     psi, den = lift([x for col in el.psi for x in col])
     dpsi = [Q(t, 2 * den) for t in read(_signed(psi))]

@@ -2,12 +2,14 @@
 
 ``construct`` builds the gammas as whole signed permutations, by Kronecker
 products and matrix products, where the production code computes on Pauli
-labels and materializes each gamma once.  ``verify_relations`` and ``conjugation`` are the column-loop relation check
+labels and materializes a gamma only on demand.  ``gammas`` materializes a
+rep's labels through ``linalg_oracle.pauli_string``, column by column.
+``verify_relations`` and ``conjugation`` are the column-loop relation check
 and the candidate-product conjugation that the label-based production code
-is compared against: they multiply whole signed permutations and compare
-every column, whatever form the gammas have.  ``antisym_gamma`` and
-``fierz_residual`` are the antisymmetrized gamma products and the cubic
-spinor contraction of the Fierz tests.
+is compared against: they multiply those whole signed permutations and
+compare every column.  ``antisym_gamma`` and ``fierz_residual`` are the
+antisymmetrized gamma products and the cubic spinor contraction of the
+Fierz tests.
 """
 
 from fractions import Fraction as Q
@@ -15,22 +17,38 @@ from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from magicstar.clifford import (
-    EPS,
-    SIGMA1,
-    SIGMA3,
     BilinearForm,
     CliffordNoBilinearError,
     CliffordRep,
     Signature,
 )
-from linalg_oracle import monomial_apply, monomial_bilinear
-from magicstar.linalg import MonomialMatrix, kron, mat_mul, mat_prod
+from linalg_oracle import (
+    identity,
+    is_diagonal,
+    mat_mul,
+    mat_prod,
+    monomial_apply,
+    monomial_bilinear,
+    monomial_kron,
+    neg,
+    pauli_string,
+    transpose,
+)
+from magicstar.linalg import MonomialMatrix
 
 
+SIGMA1 = MonomialMatrix(2, (1, 0), (1, 1))
+SIGMA3 = MonomialMatrix(2, (0, 1), (1, -1))
+EPS = MonomialMatrix(2, (1, 0), (1, -1))
 # quaternion left-multiplications on the basis (1, i, j, k)
 L_I = MonomialMatrix(4, (1, 0, 3, 2), (1, -1, 1, -1))
 L_J = MonomialMatrix(4, (2, 3, 0, 1), (1, -1, -1, 1))
 L_K = MonomialMatrix(4, (3, 2, 1, 0), (1, 1, -1, -1))
+
+
+def gammas(rep: CliffordRep) -> List[MonomialMatrix]:
+    """The rep's gammas, each label materialized column by column."""
+    return [pauli_string(rep.dim, label) for label in rep.labels]
 
 
 def _base(d0: int):
@@ -41,8 +59,8 @@ def _base(d0: int):
         return (2, 0), [SIGMA1, SIGMA3], []
     if d0 == 6:
         return (0, 2), [], [L_I, L_J]
-    i4 = MonomialMatrix.identity(4)
-    return (4, 0), [kron(SIGMA1, i4)] + [kron(EPS, m) for m in (L_I, L_J, L_K)], []
+    i4 = identity(4)
+    return (4, 0), [monomial_kron(SIGMA1, i4)] + [monomial_kron(EPS, m) for m in (L_I, L_J, L_K)], []
 
 
 @lru_cache(maxsize=None)
@@ -52,9 +70,9 @@ def _doubled(d0: int, steps: int):
         _, plus, minus = _base(d0)
         return plus, minus
     plus, minus = _doubled(d0, steps - 1)
-    ident = MonomialMatrix.identity((plus or minus)[0].dim)
-    plus = [kron(g, SIGMA3) for g in plus] + [kron(ident, SIGMA1)]
-    minus = [kron(g, SIGMA3) for g in minus] + [kron(ident, EPS)]
+    ident = identity((plus or minus)[0].dim)
+    plus = [monomial_kron(g, SIGMA3) for g in plus] + [monomial_kron(ident, SIGMA1)]
+    minus = [monomial_kron(g, SIGMA3) for g in minus] + [monomial_kron(ident, EPS)]
     return plus, minus
 
 
@@ -66,7 +84,7 @@ def construct(sig: Signature) -> List[MonomialMatrix]:
     p, q = sig.p, sig.q
     d = (p - q) % 8
     if (p, q) == (1, 0):
-        return [MonomialMatrix.identity(1)]
+        return [identity(1)]
     if d == 1:
         parent = construct(Signature(p - 1, q))
         return parent[: p - 1] + [mat_prod(parent)] + parent[p - 1:]
@@ -88,25 +106,26 @@ def verify_relations(rep: CliffordRep) -> None:
     """Exact anticommutator check for every generator pair, column by column."""
     n = rep.sig.total
     dim = rep.dim
+    gs = gammas(rep)
     for i in range(n):
-        gi = rep.gammas[i]
+        gi = gs[i]
         sq = mat_mul(gi, gi)
-        if not (sq.is_diagonal() and all(s == rep.metric[i] for s in sq.signs)):
+        if not (is_diagonal(sq) and all(s == rep.metric[i] for s in sq.signs)):
             raise AssertionError("gamma_%d squares to the wrong value" % i)
         ri, si = gi.rows, gi.signs
         for j in range(i + 1, n):
-            rj, sj = rep.gammas[j].rows, rep.gammas[j].signs
+            rj, sj = gs[j].rows, gs[j].signs
             for c in range(dim):
                 if ri[rj[c]] != rj[ri[c]] or si[rj[c]] * sj[c] != -sj[ri[c]] * si[c]:
                     raise AssertionError("gamma_%d and gamma_%d fail to anticommute" % (i, j))
 
 
-def _is_intertwiner(rep: CliffordRep, c: MonomialMatrix, t: int) -> bool:
-    for g in rep.gammas:
+def _is_intertwiner(gs: List[MonomialMatrix], c: MonomialMatrix, t: int) -> bool:
+    for g in gs:
         lhs = mat_mul(c, g)
-        rhs = mat_mul(g.transpose(), c)
+        rhs = mat_mul(transpose(g), c)
         if t == -1:
-            rhs = rhs.neg()
+            rhs = neg(rhs)
         if lhs != rhs:
             return False
     return True
@@ -114,8 +133,10 @@ def _is_intertwiner(rep: CliffordRep, c: MonomialMatrix, t: int) -> bool:
 
 def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     """C with C g C^-1 = transpose_sign * g^T, from the same candidate
-    subsets as the production code, multiplied out and checked as matrices."""
+    subsets as the production code, multiplied out and checked as matrices;
+    C is returned as a matrix."""
     p, q = rep.sig.p, rep.sig.q
+    gs = gammas(rep)
     t = transpose_sign
     candidates = []
     if (p == 0 or t == 1) and (q == 0 or t == -1):
@@ -129,15 +150,15 @@ def conjugation(rep: CliffordRep, transpose_sign: int) -> BilinearForm:
     ):
         candidates.append(tuple(range(p + q)))
     for subset in candidates:
-        mats = [rep.gammas[i] for i in subset]
-        c = mat_prod(mats) if mats else MonomialMatrix.identity(rep.dim)
+        mats = [gs[i] for i in subset]
+        c = mat_prod(mats) if mats else identity(rep.dim)
         if c.signs[0] == -1:
-            c = c.neg()
-        if _is_intertwiner(rep, c, t):
-            ct = c.transpose()
+            c = neg(c)
+        if _is_intertwiner(gs, c, t):
+            ct = transpose(c)
             if ct == c:
                 sym = 1
-            elif ct == c.neg():
+            elif ct == neg(c):
                 sym = -1
             else:
                 raise AssertionError("conjugation candidate is neither symmetric nor antisymmetric")
@@ -173,11 +194,12 @@ def antisym_gamma(rep: CliffordRep, k: int) -> List[MonomialMatrix]:
     if not 0 <= k <= rep.sig.total:
         raise ValueError("k out of range")
     out = []
+    gs = gammas(rep)
     for idx in _index_tuples(rep.sig.total, k):
         if not idx:
-            out.append(MonomialMatrix.identity(rep.dim))
+            out.append(identity(rep.dim))
         else:
-            out.append(mat_prod([rep.gammas[i] for i in idx]))
+            out.append(mat_prod([gs[i] for i in idx]))
     return out
 
 
@@ -194,8 +216,9 @@ def fierz_residual(
 ) -> list:
     """Cubic contraction sum over gamma^(k) psi * (psi^T C gamma_(k) psi).
 
-    Indices are raised with the diagonal metric.  ``block`` optionally embeds
-    a chiral-length column at the given coordinate support.
+    Indices are raised with the diagonal metric; C is the label of a
+    ``clifford.conjugation``.  ``block`` optionally embeds a chiral-length
+    column at the given coordinate support.
     """
     if block is not None:
         full = [Q(0)] * rep.dim
@@ -207,12 +230,13 @@ def fierz_residual(
     if len(psi) != rep.dim:
         raise ValueError("spinor column has length %d, expected %d" % (len(psi), rep.dim))
     out = [Q(0)] * rep.dim
+    c_mat = pauli_string(rep.dim, C.C)
     for idx, gm in antisym_gamma_indexed(rep, k):
         raise_sign = 1
         for mu in idx:
             raise_sign *= rep.metric[mu]
         w = monomial_apply(gm, psi)
-        s = monomial_bilinear(C.C, psi, w)
+        s = monomial_bilinear(c_mat, psi, w)
         if s:
             coeff = raise_sign * s
             for i in range(rep.dim):

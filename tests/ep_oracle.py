@@ -2,42 +2,57 @@
 property tests compare the production kernels against.
 
 They materialise one signed permutation per generator pair: the action
-gamma_a gamma_b and the form +-C gamma_a gamma_b, and they index the
+gamma_a gamma_b and the form +-C gamma_a gamma_b, each gamma and C built
+from its label by ``linalg_oracle.pauli_string``, and they index the
 commutator by the endpoints of its second operand.  Their so operands
 and results are pair-dicts {(a, b): v}, the nonzero entries only; each
 returns ``(value, den_factor)`` like the kernel it mirrors.  ``gathers``
 builds the spinor readers from transposed gammas and the products
-C gamma_a, and ``fold`` turns blocks with Fraction entries into int
-numerators over one den, the element constructor's input.  ``so_list``
-and ``so_dict`` convert an so block between the pair-dict and the list
-over ``space.pairs``; ``legacy_blocks`` gives an
-element's blocks in the earlier shapes (so a pair-dict, a scalar a bare
-int), and ``values`` its nonzero entries as values.  ``basis_spinor``,
-``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
-test helpers.
+C gamma_a through ``linalg_oracle.matrix_reader``, and ``fold`` turns
+blocks with Fraction entries into int numerators over one den, the
+element constructor's input.  ``so_list`` and ``so_dict`` convert an so
+block between the pair-dict and the list over ``space.pairs``;
+``legacy_blocks`` gives an element's blocks in the earlier shapes (so a
+pair-dict, a scalar a bare int), and ``values`` its nonzero entries as
+values.  ``basis_spinor``, ``ep_scale`` and ``LEVEL_Q`` (each level's
+division-algebra parameter) are test helpers.
 """
 
 from fractions import Fraction as Q
 from math import lcm
 
-from linalg_oracle import monomial_apply, monomial_bilinear
+from clifford_oracle import gammas
+from linalg_oracle import (
+    mat_mul,
+    matrix_reader,
+    monomial_apply,
+    monomial_bilinear,
+    neg,
+    pauli_string,
+    transpose,
+)
 from magicstar.ep import EPElement, _times, jacobiator
-from magicstar.linalg import _reader, mat_mul
+
+
+def conjugation_matrix(space):
+    """C of the space as a signed permutation."""
+    return pauli_string(space.rep.dim, space.C.C)
 
 
 def pair_actions(space) -> dict:
     """(a, b) -> gamma_a gamma_b."""
-    g = space.rep.gammas
+    g = gammas(space.rep)
     return {(a, b): mat_mul(g[a], g[b]) for a, b in space.pairs}
 
 
 def pair_forms(space) -> dict:
     """(a, b) -> C gamma_a gamma_b, negated when eta_a eta_b = -1."""
     metric = space.rep.metric
+    c = conjugation_matrix(space)
     out = {}
     for (a, b), action in pair_actions(space).items():
-        form = mat_mul(space.C.C, action)
-        out[(a, b)] = form.neg() if metric[a] * metric[b] == -1 else form
+        form = mat_mul(c, action)
+        out[(a, b)] = neg(form) if metric[a] * metric[b] == -1 else form
     return out
 
 
@@ -53,12 +68,14 @@ def gathers(space, block: str):
     image = tuple(c for c in range(dim) if c not in on_support) or support
     on_image = {c: k for k, c in enumerate(image)}
     index = list(range(2 * dim))
-    transposed = [g.transpose() for g in space.rep.gammas]
-    raised = [mat_mul(space.C.C, g) for g in space.rep.gammas]
+    g = gammas(space.rep)
+    c = conjugation_matrix(space)
+    transposed = [transpose(m) for m in g]
+    raised = [mat_mul(c, m) for m in g]
     return (
-        [_reader(t, image, index) for t in transposed],
-        [_reader(m, image, index) for m in raised],
-        [_reader(t, support, index, on_image) for t in transposed],
+        [matrix_reader(t, image, index) for t in transposed],
+        [matrix_reader(m, image, index) for m in raised],
+        [matrix_reader(t, support, index, on_image) for t in transposed],
     )
 
 

@@ -2,17 +2,23 @@
 use: the entry grid of a monomial, the schoolbook product, the Kronecker
 product and matrix-vector apply on grids, dot products, the column loops
 ``monomial_apply`` and ``monomial_bilinear`` over a monomial's own storage
-(the reference kernels of ``ep_oracle`` and ``clifford_oracle``), the 3x3
-determinant, a kernel basis read off a ``RowReducer``'s pivots,
-``add_rational_row``, which feeds a ``RowReducer`` a row of rationals as int
-numerators over their lcm, and ``FractionReducer``, the reduced row echelon
-form over Fractions that the fraction-free ``RowReducer`` is checked
-against.  It shares no code with the kernels it checks.
+(the reference kernels of ``ep_oracle`` and ``clifford_oracle``), the
+signed-permutation algebra (``identity``, ``transpose``, ``neg``,
+``is_diagonal``, ``mat_mul``, ``mat_prod``, ``monomial_kron``), the Pauli
+string s X^a Z^b built column by column (``pauli_string``) and the gather
+over a whole matrix (``matrix_reader``), the 3x3 determinant, a kernel
+basis read off a ``RowReducer``'s pivots, ``add_rational_row``, which feeds
+a ``RowReducer`` a row of rationals as int numerators over their lcm, and
+``FractionReducer``, the reduced row echelon form over Fractions that the
+fraction-free ``RowReducer`` is checked against.  It shares no code with
+the kernels it checks; ``MonomialMatrix`` is taken as the matrix type only.
 """
 
 from fractions import Fraction as Q
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
+
+from magicstar.linalg import MonomialMatrix
 
 
 def grid(m):
@@ -66,6 +72,70 @@ def matmul(a, b):
 def kron(a, b):
     """Kronecker product of two grids, a-index major."""
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def identity(n):
+    return MonomialMatrix(n, tuple(range(n)), (1,) * n)
+
+
+def transpose(m):
+    inverse = sorted(range(m.dim), key=m.rows.__getitem__)
+    return MonomialMatrix(m.dim, tuple(inverse), tuple(m.signs[r] for r in inverse))
+
+
+def neg(m):
+    return MonomialMatrix(m.dim, m.rows, tuple(-s for s in m.signs))
+
+
+def is_diagonal(m):
+    return m.rows == tuple(range(m.dim))
+
+
+def mat_mul(a, b):
+    """Product of two signed permutations of one dimension, column by column."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    rows = tuple(a.rows[r] for r in b.rows)
+    signs = tuple(a.signs[r] * s for r, s in zip(b.rows, b.signs))
+    return MonomialMatrix(a.dim, rows, signs)
+
+
+def mat_prod(ms):
+    """Left-to-right product of a nonempty matrix list."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = mat_mul(out, m)
+    return out
+
+
+def monomial_kron(a, b):
+    """Kronecker product of two signed permutations, a-index major."""
+    n = b.dim
+    rows = tuple(ra * n + rb for ra in a.rows for rb in b.rows)
+    signs = tuple(sa * sb for sa in a.signs for sb in b.signs)
+    return MonomialMatrix(a.dim * n, rows, signs)
+
+
+def pauli_string(dim, label):
+    """s X^a Z^b for the label (s, a, b), column by column: column c holds
+    s (-1)^popcount(c & b) at row c ^ a."""
+    s, a, b = label
+    return MonomialMatrix(
+        dim,
+        tuple(c ^ a for c in range(dim)),
+        tuple(s * (-1) ** bin(c & b).count("1") for c in range(dim)),
+    )
+
+
+def matrix_reader(m, cols, index, pos=None, flip=1):
+    """_signed(v) -> flip * (m^T v) at ``cols`` for a signed permutation m:
+    v[m.rows[c]], with v indexed through ``pos`` when given, read from the
+    negated half where flip * m.signs[c] is -1."""
+    n = m.dim if pos is None else len(pos)
+    return itemgetter(*(
+        index[(m.rows[c] if pos is None else pos[m.rows[c]]) + (n if m.signs[c] != flip else 0)]
+        for c in cols
+    ))
 
 
 def det3(m):

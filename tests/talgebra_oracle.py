@@ -5,14 +5,16 @@ orbit propagation over the matrix entries; on the q = 8, n = 0 space it
 shows that the octonionic model's commutant is the scalars.  ``eta`` is
 the vector-module bilinear of the norm's quadratic part.  The remaining
 helpers build diagonal elements, unit octonions and the JSON form of an
-element.
+element, which at q = 8 names its octonion basis.
 """
 
 from fractions import Fraction as Q
 from typing import Sequence, Tuple
 
+from clifford_oracle import gammas
+from linalg_oracle import mat_mul
 from magicstar.clifford import CliffordRep
-from magicstar.linalg import MonomialMatrix, mat_mul, rat_str
+from magicstar.linalg import MonomialMatrix, rat_str
 from magicstar.octonion import Octonion, oct_from
 from magicstar.talgebra import OctonionHermitian3, TElement, TSpace
 
@@ -29,7 +31,7 @@ def intertwiner(rep_a: CliffordRep, rep_b: CliffordRep) -> Tuple[MonomialMatrix,
     dim = rep_a.dim
     if rep_b.dim != dim or rep_a.sig != rep_b.sig:
         raise ValueError("representations are not compatible")
-    gens = list(zip(rep_b.gammas, rep_a.gammas))
+    gens = list(zip(gammas(rep_b), gammas(rep_a)))
     orbits = []
     visited = set()
     for seed in ((r, c) for r in range(dim) for c in range(dim)):
@@ -99,11 +101,15 @@ def oct_unit(i: int) -> Octonion:
 
 
 def element_to_json(space: TSpace, el: TElement) -> dict:
-    """The form ``TElement.from_json`` reads."""
-    return {
+    """The form ``TElement.from_json`` reads, with the octonion basis named
+    at q = 8."""
+    data = {
         "q": space.q,
         "n": space.n,
         "r": [rat_str(el.r1), rat_str(el.r2), rat_str(el.r3)],
         "v": [rat_str(x) for x in el.v],
         "psi": [[rat_str(x) for x in col] for col in el.psi],
     }
+    if space.q == 8:
+        data["basis"] = "albuquerque-majid"
+    return data

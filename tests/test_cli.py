@@ -125,6 +125,24 @@ def test_clifford_emit(tmp_path, capsys):
     assert all(len(line.split(",")) == 4 for line in lines)
 
 
+# sha256 and line count of the --emit file: one "mu,row,col,sign" line per
+# column of each gamma, the one CLI output built from materialized gammas
+EMIT_DIGESTS = {
+    (9, 1): ("c1c444f14d7dd043e212227aba0a0b2bc20290b40b76f055d39ab90323b1a8fc", 320),
+    (12, 4): ("b4b57f707fa9973c10f64c3090ad778704444746ad2b36e9113a69290f8e0428", 4096),
+    (20, 4): ("f2562353e9c4442efe50eaca3c747d3a9954bbf3f1422bf03ad4ce9e16b3d261", 98304),
+}
+
+
+@pytest.mark.parametrize("sig", sorted(EMIT_DIGESTS))
+def test_clifford_emit_bytes(tmp_path, capsys, sig):
+    path = tmp_path / "g.csv"
+    code, _ = capture(capsys, ["clifford", str(sig[0]), str(sig[1]), "--emit", str(path)])
+    assert code == 0
+    data = path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == EMIT_DIGESTS[sig]
+
+
 def test_ep_der0_matches_claim(capsys):
     code, out = capture(capsys, ["ep", "--level", "der", "--n", "0", "--samples", "4"])
     assert code == 0
@@ -263,6 +281,22 @@ def test_talg_q8_norm_is_the_octonionic_determinant(tmp_path, capsys):
     assert code == 0
     grad = [Q(g) for g in json.loads(out)["grad"]]
     assert sum(g * c for g, c in zip(grad, el.coords())) == 3 * det
+
+
+def test_talg_q8_file_without_its_basis_exit_1(tmp_path, capsys):
+    # a q = 8 spinor written in another octonion basis would be misread
+    space = talgebra.make_space(8, 0)
+    el = talgebra.TElement.zero(space)
+    el.psi = [[Q(1)] + [Q(0)] * (space.width - 1)]
+    payload = element_to_json(space, el)
+    del payload["basis"]
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(payload))
+    code = run(["talg", "--q", "8", "--n", "0", "norm", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == 'usage error: a q = 8 element with nonzero psi needs "basis": "albuquerque-majid", the octonion sign table it is written in\n'
 
 
 def test_talg_q1_two_carrier_copies_exit_1(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import clifford_oracle
 import linalg_oracle
 from clifford_oracle import antisym_gamma, antisym_gamma_indexed, fierz_residual
+from linalg_oracle import identity, is_diagonal, mat_mul, mat_prod, neg, pauli_string, transpose
 from magicstar import talgebra
 from magicstar.clifford import (
     MAX_REP_DIM,
@@ -15,7 +16,6 @@ from magicstar.clifford import (
     CliffordNoBilinearError,
     CliffordRep,
     Signature,
-    _pauli,
     build_rep,
     chiral_indices,
     chirality,
@@ -24,7 +24,7 @@ from magicstar.clifford import (
     rep_dim,
     verify_relations,
 )
-from magicstar.linalg import MonomialMatrix, RowReducer, mat_mul, mat_prod
+from magicstar.linalg import RowReducer
 
 
 def test_base_case_dim2():
@@ -36,7 +36,7 @@ def test_base_case_dim2():
 def test_nine_zero_dim16_all_symmetric():
     rep = build_rep(Signature(9, 0))
     assert rep.dim == 16
-    assert all(g.transpose() == g for g in rep.gammas)
+    assert all(transpose(g) == g for g in rep.gammas)
 
 
 def test_twelve_four_dim256_chiral_halves():
@@ -84,7 +84,7 @@ def _matrix_route_signatures(max_total):
 
 
 def test_label_route_matches_matrix_route():
-    # the labels are composed, then each gamma materialized once; the
+    # the labels are composed, then each gamma materialized from its label; the
     # oracle multiplies and tensors whole signed permutations
     sigs = list(_matrix_route_signatures(24))
     assert len(sigs) == 192
@@ -133,23 +133,23 @@ def test_complex_classes_refused():
 
 def test_chirality_1_1():
     rep = build_rep(Signature(1, 1))
-    om = chirality(rep)
-    assert om.is_diagonal()
+    om = pauli_string(rep.dim, chirality(rep))
+    assert is_diagonal(om)
     assert om.signs == (1, -1)
 
 
 def test_chirality_anticommutes_and_squares():
     for sig, square in [((9, 1), 1), ((10, 2), 1), ((2, 0), -1), ((0, 6), -1), ((4, 4), 1)]:
         rep = build_rep(Signature(*sig))
-        om = chirality(rep)
+        om = pauli_string(rep.dim, chirality(rep))
         # the label product is the matrix product, up to the sign normalization
-        assert om in (mat_prod(rep.gammas), mat_prod(rep.gammas).neg())
+        assert om in (mat_prod(rep.gammas), neg(mat_prod(rep.gammas)))
         sq = mat_mul(om, om)
-        assert sq.is_diagonal() and set(sq.signs) == {square}
+        assert is_diagonal(sq) and set(sq.signs) == {square}
         for g in rep.gammas:
             a = mat_mul(om, g)
             b = mat_mul(g, om)
-            assert a == b.neg()
+            assert a == neg(b)
 
 
 def test_chirality_odd_dimension_rejected():
@@ -173,7 +173,7 @@ def test_nine_one_chiral_16_16():
 def test_conjugation_nine_zero_identity():
     rep = build_rep(Signature(9, 0))
     bf = conjugation(rep, +1)
-    assert bf.C == MonomialMatrix.identity(16)
+    assert pauli_string(16, bf.C) == identity(16)
     assert bf.symmetry == 1 and bf.transpose_sign == 1
     with pytest.raises(CliffordNoBilinearError):
         conjugation(rep, -1)
@@ -219,7 +219,7 @@ def test_conjugation_matches_solver_oracle(p, q, t, space_dim):
     assert len(space) == space_dim
     bf = conjugation(rep, t)
     n = rep.dim
-    flat = [Q(x) for row in linalg_oracle.grid(bf.C) for x in row]
+    flat = [Q(x) for row in linalg_oracle.grid(pauli_string(n, bf.C)) for x in row]
     red = RowReducer(space_dim)
     cert_free = True
     for pos in range(n * n):
@@ -234,11 +234,12 @@ def test_conjugation_defining_relations_large():
     rep = build_rep(Signature(10, 2))
     for t in (1, -1):
         bf = conjugation(rep, t)
+        c = pauli_string(rep.dim, bf.C)
         for g in rep.gammas:
-            lhs = mat_mul(bf.C, g)
-            rhs = mat_mul(g.transpose(), bf.C)
-            assert lhs == (rhs if t == 1 else rhs.neg())
-        assert bf.C.transpose() == (bf.C if bf.symmetry == 1 else bf.C.neg())
+            lhs = mat_mul(c, g)
+            rhs = mat_mul(transpose(g), c)
+            assert lhs == (rhs if t == 1 else neg(rhs))
+        assert transpose(c) == (c if bf.symmetry == 1 else neg(c))
 
 
 def test_reality_classes():
@@ -254,13 +255,13 @@ def test_reality_classes():
 def test_antisym_gamma_counts_and_symmetry():
     rep = build_rep(Signature(9, 0))
     k0 = antisym_gamma(rep, 0)
-    assert len(k0) == 1 and k0[0] == MonomialMatrix.identity(16)
+    assert len(k0) == 1 and k0[0] == identity(16)
     k1 = antisym_gamma(rep, 1)
     assert k1 == list(rep.gammas)
     k2 = antisym_gamma(rep, 2)
     assert len(k2) == 36
     for m in k2:
-        assert m.transpose() == m.neg()
+        assert transpose(m) == neg(m)
 
 
 def test_antisym_gamma_k1_is_gammas_12_4():
@@ -351,45 +352,32 @@ def test_fierz_chiral_block_embedding():
 
 # --- Pauli-label checks against the column-loop oracles ---------------------
 
-def _pauli_string(dim, s, a, b):
-    """s X^a Z^b, column by column: s (-1)^popcount(c & b) at row c ^ a."""
-    return MonomialMatrix(
-        dim,
-        tuple(c ^ a for c in range(dim)),
-        tuple(s * (-1) ** bin(c & b).count("1") for c in range(dim)),
-    )
-
-
 SMALL_REPS = [build_rep(Signature(*sig)) for sig in [(1, 1), (2, 0), (0, 2), (2, 1), (3, 1), (4, 0), (5, 1)]]
 
 
 @st.composite
 def gamma_families(draw):
-    """A built family or random Pauli strings, with the true squares or a
-    random metric, and now and then one entry of one gamma mutated."""
+    """A built family or random labels, with the true squares or a random
+    metric, and now and then one label mutated: s negated, or one bit of a
+    or of b flipped."""
     if draw(st.booleans()):
         rep = draw(st.sampled_from(SMALL_REPS))
-        dim, gammas, metric = rep.dim, list(rep.gammas), list(rep.metric)
+        dim, labels, metric = rep.dim, list(rep.labels), list(rep.metric)
     else:
         dim = 1 << draw(st.integers(0, 4))
         index = st.integers(0, dim - 1)
         labels = draw(st.lists(st.tuples(st.sampled_from((1, -1)), index, index), min_size=1, max_size=4))
-        gammas = [_pauli_string(dim, *label) for label in labels]
         metric = [(-1) ** bin(a & b).count("1") for _, a, b in labels]
     if draw(st.booleans()):
-        metric = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gammas), max_size=len(gammas)))
-    mutation = draw(st.sampled_from([None, "sign", "rows"]))
-    if mutation is not None:
-        i = draw(st.integers(0, len(gammas) - 1))
-        c, d = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        rows, signs = list(gammas[i].rows), list(gammas[i].signs)
-        if mutation == "sign":
-            signs[c] = -signs[c]
-        else:
-            rows[c], rows[d] = rows[d], rows[c]
-        gammas[i] = MonomialMatrix(dim, tuple(rows), tuple(signs))
+        metric = draw(st.lists(st.sampled_from((1, -1)), min_size=len(labels), max_size=len(labels)))
+    mutation = draw(st.sampled_from([None, "sign", "a", "b"]))
+    if mutation is not None and dim > 1:
+        i = draw(st.integers(0, len(labels) - 1))
+        bit = 1 << draw(st.integers(0, dim.bit_length() - 2))
+        s, a, b = labels[i]
+        labels[i] = {"sign": (-s, a, b), "a": (s, a ^ bit, b), "b": (s, a, b ^ bit)}[mutation]
     sig = Signature(metric.count(1), metric.count(-1))
-    return CliffordRep(sig, dim, tuple(gammas), tuple(metric))
+    return CliffordRep(sig, dim, tuple(labels), tuple(metric))
 
 
 def _accepts(check, rep):
@@ -400,77 +388,64 @@ def _accepts(check, rep):
     return True
 
 
-def _is_pauli_string(g):
-    """Whether g equals s X^a Z^b for its own s = signs[0], a = rows[0] and
-    some b, compared column by column."""
-    return any(g == _pauli_string(g.dim, g.signs[0], g.rows[0], b) for b in range(g.dim))
-
-
 @settings(max_examples=300, deadline=None)
 @given(gamma_families())
 def test_verify_relations_matches_column_loop(rep):
-    # every gamma of a rep must be a Pauli string: the production check
-    # accepts exactly the families the column loop accepts and that hold
-    # only Pauli strings
-    want = all(map(_is_pauli_string, rep.gammas)) and _accepts(clifford_oracle.verify_relations, rep)
-    assert _accepts(verify_relations, rep) == want
+    # the label check accepts exactly the families that the column loop
+    # accepts on the gammas the oracle builds from the labels
+    assert _accepts(verify_relations, rep) == _accepts(clifford_oracle.verify_relations, rep)
 
 
-def _with_gamma(rep, i, g):
-    return replace(rep, gammas=rep.gammas[:i] + (g,) + rep.gammas[i + 1:])
-
-
-def _sign_flipped(g, c):
-    signs = list(g.signs)
-    signs[c] = -signs[c]
-    return MonomialMatrix(g.dim, g.rows, tuple(signs))
+def _with_label(rep, i, label):
+    return replace(rep, labels=rep.labels[:i] + (label,) + rep.labels[i + 1:])
 
 
 def test_mutated_gamma_rejected_on_labels():
     rep = build_rep(Signature(20, 4))
-    # times Z on the lowest index bit: still a Pauli string, so the label check rejects it
-    z1 = _pauli_string(rep.dim, 1, 0, 1)
-    relabelled = mat_mul(rep.gammas[3], z1)
-    assert _pauli(relabelled) is not None
-    with pytest.raises(AssertionError):
-        verify_relations(_with_gamma(rep, 3, relabelled))
-    with pytest.raises(AssertionError, match="gamma_3 is not a Pauli string"):
-        verify_relations(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 1234)))
-    # the octonionic model's gammas are Pauli strings too, and checked the same way
+    s, a, b = rep.labels[3]
+    # times Z on the lowest index bit, or X on the highest: still a Pauli
+    # string, so the relations reject it
+    for bad in ((s, a, b ^ 1), (s, a ^ rep.dim >> 1, b)):
+        with pytest.raises(AssertionError):
+            verify_relations(_with_label(rep, 3, bad))
+    # a negated gamma keeps its square and anticommutes as before
+    verify_relations(_with_label(rep, 3, (-s, a, b)))
+    # the octonionic model's gammas are labels too, and checked the same way
     model = talgebra.make_space(8, 0).rep
-    assert _pauli(model.gammas[1]) is not None
-    with pytest.raises(AssertionError, match="gamma_1 is not a Pauli string"):
-        verify_relations(_with_gamma(model, 1, _sign_flipped(model.gammas[1], 5)))
+    s, a, b = model.labels[1]
+    with pytest.raises(AssertionError):
+        verify_relations(_with_label(model, 1, (s, a, b ^ 4)))
+    verify_relations(_with_label(model, 1, (-s, a, b)))
 
 
-def test_cached_labels_do_not_carry_over_to_a_mutated_rep():
+def test_a_replaced_rep_rebuilds_its_gammas():
     rep = build_rep(Signature(9, 1))
-    verify_relations(rep)
-    conjugation(rep, 1)
-    assert rep.labels == tuple(_pauli(g) for g in rep.gammas)
-    z1 = _pauli_string(rep.dim, 1, 0, 1)
-    bad = _with_gamma(rep, 3, mat_mul(rep.gammas[3], z1))
-    assert bad.labels[3] != rep.labels[3]
+    before = rep.gammas  # built and cached
+    s, a, b = rep.labels[3]
+    bad = _with_label(rep, 3, (s, a, b ^ 1))
+    assert bad.gammas[3] == pauli_string(rep.dim, (s, a, b ^ 1)) != before[3]
+    assert bad.gammas[:3] + bad.gammas[4:] == before[:3] + before[4:]
+    assert rep.gammas is before
     with pytest.raises(AssertionError):
         verify_relations(bad)
 
 
-@pytest.mark.parametrize("check", [
-    lambda rep: rep.labels,
-    verify_relations,
-    chirality,
-    lambda rep: conjugation(rep, 1),
-], ids=["labels", "verify_relations", "chirality", "conjugation"])
-def test_a_gamma_that_is_no_pauli_string_is_refused(check):
+@pytest.mark.parametrize("dim,label", [
+    (32, (2, 1, 1)),
+    (32, (0, 1, 1)),
+    (32, (1, 32, 0)),
+    (32, (1, 0, 32)),
+    (32, (1, -1, 0)),
+    (32, (1, 0, -1)),
+    (24, (1, 1, 1)),
+    (0, (1, 0, 0)),
+], ids=["sign", "zero-sign", "a", "b", "negative-a", "negative-b", "dim", "zero-dim"])
+def test_a_label_that_does_not_act_on_the_space_is_refused(dim, label):
+    # refused at construction, so verify_relations, chirality and the
+    # conjugations only ever see labels that act on the space
     rep = build_rep(Signature(9, 1))
-    with pytest.raises(AssertionError, match="gamma_3 is not a Pauli string"):
-        check(_with_gamma(rep, 3, _sign_flipped(rep.gammas[3], 5)))
-
-
-def test_verify_relations_refuses_a_gamma_of_another_dimension():
-    rep = build_rep(Signature(3, 1))
     with pytest.raises(AssertionError, match="representation space"):
-        verify_relations(_with_gamma(rep, 0, build_rep(Signature(1, 1)).gammas[0]))
+        replace(rep, dim=dim, labels=rep.labels[:3] + (label,) + rep.labels[4:])
 
 
 def test_conjugation_matches_oracle_on_every_small_signature():
@@ -492,7 +467,8 @@ def test_conjugation_matches_oracle_on_every_small_signature():
                         conjugation(rep, t)
                     continue
                 got = conjugation(rep, t)
-                assert (got.C.rows, got.C.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)
+                c = pauli_string(rep.dim, got.C)
+                assert (c.rows, c.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)
     assert built == 77
 
 
@@ -502,4 +478,5 @@ def test_conjugation_of_the_octonionic_model_matches_oracle(n, t):
     rep = talgebra.make_space(8, n).rep
     want = clifford_oracle.conjugation(rep, t)
     got = conjugation(rep, t)
-    assert (got.C.rows, got.C.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)
+    c = pauli_string(rep.dim, got.C)
+    assert (c.rows, c.signs, got.symmetry) == (want.C.rows, want.C.signs, want.symmetry)

@@ -11,8 +11,9 @@ import ep_oracle
 import magicstar.ep as ep_mod
 import magicstar.linalg as linalg_mod
 from ep_oracle import LEVEL_Q, basis_spinor, ep_scale, so_dict, so_list
-from linalg_oracle import FractionReducer, grid
-from magicstar.clifford import Signature
+from linalg_oracle import FractionReducer, grid, mat_mul, pauli_string
+from magicstar import talgebra
+from magicstar.clifford import Signature, build_rep
 from magicstar.ep import (
     BracketCoeffs,
     EPElement,
@@ -35,7 +36,7 @@ from magicstar.ep import (
     _k_commutator,
     _k_pair_so,
 )
-from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, _signed, mat_mul
+from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, _signed
 
 
 def test_dimension_values():
@@ -148,9 +149,10 @@ def test_der_basis_spinor_bracket_reads_off_gammas():
     out = bracket(sp, x, y)
     so = so_dict(sp, out.blocks["so"])
     g, metric = sp.rep.gammas, sp.rep.metric
+    c = pauli_string(sp.rep.dim, sp.C.C)
     for a, b in sp.pairs:
         # the pair form +-C gamma_a gamma_b, with the sign eta_a eta_b
-        m = mat_mul(sp.C.C, mat_mul(g[a], g[b]))
+        m = mat_mul(c, mat_mul(g[a], g[b]))
         expected = metric[a] * metric[b] * grid(m)[0][1]
         assert so.get((a, b), 0) == expected
     assert any(so.values())
@@ -693,7 +695,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
         support = sp.spinor_support[by]
         # psi[form.rows[c]] = form.signs[c] puts every term of the pair
         # (0, 1) at the same sign
-        form = mat_mul(sp.C.C, mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
+        form = mat_mul(pauli_string(sp.rep.dim, sp.C.C), mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
         for q in (1, 2):
             cap = (LANE_LIMIT - 1) // (len(support) * q)
             for peak in (cap, cap + 1):
@@ -786,15 +788,36 @@ def test_gathers_read_what_transposed_gammas_read(level, n, polarization):
             assert tuple(eta * x for x in g.out[a](lowered)) == raised[a](v)
 
 
-def test_spaces_need_no_transposes_or_products(monkeypatch):
+def test_no_space_builds_a_matrix(monkeypatch):
+    # the EP and T-algebra spaces, their kernels and the embedding run on
+    # Pauli labels: a gamma becomes a matrix only when rep.gammas is read
     def refuse(self):
-        raise AssertionError("a gamma was transposed")
+        raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(MonomialMatrix, "transpose", refuse)
-    assert not hasattr(ep_mod, "mat_mul")
+    monkeypatch.setattr(MonomialMatrix, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        build_rep(Signature(1, 1)).gammas
     for level in ep_mod.LEVELS:
-        make_ep(level, 0)
+        for n in (0, 1):
+            make_ep(level, n)
+        jacobi_infeasibility(level, 1, samples=1, seed=7)
     jacobi_infeasibility("str0", 1, samples=1, seed=7, polarization="primed")
+    # the calibration loop is the same at every level
+    for level in ("der", "str0"):
+        calibrate(level, 0, seed=7)
+    rng = random.Random(11)
+    for q in (1, 2, 4, 8):
+        for n in (0, 1):
+            sp = talgebra.make_space(q, n)
+            el = talgebra.TElement.zero(sp)
+            el.r1, el.r2, el.r3 = Q(1), Q(2), Q(-3)
+            el.psi = [[Q(rng.randint(-3, 3)) for _ in range(sp.width)] for _ in range(sp.fund)]
+            talgebra.norm_and_rank(sp, el)
+            talgebra.norm_gradient(sp, el)
+            talgebra.infinitesimal_rotation(sp, el, (0, sp.vdim_full - 1))
+    cal = talgebra.calibrate_embedding(talgebra.make_space(8, 0))
+    assert (cal.block, cal.u_slot, cal.w_slot) == ("low", ("A3", False, 1), ("A2", True, -1))
+    assert cal.candidates_validated == 2
 
 
 def test_space_holds_no_pair_tables():

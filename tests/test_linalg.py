@@ -8,15 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import linalg_oracle as oracle
 import magicstar.linalg as linalg_mod
+from magicstar.clifford import _kron, _mul
 from magicstar.linalg import (
     LANE_LIMIT,
     MonomialMatrix,
     RowReducer,
     _reader,
     _signed,
-    kron,
     lane_sums,
-    mat_mul,
     pack_lanes,
     rat_parse,
     rat_str,
@@ -24,13 +23,24 @@ from magicstar.linalg import (
 )
 
 
-EPS = MonomialMatrix(2, (1, 0), (1, -1))  # the 2x2 antisymmetric unit
+ONE = (1, 0, 0)  # the identity
+XZ = (1, 1, 1)  # the 2x2 antisymmetric unit
 
 
-def random_monomial(rng, n):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return MonomialMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
+def random_label(rng, bits):
+    """A Pauli label (s, a, b) of s X^a Z^b on ``bits`` index bits."""
+    return (rng.choice((1, -1)), rng.randrange(1 << bits), rng.randrange(1 << bits))
+
+
+def label_grid(bits, label):
+    """The entry grid of a label on ``bits`` index bits, built column by column."""
+    return oracle.grid(oracle.pauli_string(1 << bits, label))
+
+
+def transposed(label):
+    """(s X^a Z^b)^T = s Z^b X^a = (-1)^popcount(a & b) s X^a Z^b."""
+    s, a, b = label
+    return (s * (-1) ** bin(a & b).count("1"), a, b)
 
 
 def test_rat_roundtrip():
@@ -58,51 +68,57 @@ def test_rat_str_takes_an_int_without_a_fraction(monkeypatch):
 
 
 def test_identity_times_matrix():
-    m = random_monomial(random.Random(1), 3)
-    assert mat_mul(MonomialMatrix.identity(3), m) == m
+    rng = random.Random(1)
+    for _ in range(20):
+        m = random_label(rng, 3)
+        assert _mul(ONE, m) == m == _mul(m, ONE)
 
 
 def test_eps_squares_to_minus_identity():
-    sq = mat_mul(EPS, EPS)
-    assert sq.rows == (0, 1)
-    assert sq.signs == (-1, -1)
+    assert _mul(XZ, XZ) == (-1, 0, 0)
+    assert oracle.matmul(label_grid(1, XZ), label_grid(1, XZ)) == [[-1, 0], [0, -1]]
 
 
 def test_monomial_closure_under_product_and_kron():
+    # the product and the Kronecker product of Pauli strings, taken on their
+    # labels, equal the products of their dense grids
     rng = random.Random(3)
     for _ in range(20):
-        a = random_monomial(rng, rng.randint(1, 6))
-        b = random_monomial(rng, a.dim)
-        c = random_monomial(rng, rng.randint(1, 6))
-        assert oracle.grid(mat_mul(a, b)) == oracle.matmul(oracle.grid(a), oracle.grid(b))
-        assert oracle.grid(kron(a, c)) == oracle.kron(oracle.grid(a), oracle.grid(c))
-    with pytest.raises(ValueError):
-        mat_mul(MonomialMatrix.identity(2), MonomialMatrix.identity(3))
+        j, k = rng.randint(0, 3), rng.randint(0, 3)
+        a, b, c = random_label(rng, j), random_label(rng, j), random_label(rng, k)
+        assert label_grid(j, _mul(a, b)) == oracle.matmul(label_grid(j, a), label_grid(j, b))
+        assert label_grid(j + k, _kron(a, c, k)) == oracle.kron(label_grid(j, a), label_grid(k, c))
 
 
 def test_kron_identity_block_diagonal():
-    m = MonomialMatrix(2, (1, 0), (1, 1))
-    k = kron(MonomialMatrix.identity(2), m)
-    assert k.dim == 4
-    assert k.rows == (1, 0, 3, 2)
+    k = _kron(ONE, (1, 1, 0), 1)
+    assert oracle.pauli_string(4, k).rows == (1, 0, 3, 2)
 
 
 def test_kron_eps_squares():
-    k = kron(EPS, MonomialMatrix.identity(2))
-    sq = mat_mul(k, k)
+    k = _kron(XZ, ONE, 1)
+    assert _mul(k, k) == (-1, 0, 0)
+    sq = oracle.mat_mul(oracle.pauli_string(4, k), oracle.pauli_string(4, k))
     assert sq.rows == (0, 1, 2, 3)
     assert set(sq.signs) == {-1}
 
 
 def test_kron_dims_multiply():
-    a = MonomialMatrix.identity(16)
-    b = MonomialMatrix.identity(2)
-    assert kron(a, b).dim == 32
+    # a factor on 4 bits times a factor on 1 bit acts on 5 bits: dim 16 * 2
+    rng = random.Random(4)
+    for _ in range(20):
+        _, a, b = _kron(random_label(rng, 4), random_label(rng, 1), 1)
+        assert 0 <= a < 32 and 0 <= b < 32
+    assert _kron((1, 15, 15), (1, 1, 1), 1) == (1, 31, 31)
 
 
 def test_monomial_transpose_is_inverse():
-    m = random_monomial(random.Random(5), 8)
-    assert mat_mul(m.transpose(), m) == MonomialMatrix.identity(8)
+    rng = random.Random(5)
+    for _ in range(20):
+        m = random_label(rng, 3)
+        grid = label_grid(3, m)
+        assert label_grid(3, transposed(m)) == [list(col) for col in zip(*grid)]
+        assert _mul(transposed(m), m) == ONE
 
 
 def test_monomial_rejects_bad_entries():
@@ -160,11 +176,10 @@ def test_infeasible_certificate_soundness():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def monomials(draw, max_dim=64, dim=None):
-    n = dim if dim is not None else draw(st.integers(1, max_dim))
-    rows = draw(st.permutations(range(n)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    return MonomialMatrix(n, tuple(rows), tuple(signs))
+def labels(draw, max_bits=6, bits=None):
+    k = bits if bits is not None else draw(st.integers(0, max_bits))
+    index = st.integers(0, (1 << k) - 1)
+    return draw(st.tuples(st.sampled_from((1, -1)), index, index))
 
 
 def random_scalar(rng):
@@ -183,10 +198,9 @@ def random_vector(rng, n):
     return [random_scalar(rng) for _ in range(n)]
 
 
-# the gather properties draw one seed and build a monomial of dimension up
-# to 64, its columns, supports, vectors and scalars from it: drawing a
-# permutation and 64 scalars through Hypothesis costs far more than the
-# kernel under test
+# the gather properties draw one seed and build a label of dimension up
+# to 64, its columns, supports, vectors and scalars from it: drawing 64
+# scalars through Hypothesis costs far more than the kernel under test
 SEEDS = st.integers(0, 2 ** 64 - 1)
 
 
@@ -200,30 +214,36 @@ def gathered(reader, cols, signed):
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
 def test_reader_matches_dense_transpose(seed):
-    """_reader(m, cols, index, pos, flip) reads flip * (m^T v) at ``cols``
-    from _signed(v), with v given whole or, through ``pos``, on an input
-    support that holds every row a column in ``cols`` reads."""
+    """_reader(label, cols, index, pos, flip) reads flip * (m^T v) at
+    ``cols`` for the Pauli string m of the label, from _signed(v), with v
+    given whole or, through ``pos``, on an input support that holds every
+    row a column in ``cols`` reads."""
     rng = random.Random(seed)
-    m = random_monomial(rng, rng.randint(1, 64))
-    cols = rng.sample(range(m.dim), rng.randint(1, m.dim))
+    bits = rng.randint(0, 6)
+    dim = 1 << bits
+    label = random_label(rng, bits)
+    m = oracle.pauli_string(dim, label)
+    cols = rng.sample(range(dim), rng.randint(1, dim))
     if rng.random() < 0.5:
-        support = list({m.rows[c] for c in cols} | {r for r in range(m.dim) if rng.random() < 0.5})
+        support = list({m.rows[c] for c in cols} | {r for r in range(dim) if rng.random() < 0.5})
         rng.shuffle(support)
         pos = {r: k for k, r in enumerate(support)}
     else:
-        support, pos = range(m.dim), None
+        support, pos = range(dim), None
     v = random_vector(rng, len(support))
-    full = [0] * m.dim
+    full = [0] * dim
     for r, x in zip(support, v):
         full[r] = x
-    transposed = [list(col) for col in zip(*oracle.grid(m))]
-    expected = oracle.apply(transposed, full)
+    transposed_grid = [list(col) for col in zip(*oracle.grid(m))]
+    expected = oracle.apply(transposed_grid, full)
     signed = _signed(v)
     assert signed == v + [-x for x in v]
     index = list(range(2 * len(v)))
     for flip in (1, -1):
-        got = gathered(_reader(m, cols, index, pos, flip), cols, signed)
+        got = gathered(_reader(label, cols, index, pos, flip), cols, signed)
         assert got == tuple(flip * expected[c] for c in cols)
+        # the oracle's gather over the whole matrix reads the same
+        assert got == gathered(oracle.matrix_reader(m, cols, index, pos, flip), cols, signed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,39 +252,38 @@ def test_reader_dot_is_the_bilinear(seed):
     """u^T m v is one gather of m^T u over every column and one dot product
     with v."""
     rng = random.Random(seed)
-    m = random_monomial(rng, rng.randint(1, 64))
-    u = random_vector(rng, m.dim)
-    v = random_vector(rng, m.dim)
-    cols = range(m.dim)
-    lowered = gathered(_reader(m, cols, list(range(2 * m.dim))), cols, _signed(u))
-    assert oracle.dot(lowered, v) == oracle.dot(u, oracle.apply(oracle.grid(m), v))
+    bits = rng.randint(0, 6)
+    dim = 1 << bits
+    label = random_label(rng, bits)
+    u = random_vector(rng, dim)
+    v = random_vector(rng, dim)
+    cols = range(dim)
+    lowered = gathered(_reader(label, cols, list(range(2 * dim))), cols, _signed(u))
+    assert oracle.dot(lowered, v) == oracle.dot(u, oracle.apply(label_grid(bits, label), v))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_monomial_product_associative(data):
-    a = data.draw(monomials())
-    b = data.draw(monomials(dim=a.dim))
-    c = data.draw(monomials(dim=a.dim))
-    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+    bits = data.draw(st.integers(0, 6))
+    a, b, c = (data.draw(labels(bits=bits)) for _ in range(3))
+    assert _mul(_mul(a, b), c) == _mul(a, _mul(b, c))
 
 
 @settings(max_examples=60, deadline=None)
-@given(monomials())
+@given(labels())
 def test_monomial_transpose_is_two_sided_inverse(m):
-    ident = MonomialMatrix.identity(m.dim)
-    assert mat_mul(m, m.transpose()) == ident
-    assert mat_mul(m.transpose(), m) == ident
+    assert _mul(m, transposed(m)) == ONE
+    assert _mul(transposed(m), m) == ONE
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kron_mixed_product(data):
-    a = data.draw(monomials(max_dim=8))
-    c = data.draw(monomials(dim=a.dim))
-    b = data.draw(monomials(max_dim=8))
-    d = data.draw(monomials(dim=b.dim))
-    assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
+    j, k = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    a, c = data.draw(labels(bits=j)), data.draw(labels(bits=j))
+    b, d = data.draw(labels(bits=k)), data.draw(labels(bits=k))
+    assert _mul(_kron(a, b, k), _kron(c, d, k)) == _kron(_mul(a, c), _mul(b, d), k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linalg_oracle import apply, det3, dot, grid, matmul
-from magicstar.clifford import _pauli
-from magicstar.linalg import MonomialMatrix, mat_mul
+from linalg_oracle import apply, det3, dot, grid, identity, mat_mul, matmul, pauli_string
 from magicstar.octonion import (
-    left_mult_matrix,
+    MUL_SIGN,
+    left_mult_label,
     oct_conj,
     oct_from,
     oct_mul,
@@ -126,7 +125,12 @@ def test_octonion_composition_on_the_basis():
 def test_octonion_left_multiplications_are_pauli_strings():
     # f(a, b) is linear in b: L_a = X^a Z^z(a) on the bits of the basis index
     z = (0, 7, 6, 5, 4, 1, 3, 2)
-    assert [_pauli(left_mult_matrix(a)) for a in range(8)] == [(1, a, z[a]) for a in range(8)]
+    assert [left_mult_label(a) for a in range(8)] == [(1, a, z[a]) for a in range(8)]
+    # column b of L_a holds MUL_SIGN[a][b] at row a ^ b: e_a e_b = +-e_(a ^ b)
+    for a in range(8):
+        m = pauli_string(8, left_mult_label(a))
+        assert m.rows == tuple(a ^ b for b in range(8))
+        assert m.signs == tuple(MUL_SIGN[a])
     assert oct_mul(_unit(1), _unit(2)) == tuple(-x for x in _unit(3))
 
 
@@ -344,6 +348,28 @@ def test_element_json_roundtrip():
         TElement.from_json(make_space(2, 0), data)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_octonionic_element_names_its_basis(n):
+    # a q = 8 spinor is read in the Albuquerque-Majid octonion basis, so a
+    # file with nonzero psi must name it; psi = 0 and q != 8 read no basis
+    sp = make_space(8, n)
+    rng = random.Random(31)
+    el = random_element(sp, rng)
+    data = element_to_json(sp, el)
+    assert data["basis"] == "albuquerque-majid"
+    assert TElement.from_json(sp, data).coords() == el.coords()
+    for bad in ({k: v for k, v in data.items() if k != "basis"}, {**data, "basis": "cayley-dickson"}):
+        with pytest.raises(TAlgebraError, match='needs "basis": "albuquerque-majid"'):
+            TElement.from_json(sp, bad)
+    zero = {k: v for k, v in element_to_json(sp, diagonal(sp, 1, 2, 3)).items() if k != "basis"}
+    assert TElement.from_json(sp, zero).coords() == diagonal(sp, 1, 2, 3).coords()
+    for q in (1, 2, 4):
+        other = make_space(q, n)
+        keyless = element_to_json(other, random_element(other, rng))
+        assert "basis" not in keyless
+        TElement.from_json(other, keyless)
+
+
 def test_element_labels_must_be_json_ints():
     # 8.0 == 8 and True == 1 in Python, but neither is a JSON integer
     for q, n, bad in ((8, 0, {"q": 8.0}), (1, 0, {"q": True}), (2, 0, {"n": 0.0}), (2, 0, {"n": False})):
@@ -433,7 +459,7 @@ def test_model_commutant_is_the_scalars():
     rep = make_space(8, 0).rep
     s_mat, dim = intertwiner(rep, rep)
     assert dim == 1
-    assert s_mat == MonomialMatrix.identity(rep.dim)
+    assert s_mat == identity(rep.dim)
 
 
 # sha256 over repr((dim, rows, signs)) of each gamma in order, with the
@@ -500,7 +526,8 @@ def test_eta_matches_norm_quadratic_part():
 # --- properties on rational elements, against a plain Fraction reference ------
 
 PROPERTY_SPACES = {q: make_space(q, 0) for q in (1, 2, 4, 8)}
-DENSE_FORMS = {q: [grid(m) for m in sp.norm_forms] for q, sp in PROPERTY_SPACES.items()}
+DENSE_FORMS = {q: [grid(pauli_string(sp.rep.dim, m)) for m in sp.norm_forms]
+               for q, sp in PROPERTY_SPACES.items()}
 
 
 def random_rational(rng, zeros=0.25):
