@@ -66,7 +66,7 @@ class CliffordRep:
     sig: Signature
     dim: int
     labels: Tuple[Label, ...]  # (s, a, b) of each gamma s X^a Z^b
-    metric: Tuple[int, ...]  # +1 for the first p generators, then -1
+    metric: Tuple[int, ...]  # the square of each gamma: p of +1, q of -1
 
     def __post_init__(self):
         dim = self.dim
@@ -74,6 +74,9 @@ class CliffordRep:
             s in (1, -1) and 0 <= a < dim and 0 <= b < dim for s, a, b in self.labels
         ):
             raise AssertionError("a gamma does not act on the representation space")
+        sig = self.sig
+        if len(self.labels) != sig.total or sorted(self.metric) != [-1] * sig.q + [1] * sig.p:
+            raise AssertionError("the gammas and their metric do not fit signature %s" % sig)
 
     @cached_property
     def gammas(self) -> Tuple[MonomialMatrix, ...]:

@@ -654,31 +654,44 @@ class _System:
                     ]
 
 
-def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> CalibrationReport:
+def _feed(space: EPSpace, tags: Sequence[tuple], draw, count: int, rng: random.Random):
+    """Feed the tagged jacobiators of up to ``count`` triples, each drawn as
+    three ``draw(space, rng)``, into one ``_System(tags)``; stop at the
+    first certificate.  Returns the system, the last triple and the number
+    of triples used.  With no tags every coefficient is folded in, so a
+    certificate there means some jacobiator is nonzero."""
+    system = _System(tags)
+    unknowns = frozenset(name for tag in tags for name in tag)
+    for used in range(1, count + 1):
+        triple = tuple(draw(space, rng) for _ in range(3))
+        system.feed(used - 1, _tagged_jacobiator(space, *triple, unknowns))
+        if system.certificate is not None:
+            break
+    return system, triple, used
+
+
+# seeded triples that solve the calibration, and fresh ones that re-verify it
+_SOLVE_TRIPLES, _VERIFY_TRIPLES = 24, 12
+
+
+def calibrate(level: str, n: int = 0, seed: int = 7) -> CalibrationReport:
     """Solve the channel coefficients that make the jacobiator vanish at n=0.
 
-    The rescaling-pinned channels are held at 1; the rest are solved from a
-    spanning set of seeded random triples and re-verified on fresh ones.
-    Fails loudly when no solution exists or freedom extends beyond rescaling.
+    The rescaling-pinned channels are held at 1; the rest are solved from
+    the tagged jacobiators of 24 seeded random triples and re-verified, with
+    every coefficient folded in, on 12 fresh ones from the same generator.
+    Fails loudly when no solution exists, when freedom extends beyond
+    rescaling, or when a re-verified jacobiator is nonzero.
     """
     if n != 0:
         raise EPError("calibrate requires n = 0; jacobi_infeasibility certifies n >= 1")
     space = make_ep(level, n)
     desc = _describe(level)
-    unknown_names, tags = desc.unknowns, desc.tags(tuple(space.grades))
+    tags = desc.tags(tuple(space.grades))
     rng = random.Random(seed)
-    system = _System(tags)
-    for t_idx in range(triples):
-        x = random_element(space, rng)
-        y = random_element(space, rng)
-        z = random_element(space, rng)
-        tagged = _tagged_jacobiator(space, x, y, z, frozenset(unknown_names))
-        system.feed(t_idx, tagged)
-        if system.certificate is not None:
-            raise EPError(
-                "no coefficient assignment closes level %s at n=%d: construction bug"
-                % (level, n)
-            )
+    system, _, _ = _feed(space, tags, random_element, _SOLVE_TRIPLES, rng)
+    if system.certificate is not None:
+        raise EPError("no coefficient assignment closes level %s at n=0: construction bug" % level)
     if system.red.rank() < len(tags):
         raise EPError(
             "calibration underdetermined beyond rescaling: nullspace dimension %d"
@@ -691,22 +704,16 @@ def calibrate(level: str, n: int = 0, seed: int = 7, triples: int = 24) -> Calib
         if sol[col] != prod(values[name] for name in tag):
             raise EPError("coefficient products are inconsistent; construction bug")
     coeffs = BracketCoeffs(values, desc.pinned)
-    # independent re-verification on fresh random triples; the rep is
-    # deterministic, so only the coefficients change
-    space2 = replace(space, coeffs=coeffs)
-    verify = 12
-    for _ in range(verify):
-        x = random_element(space2, rng)
-        y = random_element(space2, rng)
-        z = random_element(space2, rng)
-        if not jacobiator(space2, x, y, z).is_zero():
-            raise EPError("calibrated coefficients fail re-verification")
+    # the rep is deterministic, so only the coefficients change
+    check, _, _ = _feed(replace(space, coeffs=coeffs), (), random_element, _VERIFY_TRIPLES, rng)
+    if check.certificate is not None:
+        raise EPError("calibrated coefficients fail re-verification")
     return CalibrationReport(
         level=level,
         n=n,
         coeffs=coeffs,
         rows=len(system.rows),
-        verified_triples=verify,
+        verified_triples=_VERIFY_TRIPLES,
         seed=seed,
     )
 
@@ -721,12 +728,15 @@ def jacobi_infeasibility(
     """Certify that no coefficient assignment zeroes the sampled jacobiators.
 
     Channel coefficients are the unknowns (rescaling-pinned ones held at 1);
-    each sampled spinor triple contributes exact linear constraints.  The
-    returned certificate is a row combination proving 0 = nonzero; if the
-    system is instead satisfiable, the assignment is reported prominently.
-    The rows are over Q, so the certificate holds over C too, and any
-    assignment with nonzero pinned channels rescales over C to them at 1
-    (their weights are independent, ``_Level.pinned``): no sign pattern closes.
+    each of at most ``samples`` spinor triples contributes exact linear
+    constraints until the first certificate, a row combination proving
+    0 = nonzero; if the system is instead satisfiable, the assignment is
+    reported prominently.  The rows are over Q, so the certificate holds
+    over C too, and any assignment with nonzero pinned channels rescales
+    over C to them at 1 (their weights are independent, ``_Level.pinned``):
+    no sign pattern closes.  Where every channel is pinned the system has no
+    columns: the certificate is the first nonzero jacobiator, and its
+    triple, the last one drawn, is the witness.
     """
     if n < 1:
         raise EPError("jacobi_infeasibility requires n >= 1")
@@ -734,33 +744,10 @@ def jacobi_infeasibility(
         raise EPError("samples must be at least 1")
     space = make_ep(level, n, polarization=polarization)
     desc = _describe(level)
-    unknown_names, tags = desc.unknowns, desc.tags(space.spinor_blocks())
-    rng = random.Random(seed)
-    system = _System(tags)
-    witness_index = None
-    witness = None
-    for t_idx in range(samples):
-        x = random_spinor_element(space, rng)
-        y = random_spinor_element(space, rng)
-        z = random_spinor_element(space, rng)
-        tagged = _tagged_jacobiator(space, x, y, z, frozenset(unknown_names))
-        if witness_index is None and not unknown_names:
-            nonzero = any(not el.is_zero() for el in tagged.values())
-            if nonzero:
-                witness_index = t_idx
-                witness = {
-                    "x": element_to_json(space, x),
-                    "y": element_to_json(space, y),
-                    "z": element_to_json(space, z),
-                }
-        if system.certificate is None:
-            system.feed(t_idx, tagged)
-        # decided: later triples change neither the certificate nor the
-        # witness, which is only sought when every channel is pinned
-        if system.certificate is not None and (unknown_names or witness is not None):
-            break
-    # a witness makes a row 0 = nonzero, so a satisfiable system has none
+    tags = desc.tags(space.spinor_blocks())
+    system, triple, used = _feed(space, tags, random_spinor_element, samples, random.Random(seed))
     violated = system.certificate is not None
+    witness = violated and not desc.unknowns
     return InfeasibilityReport(
         level=level,
         n=n,
@@ -771,13 +758,12 @@ def jacobi_infeasibility(
         assignment=None if violated else {
             repr(tag): val for tag, val in zip(system.tags, system.red.solution())
         },
-        witness_index=witness_index,
-        witness=witness,
+        witness_index=used - 1 if witness else None,
+        witness={k: element_to_json(space, el) for k, el in zip("xyz", triple)} if witness else None,
         unknowns=tuple(tags),
-        triples_evaluated=t_idx + 1,
+        triples_evaluated=used,
         rows=[
             (ref, [Q(c, den) for c in coeffs], Q(rhs, den))
             for ref, coeffs, rhs, den in system.rows
         ],
     )
-

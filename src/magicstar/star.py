@@ -90,7 +90,7 @@ def find_a2(rs: RootSystem) -> A2Choice:
     lo = [int.from_bytes(bytes(x + 3 for x in col), "little") for col in cols]
     validated = 0
     counts = set()
-    first: Optional[Tuple[int, int]] = None
+    first: Optional[bytes] = None
     for i in range(n):
         coli, hi = cols[i], 7 * lo[i]
         for j in range(i + 1, n):
@@ -103,18 +103,13 @@ def find_a2(rs: RootSystem) -> A2Choice:
                 validated += 2
                 counts.add((c[12], tuple(tips)))
                 if first is None:
-                    first = (i, j)
+                    first = chart
     if first is None:
         raise MagicStarError("no valid a2 pair found in %s" % rs.label)
-    sa, sb = rs.scaled[first[0]], rs.scaled[first[1]]
-    position = {s: k for k, s in enumerate(rs.scaled)}
-    six = []
-    for ca, cb in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
-        k = position.get(tuple(ca * a + cb * b for a, b in zip(sa, sb)))
-        if k is None:
-            raise MagicStarError("a2 combination escaped the root set")
-        six.append(rs.roots[k])
-    return A2Choice(six[0], six[2], tuple(six), validated, frozenset(counts))
+    # each hexagon weight holds one root: alpha, -alpha, beta, -beta,
+    # alpha + beta and -alpha - beta, in the order of HEX_WEIGHTS
+    six = tuple(rs.roots[first.index(b)] for b in _COUNTED[:6])
+    return A2Choice(six[0], six[2], six, validated, frozenset(counts))
 
 
 def project(rs: RootSystem, choice: A2Choice) -> MagicStarChart:

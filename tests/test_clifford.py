@@ -448,6 +448,17 @@ def test_a_label_that_does_not_act_on_the_space_is_refused(dim, label):
         replace(rep, dim=dim, labels=rep.labels[:3] + (label,) + rep.labels[4:])
 
 
+@pytest.mark.parametrize("sig,labels,metric", [
+    (Signature(1, 1), ((1, 1, 0),), (1, -1)),
+    (Signature(1, 1), ((1, 1, 0), (1, 1, 1)), (1,)),
+    (Signature(2, 0), ((1, 1, 0), (1, 1, 1)), (1, -1)),
+], ids=["one-gamma", "short-metric", "metric-of-another-signature"])
+def test_gammas_that_do_not_fit_the_signature_are_refused(sig, labels, metric):
+    # only the counts are checked: gamma_families draws metrics in any order
+    with pytest.raises(AssertionError, match="do not fit signature"):
+        CliffordRep(sig, 2, labels, metric)
+
+
 def test_conjugation_matches_oracle_on_every_small_signature():
     # 119 signatures with p + q <= 14; 77 are buildable (Cl(1,0) and Cl(0,7)
     # among them), the rest are refused

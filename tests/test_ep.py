@@ -182,7 +182,7 @@ def test_der0_jacobiator_zero_on_random_triples():
 
 
 def test_calibrate_der_returns_unit():
-    rep = calibrate("der", 0, seed=7, triples=4)
+    rep = calibrate("der", 0, seed=7)
     assert rep.coeffs.values["pair_so"] == 1
 
 
@@ -198,20 +198,61 @@ def test_calibrate_refuses_n_other_than_0(monkeypatch):
             calibrate("der", n)
 
 
+def test_calibrate_refuses_a_nonzero_untagged_jacobiator(monkeypatch):
+    # der has no unknown channel: one so component left over by the bracket
+    # is a row 0 = nonzero, which no coefficient assignment can meet
+    real = ep_mod._tagged_jacobiator
+
+    def skewed(space, x, y, z, unknowns):
+        out = real(space, x, y, z, unknowns)
+        extra = EPElement({"so": [1] + [0] * (len(space.pairs) - 1)})
+        out[()] = ep_add(out[()], extra) if () in out else extra
+        return out
+
+    monkeypatch.setattr(ep_mod, "_tagged_jacobiator", skewed)
+    with pytest.raises(EPError, match="closes level der at n=0: construction bug"):
+        calibrate("der", 0)
+
+
+def test_calibrate_refuses_an_unknown_no_row_determines(monkeypatch):
+    # a tag that names no channel has a zero column in every row
+    real = ep_mod._Level.tags
+    monkeypatch.setattr(ep_mod._Level, "tags", lambda self, inputs: real(self, inputs) + (("phantom",),))
+    with pytest.raises(EPError, match="underdetermined beyond rescaling: nullspace dimension 1"):
+        calibrate("str0", 0)
+
+
+def test_calibrate_refuses_a_product_tag_off_its_factors(monkeypatch):
+    # conf's last tag is the product apex_down * k_pair of two solved ones
+    assert _describe("conf").tags(tuple(make_ep("conf", 0).grades))[-1] == ("apex_down", "k_pair")
+    real = RowReducer.solution
+    monkeypatch.setattr(RowReducer, "solution", lambda self: real(self)[:-1] + [real(self)[-1] + 1])
+    with pytest.raises(EPError, match="coefficient products are inconsistent"):
+        calibrate("conf", 0)
+
+
+def test_calibrate_refuses_coefficients_that_fail_fresh_triples(monkeypatch):
+    # the re-verification runs on the unit coefficients, where pair_R = 1
+    # leaves str0's jacobiator nonzero
+    monkeypatch.setattr(ep_mod, "replace", lambda space, **changes: space)
+    with pytest.raises(EPError, match="calibrated coefficients fail re-verification"):
+        calibrate("str0", 0)
+
+
 def test_calibrate_str0_unique_ratio():
-    rep = calibrate("str0", 0, seed=7, triples=10)
+    rep = calibrate("str0", 0, seed=7)
     assert rep.coeffs.values["pair_so"] == 1
     assert rep.coeffs.values["pair_R"] == Q(3, 2)
 
 
 def test_calibrate_str0_seed_independent():
-    a = calibrate("str0", 0, seed=7, triples=10)
-    b = calibrate("str0", 0, seed=23, triples=10)
+    a = calibrate("str0", 0, seed=7)
+    b = calibrate("str0", 0, seed=23)
     assert a.coeffs.values == b.coeffs.values
 
 
 def test_calibrated_str0_closes_on_fresh_triples():
-    rep = calibrate("str0", 0, seed=7, triples=10)
+    rep = calibrate("str0", 0, seed=7)
     sp = make_ep("str0", 0, rep.coeffs)
     rng = random.Random(99)
     for _ in range(20):
@@ -302,6 +343,46 @@ def test_der1_stops_once_decided():
     assert rep.triples_evaluated == 1
     assert rep.witness_index == 0
     assert all(ref[0] == 0 for ref, _ in rep.certificate)
+
+
+@pytest.mark.parametrize("level", ep_mod.LEVELS)
+def test_witness_is_the_certificates_last_triple(level):
+    # sampling stops at the first certificate; where no channel is unknown
+    # the system has no columns, so that certificate is the first nonzero
+    # jacobiator and its triple is the witness
+    sp = make_ep(level, 1)
+    pinned_only = not _describe(level).unknowns
+    for seed in range(1, 6):
+        rep = jacobi_infeasibility(level, 1, seed=seed)
+        assert rep.status == "violated"
+        last = rep.triples_evaluated - 1
+        assert max(ref[0] for ref, _ in rep.certificate) == last
+        assert (rep.witness is not None) == (rep.witness_index is not None) == pinned_only
+        if pinned_only:
+            assert rep.witness_index == last
+            assert all(ref[0] == last for ref, _ in rep.certificate)
+            rng = random.Random(seed)
+            drawn = [random_spinor_element(sp, rng) for _ in range(3 * rep.triples_evaluated)][-3:]
+            assert rep.witness == {k: element_to_json(sp, el) for k, el in zip("xyz", drawn)}
+
+
+def test_witness_is_drawn_after_a_vanishing_triple(monkeypatch):
+    # triple 0 is zeroed, so its jacobiator feeds no row, and the witness
+    # and every certificate row come from triple 1
+    real, drawn = ep_mod.random_spinor_element, []
+
+    def draw(space, rng):
+        drawn.append(real(space, rng))
+        if len(drawn) > 3:
+            return drawn[-1]
+        return EPElement({name: [0] * len(col) for name, col in drawn[-1].blocks.items()})
+
+    monkeypatch.setattr(ep_mod, "random_spinor_element", draw)
+    rep = jacobi_infeasibility("der", 1, samples=5, seed=7)
+    assert (rep.triples_evaluated, rep.witness_index) == (2, 1)
+    assert all(ref[0] == 1 for ref, _ in rep.certificate)
+    sp = make_ep("der", 1)
+    assert rep.witness == {k: element_to_json(sp, el) for k, el in zip("xyz", drawn[3:])}
 
 
 def test_str01_certificate():
