@@ -28,19 +28,20 @@ from fractions import Fraction as Q
 from functools import cached_property
 from math import lcm, prod
 from operator import add, itemgetter, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .clifford import (
-    BilinearForm,
     CliffordRep,
     Signature,
+    _prod,
     _rep_log2,
     build_rep,
     chiral_indices,
+    chirality,
     conjugation,
     rep_dim,
 )
-from .linalg import RowReducer, _reader, _signed, lane_sums, rat_str
+from .linalg import RowReducer, _reader, _sign, _signed, lane_sums, rat_str
 
 class EPError(ValueError):
     pass
@@ -60,13 +61,12 @@ class _Level:
     support "full", "plus" or "minus" for a spinor (the primed polarization
     swaps plus and minus), None for a scalar.  ``channels`` are the
     coefficient-carrying bilinears as (bx, by, name, target), in the order
-    in which rescaling pins them.
+    in which rescaling pins them.  The description states only the
+    algebra: ``make_ep`` checks what each channel needs of the conjugation.
     """
 
     offset: Tuple[int, int]  # the signature is (p + 8n, q)
     blocks: Tuple[Tuple[str, int, Optional[str]], ...]
-    symmetry: int  # of the conjugation matrix
-    swap: Optional[bool]  # does conjugation swap chiralities; None: no chiral split
     channels: Tuple[Tuple[str, str, str, str], ...]
     extended: Optional[Callable[[str, int], List[Tuple[int, int]]]] = None
 
@@ -171,14 +171,12 @@ def _qconf_extended(level: str, n: int) -> List[Tuple[int, int]]:
 
 _LEVELS = {
     "der": _Level(
-        (9, 0), (("psi", 0, "full"),), symmetry=1, swap=None,
+        (9, 0), (("psi", 0, "full"),),
         channels=(("psi", "psi", "pair_so", "so"),),
     ),
     "str0": _Level(
         (9, 1),
         (("D", 0, None), ("psi_p", 1, "plus"), ("psi_m", -1, "minus")),
-        symmetry=1,
-        swap=True,
         channels=(("psi_p", "psi_m", "pair_so", "so"), ("psi_p", "psi_m", "pair_R", "D")),
     ),
     # five-graded already: the extended view is the canonical one
@@ -186,8 +184,6 @@ _LEVELS = {
         (10, 2),
         (("D", 0, None), ("K_p", 2, None), ("K_m", -2, None),
          ("psi_p", 1, "plus"), ("psi_m", -1, "plus")),
-        symmetry=-1,
-        swap=False,
         channels=(
             ("psi_p", "psi_p", "apex_up", "K_p"),
             ("K_p", "psi_m", "transfer_up", "psi_p"),
@@ -200,7 +196,7 @@ _LEVELS = {
         extended=_canonical,
     ),
     "qconf": _Level(
-        (12, 4), (("psi", 0, "plus"),), symmetry=1, swap=False,
+        (12, 4), (("psi", 0, "plus"),),
         channels=(("psi", "psi", "pair_so", "so"),), extended=_qconf_extended,
     ),
 }
@@ -251,33 +247,29 @@ def default_coeffs(level: str) -> BracketCoeffs:
     return BracketCoeffs({name: Q(1) for name in desc.weights}, desc.pinned)
 
 
-class _Gathers:
+class _Gathers(NamedTuple):
     """Per gamma a, for a spinor on ``support``, which every gamma maps onto
     its image (the other chiral half, or everything): ``out[a]`` reads
     gamma_a v on the image from a full column; ``back[a]`` reads gamma_a r
-    on ``support`` from r on the image; ``conj`` reads C^T v from a full
-    column.  Each reads from ``_signed`` of its input, and gamma_a^T is
-    eta_a gamma_a (``verify_relations`` proved gamma_a^2 = eta_a).
-    ``expand`` spreads a vector on ``support``, then one 0, over a column."""
+    on ``support`` from r on the image.  Each reads from ``_signed`` of its
+    input, and gamma_a^T is eta_a gamma_a (``verify_relations`` proved
+    gamma_a^2 = eta_a).  ``expand`` spreads a vector on ``support``, then
+    one 0, over a column."""
 
-    __slots__ = ("support", "expand", "conj", "out", "back")
+    support: Tuple[int, ...]
+    expand: Callable[[list], tuple]
+    out: Tuple[Callable[[list], tuple], ...]
+    back: Tuple[Callable[[list], tuple], ...]
 
-    def __init__(self, support, expand, conj, out, back):
-        self.support, self.expand, self.conj = support, expand, conj
-        self.out, self.back = out, back
 
-
-def _gathers(rep: CliffordRep, conj, support) -> _Gathers:
-    dim = rep.dim
+def _gathers(rep: CliffordRep, support, image) -> _Gathers:
     pos = {c: k for k, c in enumerate(support)}
-    image = tuple(c for c in range(dim) if c not in pos) or support
-    index = list(range(2 * dim))
+    index = list(range(2 * rep.dim))
     on_image = {c: k for k, c in enumerate(image)}
     signed = tuple(zip(rep.labels, rep.metric))
     return _Gathers(
         support,
-        itemgetter(*(pos.get(c, len(support)) for c in range(dim))),
-        conj,
+        itemgetter(*(pos.get(c, len(support)) for c in range(rep.dim))),
         tuple(_reader(g, image, index, None, eta) for g, eta in signed),
         tuple(_reader(g, support, index, on_image, eta) for g, eta in signed),
     )
@@ -289,7 +281,7 @@ class EPSpace:
     n: int
     polarization: str
     rep: CliffordRep
-    C: BilinearForm
+    conj: Callable[[list], tuple] = field(repr=False)  # C^T v from _signed(v)
     pairs: Tuple[Tuple[int, int], ...]
     coeffs: BracketCoeffs
     grades: Dict[str, int]
@@ -408,7 +400,7 @@ def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
     ((gamma_b phi)[k])_b, each entry at most |image| * max |psi| * max |phi|."""
     g = space.gathers[key[1]]
     psi, phi = _signed(psi), _signed(phi)
-    lowered = _signed(g.conj(psi))
+    lowered = _signed(space.conj(psi))
     left = [f(lowered) for f in g.out[:-1]]  # no pair starts at the last gamma
     # max(1, ...): a zero operand still packs or multiplies the other
     bound = len(g.support) * max(1, max(psi)) * max(1, max(phi))
@@ -422,7 +414,7 @@ def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
 _CHANNEL_KERNELS = {
     ("spinor", "spinor", "so"): _k_pair_so,
     ("spinor", "spinor", "scalar"): lambda space, key, psi, phi: (
-        [sum(map(mul, space.gathers[key[1]].conj(_signed(psi)), phi))], 1),
+        [sum(map(mul, space.conj(_signed(psi)), phi))], 1),
     ("scalar", "spinor", "spinor"): lambda space, key, k, psi: ([k[0] * v for v in psi], 1),
     ("scalar", "scalar", "scalar"): lambda space, key, a, b: ([a[0] * b[0]], 1),
 }
@@ -434,49 +426,57 @@ def make_ep(
     coeffs: Optional[BracketCoeffs] = None,
     polarization: str = "unprimed",
 ) -> EPSpace:
-    """Build the representation data for one family from its description."""
+    """Build the representation data for one family from its description,
+    checking on labels what each channel needs of C = X^a Z^b.  C maps c to
+    c ^ a, so it swaps the halves of the chirality Z^z exactly when
+    popcount(a & z) is odd, which must hold exactly when a channel's spinor
+    blocks sit on different halves.  A channel with one block on both sides
+    must be antisymmetric: C itself for a scalar target, C gamma_a gamma_b
+    for so.  One pair decides all, as C gamma C^-1 = gamma^T gives
+    (C gamma_a gamma_b)^T = -sigma C gamma_a gamma_b, sigma = C^T C^-1."""
     desc = _describe(level)
     sig = signature_for(level, n)
     if polarization not in ("unprimed", "primed"):
         raise EPError("polarization must be unprimed or primed")
-    if polarization == "primed" and desc.swap is None:
+    supports = {name: s for name, _, s in desc.blocks}
+    chiral = not {"plus", "minus"}.isdisjoint(supports.values())
+    if polarization == "primed" and not chiral:
         raise EPError("level %s has no chiral split to polarize" % level)
     rep = build_rep(sig)
     C = conjugation(rep, +1)
     total = sig.total
     pairs = tuple((a, b) for a in range(total) for b in range(a + 1, total))
 
-    if C.symmetry != desc.symmetry:
-        raise AssertionError("conjugation symmetry does not match the level")
-    halves = {"full": tuple(range(rep.dim))}
-    if desc.swap is not None:
+    # support -> (the support, its image under every gamma)
+    halves = {"full": (tuple(range(rep.dim)),) * 2}
+    if chiral:
         plus, minus = map(tuple, chiral_indices(rep))
-        is_plus = set(plus)
-        swaps = all((c ^ C.C[1] in is_plus) != (c in is_plus) for c in range(rep.dim))
-        if swaps != desc.swap:
-            raise AssertionError("conjugation chirality behavior does not match the level")
         if polarization == "primed":
             plus, minus = minus, plus
-        halves.update(plus=plus, minus=minus)
-    conj = _reader(C.C, range(rep.dim), list(range(2 * rep.dim)))
-    built = {s: _gathers(rep, conj, halves[s]) for s in {s for _, _, s in desc.blocks if s}}
+        halves.update(plus=(plus, minus), minus=(minus, plus))
+        swaps = _sign(C.C[1] & chirality(rep)[2]) == -1
+    for bx, by, _, target in desc.channels:
+        sides = {supports[bx], supports[by]}
+        if sides <= {"plus", "minus"} and (len(sides) == 2) != swaps:
+            raise AssertionError("conjugation chirality behavior does not match the level")
+        form = _prod((C.C,) + rep.labels[:2]) if target == "so" else C.C
+        if bx == by and _sign(form[1] & form[2]) != -1:
+            raise AssertionError("conjugation symmetry does not match the level")
+    built = {s: _gathers(rep, *halves[s]) for s in set(supports.values()) - {None}}
 
     space = EPSpace(
         level=level,
         n=n,
         polarization=polarization,
         rep=rep,
-        C=C,
+        conj=_reader(C.C, halves["full"][0], list(range(2 * rep.dim))),
         pairs=pairs,
         coeffs=coeffs or default_coeffs(level),
         grades={"so": 0, **{name: grade for name, grade, _ in desc.blocks}},
-        gathers={name: built[s] for name, _, s in desc.blocks if s is not None},
+        gathers={name: built[s] for name, s in supports.items() if s is not None},
         table=desc.table,
     )
-    support = space.spinor_support
-    counted = len(pairs) + sum(
-        len(support[name]) if name in support else 1 for name, _, _ in desc.blocks
-    )
+    counted = len(pairs) + sum(len(halves[s][0]) if s else 1 for s in supports.values())
     if counted != space.dim:
         raise AssertionError("component bookkeeping disagrees with the dimension formula")
     return space

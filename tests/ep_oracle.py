@@ -14,8 +14,10 @@ element constructor's input.  ``so_list`` and ``so_dict`` convert an so
 block between the pair-dict and the list over ``space.pairs``;
 ``legacy_blocks`` gives an element's blocks in the earlier shapes (so a
 pair-dict, a scalar a bare int), and ``values`` its nonzero entries as
-values.  ``basis_spinor``, ``ep_scale`` and ``LEVEL_Q`` (each level's
-division-algebra parameter) are test helpers.
+values.  ``swaps_halves`` scans every basis index for where C sends it,
+the reference for ``make_ep``'s label parity.  ``basis_spinor``,
+``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
+test helpers.
 """
 
 from fractions import Fraction as Q
@@ -31,12 +33,22 @@ from linalg_oracle import (
     pauli_string,
     transpose,
 )
+from magicstar.clifford import conjugation
 from magicstar.ep import EPElement, _times, jacobiator
 
 
 def conjugation_matrix(space):
     """C of the space as a signed permutation."""
-    return pauli_string(space.rep.dim, space.C.C)
+    return pauli_string(space.rep.dim, conjugation(space.rep, 1).C)
+
+
+def swaps_halves(space) -> set:
+    """Over every basis index c, whether the matrix of C sends c across the
+    chiral halves (into or out of the first spinor block's support); one
+    value means C treats every index alike."""
+    half = set(space.spinor_support[space.spinor_blocks()[0]])
+    rows = conjugation_matrix(space).rows
+    return {(rows[c] in half) != (c in half) for c in range(space.rep.dim)}
 
 
 def pair_actions(space) -> dict:

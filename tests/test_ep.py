@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -11,9 +12,9 @@ import ep_oracle
 import magicstar.ep as ep_mod
 import magicstar.linalg as linalg_mod
 from ep_oracle import LEVEL_Q, basis_spinor, ep_scale, so_dict, so_list
-from linalg_oracle import FractionReducer, grid, mat_mul, pauli_string
+from linalg_oracle import FractionReducer, grid, mat_mul, neg, pauli_string, transpose
 from magicstar import talgebra
-from magicstar.clifford import Signature, build_rep
+from magicstar.clifford import Signature, _prod, _rep_log2, build_rep, chirality, conjugation
 from magicstar.ep import (
     BracketCoeffs,
     EPElement,
@@ -36,7 +37,7 @@ from magicstar.ep import (
     _k_commutator,
     _k_pair_so,
 )
-from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, _signed
+from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, _sign, _signed
 
 
 def test_dimension_values():
@@ -107,6 +108,63 @@ def test_make_ep_refuses_primed_without_a_chiral_split():
         assert make_ep(level, 0, polarization="primed").polarization == "primed"
 
 
+@pytest.mark.parametrize("level", ["str0", "conf", "qconf"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("polarization", ["unprimed", "primed"])
+def test_conjugation_swaps_halves_by_the_label_parity(level, n, polarization):
+    # C = X^a Z^b sends c to c ^ a, across the halves of the chirality Z^z
+    # exactly when popcount(a & z) is odd; der has no halves
+    sp = make_ep(level, n, polarization=polarization)
+    a, z = conjugation(sp.rep, 1).C[1], chirality(sp.rep)[2]
+    assert ep_oracle.swaps_halves(sp) == {_sign(a & z) == -1}
+    assert ep_oracle.swaps_halves(sp) == {level == "str0"}
+
+
+@pytest.mark.parametrize("level", ["der", "str0", "conf", "qconf"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_pair_forms_share_one_transpose_sign(level, n):
+    # (C gamma_a gamma_b)^T = -sigma C gamma_a gamma_b for every a != b, so
+    # make_ep checks one pair; sigma is -1 only at conf, whose same-block
+    # channels pair through C itself
+    rep = make_ep(level, n).rep
+    c = conjugation(rep, 1)
+    labels = rep.labels
+    forms = [_prod((c.C, labels[a], labels[b])) for a in range(len(labels)) for b in range(a)]
+    assert {_sign(f[1] & f[2]) for f in forms} == {-c.symmetry}
+    assert c.symmetry == (-1 if level == "conf" else 1)
+    if n == 0:
+        # the same on the matrices
+        _, _, matrices = oracle_space(level, 0, "unprimed")
+        assert all(transpose(m) == (m if c.symmetry == -1 else neg(m)) for m in matrices.values())
+
+
+def test_make_ep_refuses_halves_that_the_conjugation_does_not_pair(monkeypatch):
+    # str0's C swaps the halves: with both spinor blocks on plus, their
+    # pairing would be identically zero
+    desc = ep_mod._LEVELS["str0"]
+    blocks = tuple((name, g, "plus" if name == "psi_m" else s) for name, g, s in desc.blocks)
+    monkeypatch.setitem(ep_mod._LEVELS, "str0", dataclasses.replace(desc, blocks=blocks))
+    with pytest.raises(AssertionError, match="conjugation chirality behavior does not match the level"):
+        make_ep("str0", 0)
+
+
+def test_make_ep_refuses_a_same_block_channel_that_is_not_antisymmetric(monkeypatch):
+    # conf's C is antisymmetric, so C gamma_a gamma_b is symmetric: a
+    # psi_p x psi_p -> so channel would break the bracket's antisymmetry
+    desc = ep_mod._LEVELS["conf"]
+    channels = desc.channels + (("psi_p", "psi_p", "extra", "so"),)
+    monkeypatch.setitem(ep_mod._LEVELS, "conf", dataclasses.replace(desc, channels=channels))
+    with pytest.raises(AssertionError, match="conjugation symmetry does not match the level"):
+        make_ep("conf", 0)
+
+
+def test_make_ep_refuses_bookkeeping_off_the_dimension_formula(monkeypatch):
+    # the components read one more bit of spinor dimension than build_rep gives
+    monkeypatch.setattr(ep_mod, "_rep_log2", lambda sig: _rep_log2(sig) + 1)
+    with pytest.raises(AssertionError, match="component bookkeeping disagrees with the dimension formula"):
+        make_ep("der", 0)
+
+
 @pytest.mark.parametrize("level", ["der", "str0", "conf", "qconf"])
 def test_bracket_antisymmetry(level):
     sp = make_ep(level, 0)
@@ -149,7 +207,7 @@ def test_der_basis_spinor_bracket_reads_off_gammas():
     out = bracket(sp, x, y)
     so = so_dict(sp, out.blocks["so"])
     g, metric = sp.rep.gammas, sp.rep.metric
-    c = pauli_string(sp.rep.dim, sp.C.C)
+    c = pauli_string(sp.rep.dim, conjugation(sp.rep, 1).C)
     for a, b in sp.pairs:
         # the pair form +-C gamma_a gamma_b, with the sign eta_a eta_b
         m = mat_mul(c, mat_mul(g[a], g[b]))
@@ -776,7 +834,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
         support = sp.spinor_support[by]
         # psi[form.rows[c]] = form.signs[c] puts every term of the pair
         # (0, 1) at the same sign
-        form = mat_mul(pauli_string(sp.rep.dim, sp.C.C), mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
+        form = mat_mul(pauli_string(sp.rep.dim, conjugation(sp.rep, 1).C), mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
         for q in (1, 2):
             cap = (LANE_LIMIT - 1) // (len(support) * q)
             for peak in (cap, cap + 1):
@@ -857,7 +915,7 @@ def test_gathers_read_what_transposed_gammas_read(level, n, polarization):
     sp = make_ep(level, n, polarization=polarization)
     # distinct magnitudes of both signs, so a wrong index or sign shows
     v = _signed([(k + 1) * (-1) ** k for k in range(sp.rep.dim)])
-    lowered = _signed(sp.gathers[sp.spinor_blocks()[0]].conj(v))
+    lowered = _signed(sp.conj(v))
     for block in sp.spinor_blocks():
         g = sp.gathers[block]
         out, raised, back = ep_oracle.gathers(sp, block)
