@@ -352,10 +352,14 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
 # kernels: each maps two blocks of int numerators, named by ``key``, to
 # ``(value, den_factor)``, int numerators of the product's value times
 # ``den_factor``; spinor kernels gather through the m single gammas, and
-# every sum of vectors is one ``lane_sums`` under the bound it names
+# every sum of vectors is one ``lane_sums`` under the bound it names.  The
+# last argument, ``held``, is None or, while one ``_tagged_jacobiator``
+# runs, the dict in which ``lane_sums`` keeps the packs it makes of the
+# second block for this kernel: the so action's gamma_b psi, the pair
+# form's right operand per image entry.  Packs live nowhere else.
 # ---------------------------------------------------------------------------
 
-def _k_commutator(space: EPSpace, key, x: list, y: list):
+def _k_commutator(space: EPSpace, key, x: list, y: list, held=None):
     """[x, y] of two lists over the pairs: the upper triangle of M - M^T,
     M = X eta Y for the antisymmetric matrices X, Y; row i of M is
     sum over k of (X eta)[i][k] Y[k], at most m max |x| max |y|."""
@@ -371,29 +375,39 @@ def _k_commutator(space: EPSpace, key, x: list, y: list):
     return [rows[i][j] - rows[j][i] for i, j in space.pairs], 1
 
 
-def _k_act(space: EPSpace, key, x: list, psi: list):
+def _k_act(space: EPSpace, key, x: list, psi: list, held=None):
     """The orthogonal action on a spinor column, sum over a < b of
     x_ab gamma_a gamma_b psi, over 2, as sum over a of
     gamma_a (sum over b of x_ab gamma_b psi); a row's entries are at most
-    sum |x| * max |psi|."""
+    sum |x| * max |psi|.  Only the rows a and gammas b of a nonzero x_ab
+    are read, and a zero x reads nothing."""
+    if not any(x):
+        return [0] * len(psi), 2
     g = space.gathers[key[1]]
     psi = _signed(psi)
-    coeffs = [[0] * len(g.out) for _ in g.out[:-1]]  # no pair starts at the last gamma
+    m = len(g.out)
+    coeffs = [[0] * m for _ in range(m - 1)]  # no pair starts at the last gamma
     for (a, b), v in zip(space.pairs, x):
         coeffs[a][b] = v
-    # max over psi and -psi is max |psi|; max(1, ...): a zero x still packs psi
-    sums = lane_sums(coeffs, (f(psi) for f in g.out), max(1, sum(map(abs, x))) * max(psi))
+    rows = [a for a, r in enumerate(coeffs) if any(r)]
+    # the gammas b that a nonzero x_ab reaches; with packs held, every b >= 1
+    # (no pair ends at gamma_0), so that each call reads the same vectors
+    cols = range(1, m) if held is not None else [b for b, col in enumerate(zip(*coeffs)) if any(col)]
+    coeffs = [list(map(coeffs[a].__getitem__, cols)) for a in rows]
+    # lazy: lane_sums gathers only when ``held`` has no packs at its width;
+    # max over psi and -psi is max |psi|
+    sums = lane_sums(coeffs, (g.out[b](psi) for b in cols), sum(map(abs, x)) * max(psi), held)
     acc = [0] * len(g.support)
-    for back, r in zip(g.back, sums):
-        acc = list(map(add, acc, back(r)))
+    for a, r in zip(rows, sums):
+        acc = list(map(add, acc, g.back[a](r)))
     return list(g.expand(acc + [0])), 2
 
 
-def _k_grade(space: EPSpace, key, d: list, val: list):
+def _k_grade(space: EPSpace, key, d: list, val: list, held=None):
     return _times(val, space.grades[key[1]] * d[0]), 1
 
 
-def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
+def _k_pair_so(space: EPSpace, key, psi: list, phi: list, held=None):
     """Per pair a < b, psi^T (eta_a eta_b C gamma_a gamma_b) phi
     = eta_b (gamma_a C^T psi) . (gamma_b phi) on the image of phi's support:
     row a sums, over image entries k, (gamma_a C^T psi)[k] times the vector
@@ -402,9 +416,13 @@ def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
     psi, phi = _signed(psi), _signed(phi)
     lowered = _signed(space.conj(psi))
     left = [f(lowered) for f in g.out[:-1]]  # no pair starts at the last gamma
+
+    def entries():  # lazy, as in _k_act
+        yield from zip(*(f(phi) for f in g.out))
+
     # max(1, ...): a zero operand still packs or multiplies the other
     bound = len(g.support) * max(1, max(psi)) * max(1, max(phi))
-    rows = lane_sums(left, zip(*(f(phi) for f in g.out)), bound)
+    rows = lane_sums(left, entries(), bound, held)
     metric = space.rep.metric
     # row a, then b > a: the order of ``space.pairs``
     return [metric[b] * r[b] for a, r in enumerate(rows) for b in range(a + 1, len(metric))], 1
@@ -413,10 +431,10 @@ def _k_pair_so(space: EPSpace, key, psi: list, phi: list):
 # a coefficient channel's kernel, by the kinds of (bx, by, target)
 _CHANNEL_KERNELS = {
     ("spinor", "spinor", "so"): _k_pair_so,
-    ("spinor", "spinor", "scalar"): lambda space, key, psi, phi: (
+    ("spinor", "spinor", "scalar"): lambda space, key, psi, phi, held=None: (
         [sum(map(mul, space.conj(_signed(psi)), phi))], 1),
-    ("scalar", "spinor", "spinor"): lambda space, key, k, psi: ([k[0] * v for v in psi], 1),
-    ("scalar", "scalar", "scalar"): lambda space, key, a, b: ([a[0] * b[0]], 1),
+    ("scalar", "spinor", "spinor"): lambda space, key, k, psi, held=None: ([k[0] * v for v in psi], 1),
+    ("scalar", "scalar", "scalar"): lambda space, key, a, b, held=None: ([a[0] * b[0]], 1),
 }
 
 
@@ -486,8 +504,12 @@ def make_ep(
 # bracket, jacobiator
 # ---------------------------------------------------------------------------
 
-def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> List[Tuple[tuple, EPElement]]:
-    """Bracket split by coefficient channel; tags name non-pinned channels."""
+def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns, holding=None) -> List[Tuple[tuple, EPElement]]:
+    """Bracket split by coefficient channel; tags name non-pinned channels.
+    ``holding`` maps id(block) to (block, {key: held}) for the blocks whose
+    packs a jacobiator keeps; a kernel whose second block is one of them
+    gets the ``held`` dict of its key (a key has at most one kernel that
+    packs)."""
     parts: Dict[tuple, EPElement] = {}
     values = space.coeffs.values
     den = x.den * y.den
@@ -499,8 +521,10 @@ def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns) -> Lis
                 entry = space.table.get(key)
                 if entry is None:
                     continue
+                kept = holding.get(id(args[1])) if holding else None
+                held = None if kept is None else kept[1].setdefault(key, {})
                 for name, target, kernel in entry:
-                    value, den_factor = kernel(space, key, *args)
+                    value, den_factor = kernel(space, key, *args, held)
                     tag, coeff = _tag_for(name, unknowns, values)
                     c = sign * coeff  # int or Fraction
                     el = EPElement(
@@ -536,10 +560,22 @@ def jacobiator(space: EPSpace, x: EPElement, y: EPElement, z: EPElement) -> EPEl
 
 
 def _tagged_jacobiator(space: EPSpace, x, y, z, unknowns) -> Dict[tuple, EPElement]:
+    # Packs are held for this call only.  Where another operand carries a
+    # nonzero so part, a spinor block is acted on by that part and again by
+    # the so part of the other two operands' bracket, and as a pair form's
+    # right operand it is paired at both levels too; such a block keeps the
+    # packs its kernels make.  A spinor-only triple, as at n >= 1, keeps none.
+    triple = (x, y, z)
+    acting = [any(el.blocks.get("so", ())) for el in triple]
+    holding = {
+        id(val): (val, {})
+        for i, el in enumerate(triple) if any(acting[:i] + acting[i + 1:])
+        for name, val in el.blocks.items() if name in space.gathers
+    }
     totals: Dict[tuple, EPElement] = {}
     for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
-        for t1, e1 in _tagged_bracket(space, a, b, unknowns):
-            for t2, e2 in _tagged_bracket(space, e1, c, unknowns):
+        for t1, e1 in _tagged_bracket(space, a, b, unknowns, holding):
+            for t2, e2 in _tagged_bracket(space, e1, c, unknowns, holding):
                 tag = tuple(sorted(t1 + t2))
                 cur = totals.setdefault(tag, EPElement({}))
                 totals[tag] = ep_add(cur, e2)

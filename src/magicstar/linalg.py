@@ -16,9 +16,10 @@ product.
 ``RowReducer`` is the one solver: incremental fraction-free row reduction
 on ints that turns an inconsistent row into a certificate.
 ``lane_sums`` is the one packed multiply-add: it holds each int vector as
-one Python int with a signed 64-bit lane per entry (``pack_lanes``), so a
-scalar multiply-add of a whole vector is one big-int operation, exact while
-every lane stays below ``LANE_LIMIT``; past that bound it sums entry by entry.
+one Python int with a signed lane per entry (``pack_lanes``), so a scalar
+multiply-add of a whole vector is one big-int operation.  The caller's bound
+on the entries picks the lanes: 32 bits below 2^31, 64 bits below
+``LANE_LIMIT``, and past that it sums entry by entry.
 """
 
 from __future__ import annotations
@@ -139,68 +140,85 @@ def _reader(label: Tuple[int, int, int], cols, index: list, pos=None, flip=1) ->
 
 
 # ---------------------------------------------------------------------------
-# packed 64-bit lanes
+# packed 32- or 64-bit lanes
 # ---------------------------------------------------------------------------
 
-# A lane holds an int in [-2^63, 2^63); a sum of packed vectors whose every
-# lane stays below LANE_LIMIT in magnitude unpacks to the lane-wise sum.
+# A lane of w bits holds an int in [-2^(w-1), 2^(w-1)); a sum of packed
+# vectors whose every lane stays below 2^(w-1) in magnitude unpacks to the
+# lane-wise sum.  64-bit lanes reach LANE_LIMIT; a bound below 2^31 takes
+# 32-bit lanes, half the digits per multiply-add.
 LANE_LIMIT = 2 ** 63
+
+# typecode by item width in bits; the 32-bit one is whichever C int is 4 bytes
+_TYPECODES = {32: next(t for t in "il" if array(t).itemsize == 4), 64: "q"}
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
 @lru_cache(maxsize=32)
-def _lane_bias(n: int) -> int:
-    """The top bit of each of n lanes: sum over k of 2^63 * 2^(64k)."""
-    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
+def _lane_bias(n: int, bits: int = 64) -> int:
+    """The top bit of each of n lanes: sum over k of 2^(bits-1) * 2^(bits k)."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")
 
 
-def pack_lanes(values: Sequence[int]) -> int:
-    """sum over k of values[k] * 2^(64k), for ints in [-2^63, 2^63).
+def pack_lanes(values: Sequence[int], bits: int = 64) -> int:
+    """sum over k of values[k] * 2^(bits k), for ints in [-2^(bits-1),
+    2^(bits-1)) and ``bits`` 32 or 64.
 
-    The bytes of an ``array("q")`` read as one unsigned int hold each
-    negative lane as its two's complement, v + 2^64.  Flipping every top
-    bit adds 2^63 to each lane and leaves no lane negative; subtracting the
-    same bias then leaves the signed sum.  A value out of range raises
-    OverflowError.
+    The bytes of an ``array`` of that item width read as one unsigned int
+    hold each negative lane as its two's complement, v + 2^bits.  Flipping
+    every top bit adds 2^(bits-1) to each lane and leaves no lane negative;
+    subtracting the same bias then leaves the signed sum.  A value out of
+    range raises OverflowError.
     """
-    lanes = array("q", values)
+    lanes = array(_TYPECODES[bits], values)
     if _BIG_ENDIAN:
         lanes.byteswap()
-    bias = _lane_bias(len(lanes))
+    bias = _lane_bias(len(lanes), bits)
     return (int.from_bytes(lanes.tobytes(), "little") ^ bias) - bias
 
 
-def unpack_lanes(packed: int, n: int) -> array:
-    """The n lanes of ``packed`` as an ``array("q")``: the inverse of
-    :func:`pack_lanes` whenever every lane lies in [-2^63, 2^63)."""
-    bias = _lane_bias(n)
-    lanes = array("q")
-    lanes.frombytes(((packed + bias) ^ bias).to_bytes(8 * n, "little"))
+def unpack_lanes(packed: int, n: int, bits: int = 64) -> array:
+    """The n lanes of ``packed`` as an ``array`` of ``bits``-bit items: the
+    inverse of :func:`pack_lanes` whenever every lane lies in
+    [-2^(bits-1), 2^(bits-1))."""
+    bias = _lane_bias(n, bits)
+    lanes = array(_TYPECODES[bits])
+    lanes.frombytes(((packed + bias) ^ bias).to_bytes(bits // 8 * n, "little"))
     if _BIG_ENDIAN:
         lanes.byteswap()
     return lanes
 
 
-def lane_sums(rows: Iterable[Sequence[int]], vectors: Iterable, bound: int) -> Iterator:
+def lane_sums(rows: Iterable[Sequence[int]], vectors: Iterable, bound: int, held: Optional[dict] = None) -> Iterator:
     """Per row r, lazily: ``_signed`` of sum over k of r[k] * vectors[k].
     A row holds one int coefficient per vector; the vectors, a nonempty
     iterable of int sequences, share one width.  ``bound`` is the caller's
-    bound on every |entry| of the vectors and of the sums.  Below
-    ``LANE_LIMIT`` each vector is packed once, each r[k] is one big-int
-    multiply-add, and a row sum s is one unpack of s - (s << 64 width), the
-    lanes of s then of -s, none of which can carry into its neighbour.  At
-    or past the bound, ``_entry_sums`` takes over."""
-    if bound >= LANE_LIMIT:
+    bound on every |entry| of the vectors and of the sums.  Below 2^31 the
+    lanes are 32 bits wide, below ``LANE_LIMIT`` 64: each vector is packed
+    once, each r[k] is one big-int multiply-add, and a row sum s is one
+    unpack of s - (s << bits * width), the lanes of s then of -s, none of
+    which can carry into its neighbour.  At or past ``LANE_LIMIT``,
+    ``_entry_sums`` takes over.
+
+    ``held``, a dict, keeps the packed vectors by lane width for a caller
+    that sums the same vectors again: passed back with them, the vectors
+    are neither read nor packed a second time."""
+    bits = 32 if bound < 2 ** 31 else 64 if bound < LANE_LIMIT else 0
+    if not bits:
         yield from _entry_sums(rows, list(vectors))
         return
-    vectors = iter(vectors)
-    first = next(vectors)
-    width = len(first)
-    packed = [pack_lanes(first), *map(pack_lanes, vectors)]
+    kept = None if held is None else held.get(bits)
+    if kept is None:
+        vectors = iter(vectors)
+        first = next(vectors)
+        kept = len(first), [pack_lanes(first, bits), *(pack_lanes(v, bits) for v in vectors)]
+        if held is not None:
+            held[bits] = kept
+    width, packed = kept
     for r in rows:
         s = sum(map(mul, r, packed))
-        yield unpack_lanes(s - (s << 64 * width), 2 * width)
+        yield unpack_lanes(s - (s << bits * width), 2 * width, bits)
 
 
 def _entry_sums(rows: Iterable[Sequence[int]], vectors: list) -> Iterator[list]:

@@ -14,7 +14,8 @@ element constructor's input.  ``so_list`` and ``so_dict`` convert an so
 block between the pair-dict and the list over ``space.pairs``;
 ``legacy_blocks`` gives an element's blocks in the earlier shapes (so a
 pair-dict, a scalar a bare int), and ``values`` its nonzero entries as
-values.  ``swaps_halves`` scans every basis index for where C sends it,
+values.  ``tagged_jacobiator`` sums the nested tagged brackets with no
+packs held, each kernel packing its operands afresh.  ``swaps_halves`` scans every basis index for where C sends it,
 the reference for ``make_ep``'s label parity.  ``basis_spinor``,
 ``ep_scale`` and ``LEVEL_Q`` (each level's division-algebra parameter) are
 test helpers.
@@ -34,7 +35,7 @@ from linalg_oracle import (
     transpose,
 )
 from magicstar.clifford import conjugation
-from magicstar.ep import EPElement, _times, jacobiator
+from magicstar.ep import EPElement, _tagged_bracket, _times, ep_add, jacobiator
 
 
 def conjugation_matrix(space):
@@ -184,6 +185,18 @@ def commutator(space, x: dict, y: dict):
                 key, flip = cp
                 out[key] = out.get(key, 0) + s * flip * v
     return {k: v for k, v in out.items() if v}, 1
+
+
+def tagged_jacobiator(space, x, y, z, unknowns) -> dict:
+    """``ep._tagged_jacobiator`` without held packs: the cyclic sum of the
+    nested tagged brackets, by tag, each bracket called on its own."""
+    totals = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for t1, e1 in _tagged_bracket(space, a, b, unknowns):
+            for t2, e2 in _tagged_bracket(space, e1, c, unknowns):
+                tag = tuple(sorted(t1 + t2))
+                totals[tag] = ep_add(totals.get(tag, EPElement({})), e2)
+    return {t: e for t, e in totals.items() if not e.is_zero()}
 
 
 def basis_spinor(space, block: str, k: int) -> EPElement:

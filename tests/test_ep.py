@@ -3,11 +3,14 @@ import functools
 import hashlib
 import json
 import random
+import weakref
+from array import array
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clifford_oracle
 import ep_oracle
 import magicstar.ep as ep_mod
 import magicstar.linalg as linalg_mod
@@ -36,6 +39,7 @@ from magicstar.ep import (
     _k_act,
     _k_commutator,
     _k_pair_so,
+    _tagged_jacobiator,
 )
 from magicstar.linalg import LANE_LIMIT, MonomialMatrix, RowReducer, _sign, _signed
 
@@ -809,6 +813,73 @@ def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
         paths.clear()
 
 
+def count_lane_paths(monkeypatch, paths):
+    """Append, per ``lane_sums`` call of an ``ep`` kernel, the path its
+    rows came from: the lane width in bits, or "entries"."""
+    lane_sums = ep_mod.lane_sums
+
+    def counted(*args):
+        rows = list(lane_sums(*args))
+        paths.append(8 * rows[0].itemsize if isinstance(rows[0], array) else "entries")
+        return iter(rows)
+
+    monkeypatch.setattr(ep_mod, "lane_sums", counted)
+
+
+NARROW_LIMIT = 2 ** 31
+
+
+def test_act_matches_pair_actions_at_the_narrow_lane_edge(monkeypatch):
+    # sum |x| * max |psi| at 2^31 - 1 takes 32-bit lanes, with some lane of
+    # the row at that magnitude; one step further takes 64-bit lanes
+    sp, actions, _ = oracle_space("der", 0, "unprimed")
+    paths = []
+    count_lane_paths(monkeypatch, paths)
+    for x in ({(0, 1): 1}, {(0, 1): -8}, {(0, 1): 1, (0, 2): 1}):
+        total = sum(map(abs, x.values()))
+        cap = (NARROW_LIMIT - 1) // total
+        for peak in (cap, cap + 1):
+            for sign in (1, -1):
+                psi = [sign * peak] * sp.rep.dim
+                got = _k_act(sp, ("so", "psi"), so_list(sp, x), psi)
+                assert got == ep_oracle.act(sp, actions, x, psi)
+                assert max(map(abs, got[0])) == total * peak
+        assert paths == [32, 32, 64, 64]
+        paths.clear()
+
+
+ZERO_AND_ONE_PAIR_SPACES = [(level, n) for level in ep_mod.LEVELS for n in (0, 1)]
+
+
+@pytest.mark.parametrize("level,n", ZERO_AND_ONE_PAIR_SPACES)
+def test_act_reads_only_what_a_zero_or_one_pair_x_reaches(monkeypatch, level, n):
+    # a zero x returns the zero column without a sum; a one-pair x packs
+    # the one gamma_b psi it reaches and sums one row
+    sp = make_ep(level, n)
+    g = clifford_oracle.gammas(sp.rep)
+    rng = random.Random(n)
+    packs, sums, paths = [], [], []
+    pack_lanes, unpack_lanes = linalg_mod.pack_lanes, linalg_mod.unpack_lanes
+    monkeypatch.setattr(linalg_mod, "pack_lanes", lambda *args: packs.append(args) or pack_lanes(*args))
+    monkeypatch.setattr(linalg_mod, "unpack_lanes", lambda *args: sums.append(args) or unpack_lanes(*args))
+    count_lane_paths(monkeypatch, paths)
+    for block in sp.spinor_blocks():
+        psi = [0] * sp.rep.dim
+        for c in sp.spinor_support[block]:
+            psi[c] = rng.randint(-9, 9)
+        psi[sp.spinor_support[block][0]] = 7  # not zero
+        assert _k_act(sp, ("so", block), [0] * len(sp.pairs), psi) == ep_oracle.act(sp, {}, {}, psi)
+        assert (packs, sums, paths) == ([], [], [])
+        for key in (sp.pairs[0], sp.pairs[-1], rng.choice(sp.pairs)):
+            x = {key: rng.choice((-3, 5))}
+            action = {key: mat_mul(g[key[0]], g[key[1]])}
+            assert _k_act(sp, ("so", block), so_list(sp, x), psi) == ep_oracle.act(sp, action, x, psi)
+            assert (len(packs), len(sums), paths) == (1, 1, [32])
+            packs.clear()
+            sums.clear()
+            paths.clear()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(KERNEL_SPACES), SEEDS)
 def test_pair_so_matches_pair_forms(case, seed):
@@ -860,6 +931,34 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
         paths.clear()
 
 
+def test_pair_so_matches_pair_forms_at_the_narrow_lane_edge(monkeypatch):
+    # |image| * max |psi| * max |phi| at 2^31 - 1 takes 32-bit lanes, with
+    # the lane of one pair at that magnitude; at 2^31, 64-bit lanes
+    paths = []
+    count_lane_paths(monkeypatch, paths)
+    for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
+        sp, _, forms = oracle_space(*case)
+        bx, by = sp.spinor_blocks()[0], sp.spinor_blocks()[-1]
+        support = sp.spinor_support[by]
+        # psi[form.rows[c]] = form.signs[c] puts every term of the pair
+        # (0, 1) at the same sign
+        form = mat_mul(pauli_string(sp.rep.dim, conjugation(sp.rep, 1).C), mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
+        for q in (1, 2):
+            cap = (NARROW_LIMIT - 1) // (len(support) * q)
+            for peak in (cap, cap + 1):
+                for sign in (1, -1):
+                    psi, phi = [0] * sp.rep.dim, [0] * sp.rep.dim
+                    for c in support:
+                        psi[form.rows[c]] = sign * peak * form.signs[c]
+                        phi[c] = q
+                    got = _k_pair_so(sp, (bx, by), psi, phi)
+                    assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
+                    assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
+            assert len(support) * (cap + 1) * q == NARROW_LIMIT
+            assert paths == [32, 32, 64, 64]
+            paths.clear()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(KERNEL_SPACES), SEEDS)
 def test_commutator_matches_endpoint_index(case, seed):
@@ -902,6 +1001,102 @@ def test_benchmarked_inputs_take_the_packed_action(monkeypatch, seed):
     for level in ep_mod.LEVELS:
         calibrate(level, 0, seed=seed)
         jacobi_infeasibility(level, 1, samples=3, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# packs held by one jacobiator
+# ---------------------------------------------------------------------------
+
+class Block(list):
+    """A block list that a weak reference can follow."""
+
+
+def off_coefficients(sp):
+    """The space with every channel coefficient off its calibrated value,
+    so no jacobiator cancels by closure."""
+    values = {name: Q(5 + 2 * i, 7) for i, name in enumerate(sp.coeffs.values)}
+    return dataclasses.replace(sp, coeffs=BracketCoeffs(values, sp.coeffs.normalized))
+
+
+def seen_holding(monkeypatch):
+    """The number of blocks held in every ``_tagged_bracket`` call."""
+    sizes = []
+    tagged_bracket = ep_mod._tagged_bracket
+
+    def spy(space, x, y, unknowns, holding=None):
+        sizes.append(len(holding))
+        return tagged_bracket(space, x, y, unknowns, holding)
+
+    monkeypatch.setattr(ep_mod, "_tagged_bracket", spy)
+    return sizes
+
+
+def numerators_by_tag(tagged):
+    return {tag: (list(el.numerators()), el.den) for tag, el in tagged.items()}
+
+
+@pytest.mark.parametrize("level,n", [(level, n) for level in ep_mod.LEVELS for n in (0, 1)])
+def test_held_packs_leave_dense_jacobiators_unchanged(level, n):
+    # dense seeded triples, tagged by the level's unknowns and folded with
+    # every coefficient off closure: numerators and den per tag as the
+    # brackets give them with nothing held
+    sp = make_ep(level, n)
+    rng = random.Random(31 + n)
+    x, y, z = (random_element(sp, rng) for _ in range(3))
+    unknowns = frozenset(_describe(level).unknowns)
+    got = _tagged_jacobiator(sp, x, y, z, unknowns)
+    assert numerators_by_tag(got) == numerators_by_tag(ep_oracle.tagged_jacobiator(sp, x, y, z, unknowns))
+    off = off_coefficients(sp)
+    got = jacobiator(off, x, y, z)
+    want = ep_oracle.tagged_jacobiator(off, x, y, z, None).get((), EPElement({}))
+    assert (list(got.numerators()), got.den) == (list(want.numerators()), want.den)
+    # every channel of der and qconf is pinned, so they close at n = 0 at
+    # any nonzero coefficients
+    assert got.is_zero() == (n == 0 and not _describe(level).unknowns)
+
+
+def test_a_dense_triple_holds_packs_and_a_spinor_only_triple_none(monkeypatch):
+    sizes = seen_holding(monkeypatch)
+    for level in ep_mod.LEVELS:
+        sp = make_ep(level, 0)
+        rng = random.Random(5)
+        dense = [random_element(sp, rng) for _ in range(3)]
+        _tagged_jacobiator(sp, *dense, None)
+        # every spinor block of every operand is held
+        assert set(sizes) == {3 * len(sp.spinor_blocks())}
+        sizes.clear()
+        _tagged_jacobiator(sp, *(random_spinor_element(sp, rng) for _ in range(3)), None)
+        assert sizes and set(sizes) == {0}
+        sizes.clear()
+
+
+def test_held_packs_die_with_the_call(monkeypatch):
+    # a weak reference to an operand's block list dies once the operand
+    # lets go of it, after _tagged_jacobiator returns and after it raises
+    sp = make_ep("der", 0)
+    rng = random.Random(9)
+    calls = []
+
+    def pair_then_raise(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("second pair form")
+        return _k_pair_so(*args)
+
+    raising = dataclasses.replace(sp, table={**sp.table, ("psi", "psi"): [("pair_so", "so", pair_then_raise)]})
+    for space in (sp, raising):
+        x, y, z = (random_element(sp, rng) for _ in range(3))
+        x.blocks["psi"] = Block(x.blocks["psi"])
+        ref = weakref.ref(x.blocks["psi"])
+        try:
+            _tagged_jacobiator(space, x, y, z, None)
+        except RuntimeError:
+            assert space is raising
+        else:
+            assert space is sp
+        del x.blocks["psi"]
+        assert ref() is None
+    assert len(calls) == 2
 
 
 GATHER_SPACES = [(level, n, "unprimed") for level in ep_mod.LEVELS for n in (0, 1)] + [

@@ -1,5 +1,6 @@
 import random
 import sys
+from array import array
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -287,11 +288,14 @@ def test_kron_mixed_product(data):
 
 
 # ---------------------------------------------------------------------------
-# packed 64-bit lanes
+# packed 32- and 64-bit lanes
 # ---------------------------------------------------------------------------
 
 # the ends of a signed 64-bit lane, and the values next to 0
 LANE_EDGES = (0, 1, -1, 2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63))
+# the same for a signed 32-bit lane
+NARROW_EDGES = (0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1), -(2 ** 31))
+NARROW_LIMIT = 2 ** 31
 
 
 def random_lanes(rng, n, cap):
@@ -319,6 +323,12 @@ def test_lanes_roundtrip(seed):
     packed = pack_lanes(v)
     assert packed == sum(x << (64 * k) for k, x in enumerate(v))
     assert list(unpack_lanes(packed, n)) == v
+    # the same on 32-bit lanes
+    v = random_lanes(rng, n, NARROW_LIMIT - 1)
+    v[rng.randrange(n)] = rng.choice(NARROW_EDGES)
+    packed = pack_lanes(v, 32)
+    assert packed == sum(x << (32 * k) for k, x in enumerate(v))
+    assert list(unpack_lanes(packed, n, 32)) == v
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,10 +346,13 @@ def test_lane_combination_matches_elementwise(seed):
 
 
 def test_pack_lanes_refuses_values_past_a_lane():
-    assert pack_lanes([]) == 0
+    assert pack_lanes([]) == 0 == pack_lanes([], 32)
     for bad in (2 ** 63, -(2 ** 63) - 1):
         with pytest.raises(OverflowError):
             pack_lanes([0, bad])
+    for bad in (2 ** 31, -(2 ** 31) - 1):
+        with pytest.raises(OverflowError):
+            pack_lanes([0, bad], 32)
 
 
 def entrywise_sums(rows, vectors):
@@ -382,6 +395,71 @@ def test_lane_sums_reach_the_lane_edge():
     got = [list(s) for s in lane_sums(rows, vectors, edge)]
     assert got == entrywise_sums(rows, vectors)
     assert got[1][:2] == [edge, -edge] and got[2][:2] == [-edge, edge]
+
+
+def lane_path(rows):
+    """The path a ``lane_sums`` call took, read off its rows: the item width
+    in bits of an unpacked ``array``, or "entries" for ``_signed`` lists."""
+    return 8 * rows[0].itemsize if isinstance(rows[0], array) else "entries"
+
+
+def test_lane_typecodes_have_their_widths():
+    assert {bits: array(code).itemsize for bits, code in linalg_mod._TYPECODES.items()} == {32: 4, 64: 8}
+
+
+def test_lane_sums_take_the_narrowest_lanes_the_bound_allows():
+    # entries and sums at +-(2^31 - 1) fit a 32-bit lane; a bound of 2^31
+    # takes 64-bit lanes, and LANE_LIMIT sums entry by entry
+    edge = NARROW_LIMIT - 1
+    rows = [[1, 0], [1, 1], [-1, -1], [0, 0]]
+    vectors = [[2 ** 30, -(2 ** 30), 0, edge], [2 ** 30 - 1, 1 - 2 ** 30, 5, 0]]
+    expected = entrywise_sums(rows, vectors)
+    assert expected[1][:2] == [edge, -edge] and expected[0][3] == edge
+    for bound, path in ((edge, 32), (NARROW_LIMIT, 64), (LANE_LIMIT - 1, 64), (LANE_LIMIT, "entries")):
+        got = list(lane_sums(rows, vectors, bound))
+        assert [list(s) for s in got] == expected
+        assert lane_path(got) == path
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_every_lane_width_matches_the_entry_sums(seed):
+    # the vectors are capped so every sum stays within 2^31 - 1; each bound
+    # then picks one path, and all three agree with the entry-by-entry sums
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 16), rng.randint(1, 6)
+    rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(k)] for _ in range(rng.randint(1, 4))]
+    cap = (NARROW_LIMIT - 1) // max(1, max(sum(map(abs, r)) for r in rows))
+    vectors = [random_lanes(rng, n, cap) for _ in range(k)]
+    expected = list(linalg_mod._entry_sums(rows, vectors))
+    for bound, path in ((NARROW_LIMIT - 1, 32), (NARROW_LIMIT, 64), (LANE_LIMIT, "entries")):
+        got = list(lane_sums(rows, vectors, bound))
+        assert [list(r) for r in got] == expected
+        assert lane_path(got) == path
+
+
+def test_held_packs_are_made_once_per_width():
+    # passed back with the same dict, the vectors are not read again; a
+    # bound that takes the other width packs them afresh
+    rows = [[1, -2], [0, 3]]
+    vectors = [[1, -5, 7], [2, 0, -3]]
+    held = {}
+
+    def once():
+        yield from vectors
+
+    def never():
+        raise AssertionError("held vectors were read again")
+        yield
+
+    first = [list(s) for s in lane_sums(rows, once(), 99, held)]
+    assert first == entrywise_sums(rows, vectors) and set(held) == {32}
+    assert [list(s) for s in lane_sums(rows, never(), 99, held)] == first
+    assert [list(s) for s in lane_sums(rows, once(), NARROW_LIMIT, held)] == first
+    assert set(held) == {32, 64}
+    # past LANE_LIMIT the entries are summed and nothing is kept
+    assert [list(s) for s in lane_sums(rows, vectors, LANE_LIMIT, held)] == first
+    assert set(held) == {32, 64}
 
 
 # ---------------------------------------------------------------------------
