@@ -47,6 +47,9 @@ class AlgebraLabel:
         text = text.strip()
         if len(text) < 2:
             raise ValueError("label too short: %r" % text)
+        # int() would also take "1_0", "+3", " 8" and non-ASCII digits
+        if not (text[1:].isascii() and text[1:].isdigit()):
+            raise ValueError("rank is not decimal digits: %s" % ascii(text))
         return AlgebraLabel(text[0].upper(), int(text[1:]))
 
     def __str__(self) -> str:
