@@ -23,7 +23,7 @@ from .clifford import (
     reality_class,
     verify_relations,
 )
-from .linalg import rat_str
+from .linalg import int_text, rat_str
 from .roots import AlgebraLabel, generate_roots, root_count
 from .talgebra import (
     TElement,
@@ -43,6 +43,19 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _int(text: str) -> int:
+    """argparse's int, but a value past the interpreter's digit limit is
+    refused by its digit count instead of echoed whole."""
+    try:
+        int_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type: "invalid int value: 'x'"
 
 
 def _dump(data) -> str:
@@ -194,21 +207,21 @@ def build_parser() -> _Parser:
     p_star.add_argument("--csv")
 
     p_cl = sub.add_parser("clifford", help="gamma matrix summary for a signature")
-    p_cl.add_argument("p", type=int)
-    p_cl.add_argument("q", type=int)
+    p_cl.add_argument("p", type=_int)
+    p_cl.add_argument("q", type=_int)
     p_cl.add_argument("--check", action="store_true")
     p_cl.add_argument("--emit")
 
     p_ep = sub.add_parser("ep", help="graded-algebra calibration / Jacobi report")
     p_ep.add_argument("--level", required=True, choices=list(ep_mod.LEVELS))
-    p_ep.add_argument("--n", required=True, type=int)
-    p_ep.add_argument("--samples", type=int, default=50)
-    p_ep.add_argument("--seed", type=int, default=7)
+    p_ep.add_argument("--n", required=True, type=_int)
+    p_ep.add_argument("--samples", type=_int, default=50)
+    p_ep.add_argument("--seed", type=_int, default=7)
     p_ep.add_argument("--polarization", choices=["unprimed", "primed"], default="unprimed")
 
     p_t = sub.add_parser("talg", help="cubic norm evaluations on an element file")
-    p_t.add_argument("--q", required=True, type=int)
-    p_t.add_argument("--n", required=True, type=int)
+    p_t.add_argument("--q", required=True, type=_int)
+    p_t.add_argument("--n", required=True, type=_int)
     p_t.add_argument("action", choices=["norm", "rank", "entropy", "grad"])
     p_t.add_argument("--input", required=True)
 

@@ -251,18 +251,22 @@ class _Gathers(NamedTuple):
     """Per gamma a, for a spinor on ``support``, which every gamma maps onto
     its image (the other chiral half, or everything): ``out[a]`` reads
     gamma_a v on the image from a full column; ``back[a]`` reads gamma_a r
-    on ``support`` from r on the image.  Each reads from ``_signed`` of its
+    on ``support`` from r on the image; ``lower`` reads C^T v on
+    ``support`` from a full column.  Each reads from ``_signed`` of its
     input, and gamma_a^T is eta_a gamma_a (``verify_relations`` proved
     gamma_a^2 = eta_a).  ``expand`` spreads a vector on ``support``, then
-    one 0, over a column."""
+    one 0, over a column, and ``on_support`` reads a column on
+    ``support``."""
 
     support: Tuple[int, ...]
     expand: Callable[[list], tuple]
     out: Tuple[Callable[[list], tuple], ...]
     back: Tuple[Callable[[list], tuple], ...]
+    lower: Callable[[list], tuple]
+    on_support: Callable[[list], tuple]
 
 
-def _gathers(rep: CliffordRep, support, image) -> _Gathers:
+def _gathers(rep: CliffordRep, conj: Tuple[int, int, int], support, image) -> _Gathers:
     pos = {c: k for k, c in enumerate(support)}
     index = list(range(2 * rep.dim))
     on_image = {c: k for k, c in enumerate(image)}
@@ -272,6 +276,8 @@ def _gathers(rep: CliffordRep, support, image) -> _Gathers:
         itemgetter(*(pos.get(c, len(support)) for c in range(rep.dim))),
         tuple(_reader(g, image, index, None, eta) for g, eta in signed),
         tuple(_reader(g, support, index, on_image, eta) for g, eta in signed),
+        _reader(conj, support, index),
+        itemgetter(*support),
     )
 
 
@@ -349,92 +355,142 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
 
 
 # ---------------------------------------------------------------------------
-# kernels: each maps two blocks of int numerators, named by ``key``, to
-# ``(value, den_factor)``, int numerators of the product's value times
-# ``den_factor``; spinor kernels gather through the m single gammas, and
-# every sum of vectors is one ``lane_sums`` under the bound it names.  The
-# last argument, ``held``, is None or, while one ``_tagged_jacobiator``
-# runs, the dict in which ``lane_sums`` keeps the packs it makes of the
-# second block for this kernel: the so action's gamma_b psi, the pair
-# form's right operand per image entry.  Packs live nowhere else.
+# kernels: each takes the terms (c, u, v, held) of one channel, u and v two
+# blocks of int numerators named by ``key`` and c an int, and returns
+# ``(value, den_factor)``: int numerators of the sum over the terms of c
+# times the product's value, times ``den_factor``.  Spinor kernels gather
+# through the m single gammas, and every sum of vectors is one
+# ``lane_sums`` over all the terms, under the one bound it names.  A
+# term's ``held`` is None or, while one ``_tagged_jacobiator`` runs, the
+# dict in which ``lane_sums`` keeps the packs it makes of that term's v:
+# the so action's gamma_b psi, the pair form's right operand per image
+# entry.  Packs live nowhere else.
 # ---------------------------------------------------------------------------
 
-def _k_commutator(space: EPSpace, key, x: list, y: list, held=None):
-    """[x, y] of two lists over the pairs: the upper triangle of M - M^T,
-    M = X eta Y for the antisymmetric matrices X, Y; row i of M is
-    sum over k of (X eta)[i][k] Y[k], at most m max |x| max |y|."""
+def _k_commutator(space: EPSpace, key, terms):
+    """Sum over the terms of c [x, y], x and y lists over the pairs: the
+    upper triangle of M - M^T, M the sum of c X eta Y for the
+    antisymmetric matrices X, Y; row i of M is the sum over the terms and
+    k of c (X eta)[i][k] Y[k], at most the sum over the terms of
+    m max(1, |c| max |x|) max |y|."""
     metric = space.rep.metric
-    xe = [[0] * len(metric) for _ in metric]
-    ym = [[0] * len(metric) for _ in metric]
-    for (a, b), v, w in zip(space.pairs, x, y):
-        xe[a][b], xe[b][a] = v * metric[b], -v * metric[a]
-        ym[a][b], ym[b][a] = w, -w
-    # max(1, ...): a zero x still packs y
-    bound = len(metric) * max(1, max(map(abs, x))) * max(map(abs, y))
-    rows = list(lane_sums(xe, ym, bound))
+    m = len(metric)
+
+    def term(c, x, y):
+        xe = [[0] * m for _ in metric]
+        ym = [[0] * m for _ in metric]
+        for (a, b), v, w in zip(space.pairs, _times(x, c), y):
+            xe[a][b], xe[b][a] = v * metric[b], -v * metric[a]
+            ym[a][b], ym[b][a] = w, -w
+        return xe, ym, None
+
+    # max(1, ...): a zero c x still packs y
+    bound = sum(m * max(1, abs(c) * max(map(abs, x))) * max(map(abs, y)) for c, x, y, _ in terms)
+    rows = list(lane_sums((term(c, x, y) for c, x, y, _ in terms), bound))
     return [rows[i][j] - rows[j][i] for i, j in space.pairs], 1
 
 
-def _k_act(space: EPSpace, key, x: list, psi: list, held=None):
-    """The orthogonal action on a spinor column, sum over a < b of
-    x_ab gamma_a gamma_b psi, over 2, as sum over a of
-    gamma_a (sum over b of x_ab gamma_b psi); a row's entries are at most
-    sum |x| * max |psi|.  Only the rows a and gammas b of a nonzero x_ab
-    are read, and a zero x reads nothing."""
-    if not any(x):
-        return [0] * len(psi), 2
+def _k_act(space: EPSpace, key, terms):
+    """The orthogonal action on spinor columns, summed over the terms: c
+    times sum over a < b of x_ab gamma_a gamma_b psi, over 2, as sum over
+    a of gamma_a (sum over the terms and b of c x_ab gamma_b psi); a row's
+    entries are at most the sum over the terms of |c| sum |x| max |psi|.
+    Only the rows a and gammas b of a nonzero x_ab are read, a term whose
+    c x is zero reads nothing, and each row is unpacked and gathered back
+    once, whatever the number of terms."""
     g = space.gathers[key[1]]
-    psi = _signed(psi)
     m = len(g.out)
-    coeffs = [[0] * m for _ in range(m - 1)]  # no pair starts at the last gamma
-    for (a, b), v in zip(space.pairs, x):
-        coeffs[a][b] = v
-    rows = [a for a, r in enumerate(coeffs) if any(r)]
-    # the gammas b that a nonzero x_ab reaches; with packs held, every b >= 1
-    # (no pair ends at gamma_0), so that each call reads the same vectors
-    cols = range(1, m) if held is not None else [b for b, col in enumerate(zip(*coeffs)) if any(col)]
-    coeffs = [list(map(coeffs[a].__getitem__, cols)) for a in rows]
-    # lazy: lane_sums gathers only when ``held`` has no packs at its width;
-    # max over psi and -psi is max |psi|
-    sums = lane_sums(coeffs, (g.out[b](psi) for b in cols), sum(map(abs, x)) * max(psi), held)
+    live, bound = [], 0
+    for c, x, psi, held in terms:
+        if not (c and any(x)):
+            continue
+        coeffs = [[0] * m for _ in range(m - 1)]  # no pair starts at the last gamma
+        for (a, b), v in zip(space.pairs, _times(x, c)):
+            coeffs[a][b] = v
+        live.append((coeffs, psi, held))
+        bound += abs(c) * sum(map(abs, x)) * max(map(abs, psi))
+    if not live:
+        return [0] * space.rep.dim, 2
+    rows = [a for a in range(m - 1) if any(any(coeffs[a]) for coeffs, _, _ in live)]
+
+    def term(coeffs, psi, held):
+        # the gammas b that a nonzero x_ab reaches; with packs held, every
+        # b >= 1 (no pair ends at gamma_0), so that each call reads the
+        # same vectors; None at a row the term does not reach
+        cols = range(1, m) if held is not None else [b for b, col in enumerate(zip(*coeffs)) if any(col)]
+
+        def vectors():  # lazy: lane_sums gathers only when ``held`` has no packs at its width
+            signed = _signed(psi)
+            for b in cols:
+                yield g.out[b](signed)
+
+        return [list(map(coeffs[a].__getitem__, cols)) if any(coeffs[a]) else None for a in rows], vectors(), held
+
+    sums = lane_sums((term(*t) for t in live), bound)
     acc = [0] * len(g.support)
     for a, r in zip(rows, sums):
         acc = list(map(add, acc, g.back[a](r)))
     return list(g.expand(acc + [0])), 2
 
 
-def _k_grade(space: EPSpace, key, d: list, val: list, held=None):
-    return _times(val, space.grades[key[1]] * d[0]), 1
+def _k_grade(space: EPSpace, key, terms):
+    grade = space.grades[key[1]]
+    return _combine((c * grade * d[0], val) for c, d, val, _ in terms), 1
 
 
-def _k_pair_so(space: EPSpace, key, psi: list, phi: list, held=None):
-    """Per pair a < b, psi^T (eta_a eta_b C gamma_a gamma_b) phi
-    = eta_b (gamma_a C^T psi) . (gamma_b phi) on the image of phi's support:
-    row a sums, over image entries k, (gamma_a C^T psi)[k] times the vector
-    ((gamma_b phi)[k])_b, each entry at most |image| * max |psi| * max |phi|."""
+def _k_pair_so(space: EPSpace, key, terms):
+    """Sum over the terms of c psi^T (eta_a eta_b C gamma_a gamma_b) phi,
+    per pair a < b, = c eta_b (gamma_a C^T psi) . (gamma_b phi) on the
+    image of phi's support: row a sums, over the terms and image entries
+    k, (gamma_a C^T c psi)[k] times the vector ((gamma_b phi)[k])_b, each
+    entry at most the sum over the terms of |image| max(1, |c| max |psi|)
+    max(1, max |phi|)."""
     g = space.gathers[key[1]]
-    psi, phi = _signed(psi), _signed(phi)
-    lowered = _signed(space.conj(psi))
-    left = [f(lowered) for f in g.out[:-1]]  # no pair starts at the last gamma
 
-    def entries():  # lazy, as in _k_act
-        yield from zip(*(f(phi) for f in g.out))
+    def term(c, psi, phi, held):
+        lowered = _signed(space.conj(_signed(_times(psi, c))))
+
+        def entries():  # lazy, as in _k_act
+            signed = _signed(phi)
+            yield from zip(*(f(signed) for f in g.out))
+
+        # no pair starts at the last gamma
+        return (f(lowered) for f in g.out[:-1]), entries(), held
 
     # max(1, ...): a zero operand still packs or multiplies the other
-    bound = len(g.support) * max(1, max(psi)) * max(1, max(phi))
-    rows = lane_sums(left, entries(), bound, held)
+    bound = sum(
+        len(g.support) * max(1, abs(c) * max(map(abs, psi))) * max(1, max(map(abs, phi)))
+        for c, psi, phi, _ in terms
+    )
+    rows = lane_sums((term(*t) for t in terms), bound)
     metric = space.rep.metric
     # row a, then b > a: the order of ``space.pairs``
     return [metric[b] * r[b] for a, r in enumerate(rows) for b in range(a + 1, len(metric))], 1
 
 
+def _k_pair_scalar(space: EPSpace, key, terms):
+    """Sum over the terms of c psi^T C phi, read over phi's support only."""
+    g = space.gathers[key[1]]
+    return [sum(c * sum(map(mul, g.lower(_signed(psi)), g.on_support(phi))) for c, psi, phi, _ in terms)], 1
+
+
+def _combine(pairs) -> list:
+    """Sum over (a, v) of a v, for int a and lists v of one length."""
+    acc = None
+    for a, v in pairs:
+        v = _times(v, a)
+        acc = v if acc is None else list(map(add, acc, v))
+    return acc
+
+
 # a coefficient channel's kernel, by the kinds of (bx, by, target)
 _CHANNEL_KERNELS = {
     ("spinor", "spinor", "so"): _k_pair_so,
-    ("spinor", "spinor", "scalar"): lambda space, key, psi, phi, held=None: (
-        [sum(map(mul, space.conj(_signed(psi)), phi))], 1),
-    ("scalar", "spinor", "spinor"): lambda space, key, k, psi, held=None: ([k[0] * v for v in psi], 1),
-    ("scalar", "scalar", "scalar"): lambda space, key, a, b, held=None: ([a[0] * b[0]], 1),
+    ("spinor", "spinor", "scalar"): _k_pair_scalar,
+    ("scalar", "spinor", "spinor"): lambda space, key, terms: (
+        _combine((c * k[0], psi) for c, k, psi, _ in terms), 1),
+    ("scalar", "scalar", "scalar"): lambda space, key, terms: (
+        [sum(c * a[0] * b[0] for c, a, b, _ in terms)], 1),
 }
 
 
@@ -480,7 +536,7 @@ def make_ep(
         form = _prod((C.C,) + rep.labels[:2]) if target == "so" else C.C
         if bx == by and _sign(form[1] & form[2]) != -1:
             raise AssertionError("conjugation symmetry does not match the level")
-    built = {s: _gathers(rep, *halves[s]) for s in set(supports.values()) - {None}}
+    built = {s: _gathers(rep, C.C, *halves[s]) for s in set(supports.values()) - {None}}
 
     space = EPSpace(
         level=level,
@@ -504,36 +560,51 @@ def make_ep(
 # bracket, jacobiator
 # ---------------------------------------------------------------------------
 
-def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns, holding=None) -> List[Tuple[tuple, EPElement]]:
-    """Bracket split by coefficient channel; tags name non-pinned channels.
-    ``holding`` maps id(block) to (block, {key: held}) for the blocks whose
-    packs a jacobiator keeps; a kernel whose second block is one of them
-    gets the ``held`` dict of its key (a key has at most one kernel that
-    packs)."""
-    parts: Dict[tuple, EPElement] = {}
+def _bracket_terms(space: EPSpace, x: EPElement, y: EPElement, unknowns, holding, groups: dict, tag=()):
+    """Add the terms of [x, y] to ``groups``, by (tag, key, channel): the
+    tag is ``tag`` and the channel's tag together, sorted, and a term
+    (num, den, u, v, held) is num/den times the channel's kernel on blocks
+    u, v.  Tags name non-pinned channels.  ``holding`` maps id(block) to
+    (block, {key: held}) for the blocks whose packs a jacobiator keeps; a
+    term whose v is one of them gets the ``held`` dict of its key (a key
+    has at most one kernel that packs)."""
     values = space.coeffs.values
     den = x.den * y.den
     for bx, xv in x.blocks.items():
         for by, yv in y.blocks.items():
             # the table lists each block pair once; the reversed order is
             # the same kernel with the arguments swapped and the sign flipped
-            for key, args, sign in (((bx, by), (xv, yv), 1), ((by, bx), (yv, xv), -1)):
+            for key, (u, v), sign in (((bx, by), (xv, yv), 1), ((by, bx), (yv, xv), -1)):
                 entry = space.table.get(key)
                 if entry is None:
                     continue
-                kept = holding.get(id(args[1])) if holding else None
+                kept = holding.get(id(v)) if holding else None
                 held = None if kept is None else kept[1].setdefault(key, {})
-                for name, target, kernel in entry:
-                    value, den_factor = kernel(space, key, *args, held)
-                    tag, coeff = _tag_for(name, unknowns, values)
+                for channel in entry:
+                    t, coeff = _tag_for(channel[0], unknowns, values)
                     c = sign * coeff  # int or Fraction
-                    el = EPElement(
-                        {target: _times(value, c.numerator)},
-                        den * den_factor * c.denominator,
-                    )
-                    parts[tag] = ep_add(parts[tag], el) if tag in parts else el
+                    groups.setdefault((tuple(sorted(tag + t)), key, channel), []).append(
+                        (c.numerator, den * c.denominator, u, v, held))
                 break
-    return [(tag, el) for tag, el in parts.items() if not el.is_zero()]
+
+
+def _sum_groups(space: EPSpace, groups: dict) -> Dict[tuple, EPElement]:
+    """Each group's terms through its kernel in one call, over the lcm of
+    their denominators, added by tag; tags that sum to zero are left out."""
+    out: Dict[tuple, EPElement] = {}
+    for (tag, key, (_, target, kernel)), terms in groups.items():
+        den = lcm(*(d for _, d, _, _, _ in terms))
+        value, den_factor = kernel(space, key, [(num * (den // d), u, v, held) for num, d, u, v, held in terms])
+        el = EPElement({target: value}, den * den_factor)
+        out[tag] = ep_add(out[tag], el) if tag in out else el
+    return {tag: el for tag, el in out.items() if not el.is_zero()}
+
+
+def _tagged_bracket(space: EPSpace, x: EPElement, y: EPElement, unknowns, holding=None) -> List[Tuple[tuple, EPElement]]:
+    """Bracket split by coefficient channel: the nonzero parts, by tag."""
+    groups: dict = {}
+    _bracket_terms(space, x, y, unknowns, holding, groups)
+    return list(_sum_groups(space, groups).items())
 
 
 def _tag_for(name, unknowns, values):
@@ -547,10 +618,7 @@ def _tag_for(name, unknowns, values):
 
 def bracket(space: EPSpace, x: EPElement, y: EPElement) -> EPElement:
     """Bilinear antisymmetric grade-additive product."""
-    out = EPElement({})
-    for _, el in _tagged_bracket(space, x, y, None):
-        out = ep_add(out, el)
-    return out
+    return dict(_tagged_bracket(space, x, y, None)).get((), EPElement({}))
 
 
 def jacobiator(space: EPSpace, x: EPElement, y: EPElement, z: EPElement) -> EPElement:
@@ -560,6 +628,9 @@ def jacobiator(space: EPSpace, x: EPElement, y: EPElement, z: EPElement) -> EPEl
 
 
 def _tagged_jacobiator(space: EPSpace, x, y, z, unknowns) -> Dict[tuple, EPElement]:
+    # Each inner bracket [a, b] is summed on its own; then the terms of
+    # every outer bracket [[a, b], c] of the three go into one set of
+    # groups, by final tag, so each kernel runs once per tag and channel.
     # Packs are held for this call only.  Where another operand carries a
     # nonzero so part, a spinor block is acted on by that part and again by
     # the so part of the other two operands' bracket, and as a pair form's
@@ -572,14 +643,11 @@ def _tagged_jacobiator(space: EPSpace, x, y, z, unknowns) -> Dict[tuple, EPEleme
         for i, el in enumerate(triple) if any(acting[:i] + acting[i + 1:])
         for name, val in el.blocks.items() if name in space.gathers
     }
-    totals: Dict[tuple, EPElement] = {}
+    groups: dict = {}
     for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
         for t1, e1 in _tagged_bracket(space, a, b, unknowns, holding):
-            for t2, e2 in _tagged_bracket(space, e1, c, unknowns, holding):
-                tag = tuple(sorted(t1 + t2))
-                cur = totals.setdefault(tag, EPElement({}))
-                totals[tag] = ep_add(cur, e2)
-    return {t: e for t, e in totals.items() if not e.is_zero()}
+            _bracket_terms(space, e1, c, unknowns, holding, groups, t1)
+    return _sum_groups(space, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +722,18 @@ class InfeasibilityReport:
 
 class _System:
     """Rows of jacobiator components, linear over channel-coefficient tags:
-    int numerators over one denominator per triple."""
+    int numerators over one denominator per triple.  It counts the fed
+    rows and keeps the reference of each row that became a pivot, the only
+    rows a certificate can name; ``keep_rows`` also keeps every fed row."""
 
-    def __init__(self, tags: Sequence[tuple]):
+    def __init__(self, tags: Sequence[tuple], keep_rows: bool = False):
         self.tags = list(tags)
         self.col = {t: i for i, t in enumerate(self.tags)}
         self.red = RowReducer(len(self.tags))
+        self.count = 0
+        self.pivot_refs: Dict[int, Tuple[int, tuple]] = {}
         # (reference, coefficient numerators, rhs numerator, denominator)
-        self.rows: List[Tuple[Tuple[int, tuple], List[int], int, int]] = []
+        self.rows: Optional[List[Tuple[Tuple[int, tuple], List[int], int, int]]] = [] if keep_rows else None
         self.certificate = None
 
     def feed(self, triple_idx: int, tagged: Dict[tuple, EPElement]):
@@ -681,22 +753,27 @@ class _System:
                     rhs = -val
                 else:
                     coeffs[self.col[tag]] = val
-            self.rows.append(((triple_idx, key), coeffs, rhs, den))
+            ref = (triple_idx, key)
+            if self.rows is not None:
+                self.rows.append((ref, coeffs, rhs, den))
             if self.certificate is None:
+                rank = self.red.rank()
                 cert = self.red.add_row(coeffs, rhs, den)
                 if cert is not None:
-                    self.certificate = [
-                        (self.rows[i][0], c) for i, c in sorted(cert.items())
-                    ]
+                    refs = {**self.pivot_refs, self.count: ref}
+                    self.certificate = [(refs[i], c) for i, c in sorted(cert.items())]
+                elif self.red.rank() > rank:
+                    self.pivot_refs[self.count] = ref
+            self.count += 1
 
 
-def _feed(space: EPSpace, tags: Sequence[tuple], draw, count: int, rng: random.Random):
+def _feed(space: EPSpace, tags: Sequence[tuple], draw, count: int, rng: random.Random, keep_rows: bool = False):
     """Feed the tagged jacobiators of up to ``count`` triples, each drawn as
-    three ``draw(space, rng)``, into one ``_System(tags)``; stop at the
-    first certificate.  Returns the system, the last triple and the number
-    of triples used.  With no tags every coefficient is folded in, so a
-    certificate there means some jacobiator is nonzero."""
-    system = _System(tags)
+    three ``draw(space, rng)``, into one ``_System(tags, keep_rows)``; stop
+    at the first certificate.  Returns the system, the last triple and the
+    number of triples used.  With no tags every coefficient is folded in,
+    so a certificate there means some jacobiator is nonzero."""
+    system = _System(tags, keep_rows)
     unknowns = frozenset(name for tag in tags for name in tag)
     for used in range(1, count + 1):
         triple = tuple(draw(space, rng) for _ in range(3))
@@ -748,7 +825,7 @@ def calibrate(level: str, n: int = 0, seed: int = 7) -> CalibrationReport:
         level=level,
         n=n,
         coeffs=coeffs,
-        rows=len(system.rows),
+        rows=system.count,
         verified_triples=_VERIFY_TRIPLES,
         seed=seed,
     )
@@ -781,7 +858,7 @@ def jacobi_infeasibility(
     space = make_ep(level, n, polarization=polarization)
     desc = _describe(level)
     tags = desc.tags(space.spinor_blocks())
-    system, triple, used = _feed(space, tags, random_spinor_element, samples, random.Random(seed))
+    system, triple, used = _feed(space, tags, random_spinor_element, samples, random.Random(seed), keep_rows=True)
     violated = system.certificate is not None
     witness = violated and not desc.unknowns
     return InfeasibilityReport(

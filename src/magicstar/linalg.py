@@ -17,9 +17,10 @@ product.
 on ints that turns an inconsistent row into a certificate.
 ``lane_sums`` is the one packed multiply-add: it holds each int vector as
 one Python int with a signed lane per entry (``pack_lanes``), so a scalar
-multiply-add of a whole vector is one big-int operation.  The caller's bound
-on the entries picks the lanes: 32 bits below 2^31, 64 bits below
-``LANE_LIMIT``, and past that it sums entry by entry.
+multiply-add of a whole vector is one big-int operation; a sum of terms,
+each with its own rows and vectors, goes into one packed sum per row.  The
+caller's bound on the entries picks the lanes: 32 bits below 2^31, 64 bits
+below ``LANE_LIMIT``, and past that it sums entry by entry.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -68,6 +69,18 @@ def _decimal_digits(k: int) -> int:
     while 10 ** d <= k:
         d += 1
     return d
+
+
+def int_text(text: str) -> str:
+    """``text`` as it is, when ``int`` may read it: text with more decimal
+    digits than the interpreter's limit for str-to-int conversion is
+    refused with a ValueError naming its digit count, before ``int`` would
+    refuse it with advice on raising the limit."""
+    limit = sys.get_int_max_str_digits()
+    digits = sum(map(str.isdigit, text))
+    if limit and digits > limit:
+        raise ValueError("a value of %d decimal digits is over the input limit of %d digits" % (digits, limit))
+    return text
 
 
 # "p" or "p/q" in decimal digits, q nonzero
@@ -190,24 +203,49 @@ def unpack_lanes(packed: int, n: int, bits: int = 64) -> array:
     return lanes
 
 
-def lane_sums(rows: Iterable[Sequence[int]], vectors: Iterable, bound: int, held: Optional[dict] = None) -> Iterator:
-    """Per row r, lazily: ``_signed`` of sum over k of r[k] * vectors[k].
-    A row holds one int coefficient per vector; the vectors, a nonempty
-    iterable of int sequences, share one width.  ``bound`` is the caller's
-    bound on every |entry| of the vectors and of the sums.  Below 2^31 the
-    lanes are 32 bits wide, below ``LANE_LIMIT`` 64: each vector is packed
-    once, each r[k] is one big-int multiply-add, and a row sum s is one
-    unpack of s - (s << bits * width), the lanes of s then of -s, none of
-    which can carry into its neighbour.  At or past ``LANE_LIMIT``,
-    ``_entry_sums`` takes over.
+def lane_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[dict]]], bound: int) -> Iterator:
+    """Per output row i, lazily: ``_signed`` of the sum over the terms
+    (rows, vectors, held) of sum over k of rows[i][k] * vectors[k].  Every
+    term has one entry in ``rows`` per output row: one int coefficient per
+    vector, or None where the term adds nothing to that row.  A term's
+    vectors, a nonempty iterable of int sequences, share one width with
+    every other term's.  ``bound`` is the caller's bound on every |entry|
+    of the vectors and of the summed rows.  Below 2^31 the lanes are 32
+    bits wide, below ``LANE_LIMIT`` 64: each vector is packed once, each
+    rows[i][k] is one big-int multiply-add into row i's packed sum, and a
+    row sum s is one unpack of s - (s << bits * width), the lanes of s
+    then of -s, none of which can carry into its neighbour.  At or past
+    ``LANE_LIMIT``, ``_entry_sums`` takes over.  The terms are taken one
+    at a time, so one term's packs are alive at once: all but the last
+    are summed into a list of row sums, and the last term's rows are read,
+    finished and unpacked one at a time.
 
-    ``held``, a dict, keeps the packed vectors by lane width for a caller
-    that sums the same vectors again: passed back with them, the vectors
-    are neither read nor packed a second time."""
+    ``held``, a dict or None, keeps that term's packed vectors by lane
+    width for a caller that sums the same vectors again: passed back with
+    them, the vectors are neither read nor packed a second time."""
     bits = 32 if bound < 2 ** 31 else 64 if bound < LANE_LIMIT else 0
     if not bits:
-        yield from _entry_sums(rows, list(vectors))
+        yield from _entry_sums(terms)
         return
+    terms = iter(terms)
+    term, sums = next(terms), None
+    while term is not None:
+        rows, vectors, held = term
+        width, packed = _packs(vectors, bits, held)
+        part = map(_row_sum, rows, repeat(packed))
+        if sums is not None:
+            part = map(add, sums, part)
+        term = next(terms, None)
+        if term is not None:
+            sums = list(part)
+            del part, packed  # before the next term's packs are made
+    for s in part:
+        yield unpack_lanes(s - (s << bits * width), 2 * width, bits)
+
+
+def _packs(vectors: Iterable, bits: int, held: Optional[dict]) -> Tuple[int, list]:
+    """(width, packed vectors) of one term, taken from ``held`` when it
+    has them at ``bits`` and kept there when it is a dict."""
     kept = None if held is None else held.get(bits)
     if kept is None:
         vectors = iter(vectors)
@@ -215,18 +253,24 @@ def lane_sums(rows: Iterable[Sequence[int]], vectors: Iterable, bound: int, held
         kept = len(first), [pack_lanes(first, bits), *(pack_lanes(v, bits) for v in vectors)]
         if held is not None:
             held[bits] = kept
-    width, packed = kept
-    for r in rows:
-        s = sum(map(mul, r, packed))
-        yield unpack_lanes(s - (s << bits * width), 2 * width, bits)
+    return kept
 
 
-def _entry_sums(rows: Iterable[Sequence[int]], vectors: list) -> Iterator[list]:
-    """``lane_sums`` entry by entry, exact for ints of any size."""
-    for r in rows:
-        acc = [0] * len(vectors[0])
-        for c, v in zip(compress(r, r), compress(vectors, r)):
-            acc = list(map(add, acc, map(c.__mul__, v)))
+def _row_sum(r: Optional[Sequence[int]], packed: list) -> int:
+    return 0 if r is None else sum(map(mul, r, packed))
+
+
+def _entry_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[dict]]]) -> Iterator[list]:
+    """``lane_sums`` entry by entry, exact for ints of any size: row i of
+    every term is read together, the vectors of all terms at hand."""
+    terms = [(rows, list(vectors)) for rows, vectors, _ in terms]
+    width = len(terms[0][1][0])
+    for parts in zip(*(rows for rows, _ in terms)):
+        acc = [0] * width
+        for r, (_, vectors) in zip(parts, terms):
+            if r is not None:
+                for c, v in zip(compress(r, r), compress(vectors, r)):
+                    acc = list(map(add, acc, map(c.__mul__, v)))
         yield _signed(acc)
 
 

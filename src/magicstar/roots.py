@@ -17,7 +17,7 @@ from itertools import islice
 from operator import mul
 from typing import Dict, List, Tuple
 
-from .linalg import lane_sums
+from .linalg import int_text, lane_sums
 
 Vector = Tuple[Q, ...]
 
@@ -50,7 +50,7 @@ class AlgebraLabel:
         # int() would also take "1_0", "+3", " 8" and non-ASCII digits
         if not (text[1:].isascii() and text[1:].isdigit()):
             raise ValueError("rank is not decimal digits: %s" % ascii(text))
-        return AlgebraLabel(text[0].upper(), int(text[1:]))
+        return AlgebraLabel(text[0].upper(), int(int_text(text[1:])))
 
     def __str__(self) -> str:
         return "%s%d" % (self.family, self.rank)
@@ -144,7 +144,7 @@ class RootSystem:
         norms = [sum(map(mul, s, s)) for s in scaled]
         doubled = ([2 * c for c in s] for s in scaled)
         cols = []
-        for col, nj in zip(lane_sums(doubled, zip(*scaled), 2 * max(norms)), norms):
+        for col, nj in zip(lane_sums([(doubled, zip(*scaled), None)], 2 * max(norms)), norms):
             if any(x % nj for x in islice(col, len(scaled))):
                 raise ArithmeticError("pairing is not integral; not a root system")
             cols.append(tuple(x // nj for x in islice(col, len(scaled))))

@@ -1,12 +1,13 @@
 """The CLI transcript, ``cli_transcript.json``, and its one runner.
 
 Each entry pins one command: its ``argv``, its input ``files`` (name ->
-text, or a list of ``[text, count]`` pieces for a file built from long
-repeats), its ``exit`` code, the sha256 of its ``stdout`` and of every
+text), its ``exit`` code, the sha256 of its ``stdout`` and of every
 file it writes (``emitted``, name -> sha256; absent when it writes none),
 a ``stderr`` prefix and the number of ``stderr_lines``.  A one-line
 prefix ending in a newline, with one line, is the whole stderr.  ``why``
-says what the entry stands for; the runner does not read it.
+says what the entry stands for; the runner does not read it.  An
+argument or a file's text is a string, or a list of ``[text, count]``
+pieces for one built from long repeats.
 
 tests/test_cli.py checks every entry in-process through ``cli.run``;
 the CI workflow checks them through the installed ``magicstar`` console
@@ -24,8 +25,16 @@ def load_entries() -> list:
     return json.loads(Path(__file__).with_name("cli_transcript.json").read_text(encoding="utf-8"))
 
 
+def _text(value) -> str:
+    return value if isinstance(value, str) else "".join(piece * count for piece, count in value)
+
+
 def entry_id(entry) -> str:
-    return " ".join(entry["argv"])
+    """The argv joined by spaces, a repeated piece written piece{count}."""
+    return " ".join(
+        arg if isinstance(arg, str) else "".join(p if k == 1 else "%s{%d}" % (p, k) for p, k in arg)
+        for arg in entry["argv"]
+    )
 
 
 def _sha256(data: bytes) -> str:
@@ -40,10 +49,8 @@ def check(entry, invoke) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         for name, text in files.items():
-            if not isinstance(text, str):
-                text = "".join(piece * count for piece, count in text)
-            (cwd / name).write_bytes(text.encode())
-        code, out, err = invoke(entry["argv"], str(cwd))
+            (cwd / name).write_bytes(_text(text).encode())
+        code, out, err = invoke([_text(arg) for arg in entry["argv"]], str(cwd))
         emitted = {
             path.relative_to(cwd).as_posix(): _sha256(path.read_bytes())
             for path in sorted(cwd.rglob("*"))

@@ -745,6 +745,11 @@ def draw_so(rng, sp):
     return {key: v for key, v in so.items() if v}
 
 
+def alone(u, v):
+    """The one term (1, u, v, no packs held) of a kernel call."""
+    return [(1, u, v, None)]
+
+
 def listed(sp, result):
     """An oracle's (pair-dict, den_factor) with the so value as a list over
     the pairs, the form the kernels return."""
@@ -779,7 +784,18 @@ def test_act_matches_pair_actions(case, seed):
     x = draw_so(rng, sp)
     for block in sp.spinor_blocks():
         psi = draw_spinor(rng, sp, block)
-        assert _k_act(sp, ("so", block), so_list(sp, x), psi) == ep_oracle.act(sp, actions, x, psi)
+        assert _k_act(sp, ("so", block), alone(so_list(sp, x), psi)) == ep_oracle.act(sp, actions, x, psi)
+        # two and three terms, some with packs held, against the sum of the
+        # per-term actions
+        for count in (2, 3):
+            terms = [(rng.choice((-3, -1, 1, 2)), draw_so(rng, sp), draw_spinor(rng, sp, block), rng.choice((None, {})))
+                     for _ in range(count)]
+            want = [0] * sp.rep.dim
+            for c, xt, psit, _ in terms:
+                acted, den_factor = ep_oracle.act(sp, actions, xt, psit)
+                want = [w + c * v for w, v in zip(want, acted)]
+            got = _k_act(sp, ("so", block), [(c, so_list(sp, xt), psit, held) for c, xt, psit, held in terms])
+            assert got == (want, den_factor)
 
 
 def count_entry_sums(monkeypatch, paths):
@@ -806,11 +822,22 @@ def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
         for peak in (cap, cap + 1):
             for sign in (1, -1):
                 psi = [sign * peak] * sp.rep.dim
-                got = _k_act(sp, ("so", "psi"), so_list(sp, x), psi)
+                got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi))
                 assert got == ep_oracle.act(sp, actions, x, psi)
                 assert max(map(abs, got[0])) == total * peak
         assert paths == ["entries", "entries"]
         paths.clear()
+    # two terms, each alone below LANE_LIMIT, whose sum reaches it: the one
+    # bound of the sum picks the path, with some lane of the sum at it
+    x = {(0, 1): 1}
+    for peak in ((LANE_LIMIT - 1) // 2, LANE_LIMIT // 2):
+        for sign in (1, -1):
+            psi = [sign * peak] * sp.rep.dim
+            got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi) * 2)
+            acted, den_factor = ep_oracle.act(sp, actions, x, psi)
+            assert got == ([2 * v for v in acted], den_factor)
+            assert max(map(abs, got[0])) == 2 * peak
+    assert paths == ["entries", "entries"]
 
 
 def count_lane_paths(monkeypatch, paths):
@@ -841,11 +868,22 @@ def test_act_matches_pair_actions_at_the_narrow_lane_edge(monkeypatch):
         for peak in (cap, cap + 1):
             for sign in (1, -1):
                 psi = [sign * peak] * sp.rep.dim
-                got = _k_act(sp, ("so", "psi"), so_list(sp, x), psi)
+                got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi))
                 assert got == ep_oracle.act(sp, actions, x, psi)
                 assert max(map(abs, got[0])) == total * peak
         assert paths == [32, 32, 64, 64]
         paths.clear()
+    # two terms, each alone below 2^31, whose sum reaches it: the one bound
+    # of the sum picks the width, with some lane of the sum at it
+    x = {(0, 1): 1}
+    for peak in ((NARROW_LIMIT - 1) // 2, NARROW_LIMIT // 2):
+        for sign in (1, -1):
+            psi = [sign * peak] * sp.rep.dim
+            got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi) * 2)
+            acted, den_factor = ep_oracle.act(sp, actions, x, psi)
+            assert got == ([2 * v for v in acted], den_factor)
+            assert max(map(abs, got[0])) == 2 * peak
+    assert paths == [32, 32, 64, 64]
 
 
 ZERO_AND_ONE_PAIR_SPACES = [(level, n) for level in ep_mod.LEVELS for n in (0, 1)]
@@ -868,12 +906,12 @@ def test_act_reads_only_what_a_zero_or_one_pair_x_reaches(monkeypatch, level, n)
         for c in sp.spinor_support[block]:
             psi[c] = rng.randint(-9, 9)
         psi[sp.spinor_support[block][0]] = 7  # not zero
-        assert _k_act(sp, ("so", block), [0] * len(sp.pairs), psi) == ep_oracle.act(sp, {}, {}, psi)
+        assert _k_act(sp, ("so", block), alone([0] * len(sp.pairs), psi)) == ep_oracle.act(sp, {}, {}, psi)
         assert (packs, sums, paths) == ([], [], [])
         for key in (sp.pairs[0], sp.pairs[-1], rng.choice(sp.pairs)):
             x = {key: rng.choice((-3, 5))}
             action = {key: mat_mul(g[key[0]], g[key[1]])}
-            assert _k_act(sp, ("so", block), so_list(sp, x), psi) == ep_oracle.act(sp, action, x, psi)
+            assert _k_act(sp, ("so", block), alone(so_list(sp, x), psi)) == ep_oracle.act(sp, action, x, psi)
             assert (len(packs), len(sums), paths) == (1, 1, [32])
             packs.clear()
             sums.clear()
@@ -889,7 +927,7 @@ def test_pair_so_matches_pair_forms(case, seed):
     for bx in blocks:
         for by in blocks:
             psi, phi = draw_spinor(rng, sp, bx), draw_spinor(rng, sp, by)
-            got = _k_pair_so(sp, (bx, by), psi, phi)
+            got = _k_pair_so(sp, (bx, by), alone(psi, phi))
             assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
 
 
@@ -914,7 +952,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
                     for c in support:
                         psi[form.rows[c]] = sign * peak * form.signs[c]
                         phi[c] = q
-                    got = _k_pair_so(sp, (bx, by), psi, phi)
+                    got = _k_pair_so(sp, (bx, by), alone(psi, phi))
                     assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
                     assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
             assert len(support) * (cap + 1) * q == LANE_LIMIT
@@ -926,7 +964,7 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
         for c in support:
             big[c] = 2 ** 63 + 5
         for psi, phi in ((zero, big), (big, zero)):
-            assert _k_pair_so(sp, (by, by), psi, phi) == ([0] * len(sp.pairs), 1)
+            assert _k_pair_so(sp, (by, by), alone(psi, phi)) == ([0] * len(sp.pairs), 1)
         assert paths == ["entries", "entries"]
         paths.clear()
 
@@ -951,7 +989,7 @@ def test_pair_so_matches_pair_forms_at_the_narrow_lane_edge(monkeypatch):
                     for c in support:
                         psi[form.rows[c]] = sign * peak * form.signs[c]
                         phi[c] = q
-                    got = _k_pair_so(sp, (bx, by), psi, phi)
+                    got = _k_pair_so(sp, (bx, by), alone(psi, phi))
                     assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
                     assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
             assert len(support) * (cap + 1) * q == NARROW_LIMIT
@@ -967,7 +1005,7 @@ def test_commutator_matches_endpoint_index(case, seed):
     x, y = draw_so(rng, sp), draw_so(rng, sp)
     # the drawn x, then x lifted past the lane bound m * max |x| * max |y|
     for x in (x, {key: v << 63 for key, v in x.items()}):
-        got = _k_commutator(sp, ("so", "so"), so_list(sp, x), so_list(sp, y))
+        got = _k_commutator(sp, ("so", "so"), alone(so_list(sp, x), so_list(sp, y)))
         assert got == listed(sp, ep_oracle.commutator(sp, x, y))
 
 
@@ -982,7 +1020,7 @@ def test_commutator_matches_endpoint_index_at_the_lane_bound(monkeypatch):
     for peak in ((LANE_LIMIT - 1) // m, -(-LANE_LIMIT // m)):
         for sign in (1, -1):
             x = {(1, 2): sign * peak, (0, 2): peak, (2, 8): -peak}
-            got = _k_commutator(sp, ("so", "so"), so_list(sp, x), so_list(sp, y))
+            got = _k_commutator(sp, ("so", "so"), alone(so_list(sp, x), so_list(sp, y)))
             assert got == listed(sp, ep_oracle.commutator(sp, x, y))
             # some entry of the bracket carries the peak's magnitude
             assert max(map(abs, got[0])) >= peak
@@ -1019,15 +1057,16 @@ def off_coefficients(sp):
 
 
 def seen_holding(monkeypatch):
-    """The number of blocks held in every ``_tagged_bracket`` call."""
+    """The number of blocks held while the terms of each bracket, inner or
+    outer, are collected."""
     sizes = []
-    tagged_bracket = ep_mod._tagged_bracket
+    bracket_terms = ep_mod._bracket_terms
 
-    def spy(space, x, y, unknowns, holding=None):
+    def spy(space, x, y, unknowns, holding, groups, tag=()):
         sizes.append(len(holding))
-        return tagged_bracket(space, x, y, unknowns, holding)
+        return bracket_terms(space, x, y, unknowns, holding, groups, tag)
 
-    monkeypatch.setattr(ep_mod, "_tagged_bracket", spy)
+    monkeypatch.setattr(ep_mod, "_bracket_terms", spy)
     return sizes
 
 
@@ -1037,22 +1076,45 @@ def numerators_by_tag(tagged):
 
 @pytest.mark.parametrize("level,n", [(level, n) for level in ep_mod.LEVELS for n in (0, 1)])
 def test_held_packs_leave_dense_jacobiators_unchanged(level, n):
-    # dense seeded triples, tagged by the level's unknowns and folded with
-    # every coefficient off closure: numerators and den per tag as the
-    # brackets give them with nothing held
-    sp = make_ep(level, n)
-    rng = random.Random(31 + n)
-    x, y, z = (random_element(sp, rng) for _ in range(3))
+    # dense and spinor-only seeded triples, str0 in both polarizations,
+    # tagged by the level's unknowns and folded with every coefficient off
+    # closure: numerators and den per tag as the oracle's brackets give
+    # them, one at a time, with nothing held
     unknowns = frozenset(_describe(level).unknowns)
-    got = _tagged_jacobiator(sp, x, y, z, unknowns)
-    assert numerators_by_tag(got) == numerators_by_tag(ep_oracle.tagged_jacobiator(sp, x, y, z, unknowns))
-    off = off_coefficients(sp)
-    got = jacobiator(off, x, y, z)
-    want = ep_oracle.tagged_jacobiator(off, x, y, z, None).get((), EPElement({}))
-    assert (list(got.numerators()), got.den) == (list(want.numerators()), want.den)
-    # every channel of der and qconf is pinned, so they close at n = 0 at
-    # any nonzero coefficients
-    assert got.is_zero() == (n == 0 and not _describe(level).unknowns)
+    for polarization in ("unprimed", "primed") if level == "str0" else ("unprimed",):
+        sp = make_ep(level, n, polarization=polarization)
+        rng = random.Random(31 + n)
+        for draw in (random_element, random_spinor_element):
+            x, y, z = (draw(sp, rng) for _ in range(3))
+            got = _tagged_jacobiator(sp, x, y, z, unknowns)
+            assert numerators_by_tag(got) == numerators_by_tag(ep_oracle.tagged_jacobiator(sp, x, y, z, unknowns))
+            off = off_coefficients(sp)
+            got = jacobiator(off, x, y, z)
+            want = ep_oracle.tagged_jacobiator(off, x, y, z, None).get((), EPElement({}))
+            assert (list(got.numerators()), got.den) == (list(want.numerators()), want.den)
+            # every channel of der and qconf is pinned, so they close at
+            # n = 0 at any nonzero coefficients
+            assert got.is_zero() == (n == 0 and not _describe(level).unknowns)
+
+
+def test_a_dense_numeric_jacobiator_gathers_back_once_per_destination():
+    # qconf n = 0 with every coefficient folded in: each inner bracket
+    # [a, b] acts twice into its psi block (a.so on b.psi, b.so on a.psi),
+    # and the six outer actions all land in the jacobiator's one psi
+    # block, so 12 actions take 4 back steps, one per so action call
+    sp = make_ep("qconf", 0)
+    calls = []
+
+    def counted(space, key, terms):
+        calls.append(sum(1 for c, x, _, _ in terms if c and any(x)))
+        return _k_act(space, key, terms)
+
+    counting = dataclasses.replace(sp, table={**sp.table, ("so", "psi"): [(None, "psi", counted)]})
+    rng = random.Random(5)
+    x, y, z = (random_element(sp, rng) for _ in range(3))
+    # every channel of qconf is pinned: it closes at n = 0
+    assert jacobiator(counting, x, y, z).is_zero()
+    assert calls == [2, 2, 2, 6]
 
 
 def test_a_dense_triple_holds_packs_and_a_spinor_only_triple_none(monkeypatch):

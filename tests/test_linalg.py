@@ -2,6 +2,7 @@ import random
 import sys
 from array import array
 from fractions import Fraction as Q
+from operator import add
 from unittest import mock
 
 import pytest
@@ -380,10 +381,10 @@ def test_lane_sums_match_entrywise_sums(seed):
         with mock.patch.object(linalg_mod, "_entry_sums", wraps=linalg_mod._entry_sums) as spy:
             # rows and vectors as one-pass iterators, read one row per sum
             row_iter = iter(rows)
-            sums = lane_sums(row_iter, iter(vs), bound)
+            sums = lane_sums([(row_iter, iter(vs), None)], bound)
             first = next(sums)
             assert len(list(row_iter)) == len(rows) - 1
-            got = [list(first)] + [list(s) for s in lane_sums(rows[1:], vs, bound)]
+            got = [list(first)] + [list(s) for s in lane_sums([(rows[1:], vs, None)], bound)]
         assert got == entrywise_sums(rows, vs)
         assert spy.call_count == fallbacks
 
@@ -392,7 +393,7 @@ def test_lane_sums_reach_the_lane_edge():
     edge = LANE_LIMIT - 1
     rows = [[1, 0], [1, 1], [-1, -1], [0, 0]]
     vectors = [[2 ** 62, -(2 ** 62), 0], [2 ** 62 - 1, 1 - 2 ** 62, 5]]
-    got = [list(s) for s in lane_sums(rows, vectors, edge)]
+    got = [list(s) for s in lane_sums([(rows, vectors, None)], edge)]
     assert got == entrywise_sums(rows, vectors)
     assert got[1][:2] == [edge, -edge] and got[2][:2] == [-edge, edge]
 
@@ -416,7 +417,7 @@ def test_lane_sums_take_the_narrowest_lanes_the_bound_allows():
     expected = entrywise_sums(rows, vectors)
     assert expected[1][:2] == [edge, -edge] and expected[0][3] == edge
     for bound, path in ((edge, 32), (NARROW_LIMIT, 64), (LANE_LIMIT - 1, 64), (LANE_LIMIT, "entries")):
-        got = list(lane_sums(rows, vectors, bound))
+        got = list(lane_sums([(rows, vectors, None)], bound))
         assert [list(s) for s in got] == expected
         assert lane_path(got) == path
 
@@ -431,9 +432,35 @@ def test_every_lane_width_matches_the_entry_sums(seed):
     rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(k)] for _ in range(rng.randint(1, 4))]
     cap = (NARROW_LIMIT - 1) // max(1, max(sum(map(abs, r)) for r in rows))
     vectors = [random_lanes(rng, n, cap) for _ in range(k)]
-    expected = list(linalg_mod._entry_sums(rows, vectors))
+    expected = list(linalg_mod._entry_sums([(rows, vectors, None)]))
     for bound, path in ((NARROW_LIMIT - 1, 32), (NARROW_LIMIT, 64), (LANE_LIMIT, "entries")):
-        got = list(lane_sums(rows, vectors, bound))
+        got = list(lane_sums([(rows, vectors, None)], bound))
+        assert [list(r) for r in got] == expected
+        assert lane_path(got) == path
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_term_sums_match_the_sum_of_each_terms_entry_sums(seed):
+    # two to four terms over the same output rows, each row of a term None
+    # (the term adds nothing there) or coefficients; every term is capped
+    # so that the sum of all stays within 2^31 - 1, and the bounds put the
+    # whole sum on each path in turn
+    rng = random.Random(seed)
+    n, count, nterms = rng.randint(1, 16), rng.randint(1, 4), rng.randint(2, 4)
+    terms = []
+    for _ in range(nterms):
+        k = rng.randint(1, 6)
+        rows = [None if rng.random() < 0.3 else [rng.choice((0, rng.randint(-9, 9))) for _ in range(k)]
+                for _ in range(count)]
+        cap = (NARROW_LIMIT - 1) // (nterms * max([1] + [sum(map(abs, r)) for r in rows if r is not None]))
+        terms.append((rows, [random_lanes(rng, n, cap) for _ in range(k)]))
+    expected = [[0] * (2 * n) for _ in range(count)]
+    for rows, vectors in terms:
+        present = [r or [0] * len(vectors) for r in rows]
+        expected = [list(map(add, e, s)) for e, s in zip(expected, entrywise_sums(present, vectors))]
+    for bound, path in ((NARROW_LIMIT - 1, 32), (NARROW_LIMIT, 64), (LANE_LIMIT, "entries")):
+        got = list(lane_sums(((rows, iter(vectors), None) for rows, vectors in terms), bound))
         assert [list(r) for r in got] == expected
         assert lane_path(got) == path
 
@@ -452,13 +479,13 @@ def test_held_packs_are_made_once_per_width():
         raise AssertionError("held vectors were read again")
         yield
 
-    first = [list(s) for s in lane_sums(rows, once(), 99, held)]
+    first = [list(s) for s in lane_sums([(rows, once(), held)], 99)]
     assert first == entrywise_sums(rows, vectors) and set(held) == {32}
-    assert [list(s) for s in lane_sums(rows, never(), 99, held)] == first
-    assert [list(s) for s in lane_sums(rows, once(), NARROW_LIMIT, held)] == first
+    assert [list(s) for s in lane_sums([(rows, never(), held)], 99)] == first
+    assert [list(s) for s in lane_sums([(rows, once(), held)], NARROW_LIMIT)] == first
     assert set(held) == {32, 64}
     # past LANE_LIMIT the entries are summed and nothing is kept
-    assert [list(s) for s in lane_sums(rows, vectors, LANE_LIMIT, held)] == first
+    assert [list(s) for s in lane_sums([(rows, vectors, held)], LANE_LIMIT)] == first
     assert set(held) == {32, 64}
 
 
