@@ -23,7 +23,7 @@ from .clifford import (
     reality_class,
     verify_relations,
 )
-from .linalg import int_text, rat_str
+from .linalg import _sign, int_text, rat_str
 from .roots import AlgebraLabel, generate_roots, root_count
 from .talgebra import (
     TElement,
@@ -116,9 +116,9 @@ def _cmd_clifford(args) -> int:
     }
     if args.emit:
         with open(args.emit, "w") as fh:
-            for mu, g in enumerate(rep.gammas):
+            for mu, (s, a, b) in enumerate(rep.labels):
                 for c in range(rep.dim):
-                    fh.write("%d,%d,%d,%d\n" % (mu, g.rows[c], c, g.signs[c]))
+                    fh.write("%d,%d,%d,%d\n" % (mu, c ^ a, c, s * _sign(c & b)))
     print(_dump(summary))
     return 0
 

@@ -362,9 +362,9 @@ def ep_add(a: EPElement, b: EPElement) -> EPElement:
 # through the m single gammas, and every sum of vectors is one
 # ``lane_sums`` over all the terms, under the one bound it names.  A
 # term's ``held`` is None or, while one ``_tagged_jacobiator`` runs, the
-# dict in which ``lane_sums`` keeps the packs it makes of that term's v:
-# the so action's gamma_b psi, the pair form's right operand per image
-# entry.  Packs live nowhere else.
+# list in which ``lane_sums`` keeps the one set of packs it makes of that
+# term's v: the so action's gamma_b psi, the pair form's right operand per
+# image entry.  Packs live nowhere else.
 # ---------------------------------------------------------------------------
 
 def _k_commutator(space: EPSpace, key, terms):
@@ -419,7 +419,7 @@ def _k_act(space: EPSpace, key, terms):
         # same vectors; None at a row the term does not reach
         cols = range(1, m) if held is not None else [b for b, col in enumerate(zip(*coeffs)) if any(col)]
 
-        def vectors():  # lazy: lane_sums gathers only when ``held`` has no packs at its width
+        def vectors():  # lazy: lane_sums gathers only when ``held`` has no packs
             signed = _signed(psi)
             for b in cols:
                 yield g.out[b](signed)
@@ -566,7 +566,7 @@ def _bracket_terms(space: EPSpace, x: EPElement, y: EPElement, unknowns, holding
     (num, den, u, v, held) is num/den times the channel's kernel on blocks
     u, v.  Tags name non-pinned channels.  ``holding`` maps id(block) to
     (block, {key: held}) for the blocks whose packs a jacobiator keeps; a
-    term whose v is one of them gets the ``held`` dict of its key (a key
+    term whose v is one of them gets the ``held`` list of its key (a key
     has at most one kernel that packs)."""
     values = space.coeffs.values
     den = x.den * y.den
@@ -579,7 +579,7 @@ def _bracket_terms(space: EPSpace, x: EPElement, y: EPElement, unknowns, holding
                 if entry is None:
                     continue
                 kept = holding.get(id(v)) if holding else None
-                held = None if kept is None else kept[1].setdefault(key, {})
+                held = None if kept is None else kept[1].setdefault(key, [])
                 for channel in entry:
                     t, coeff = _tag_for(channel[0], unknowns, values)
                     c = sign * coeff  # int or Fraction

@@ -19,8 +19,8 @@ on ints that turns an inconsistent row into a certificate.
 one Python int with a signed lane per entry (``pack_lanes``), so a scalar
 multiply-add of a whole vector is one big-int operation; a sum of terms,
 each with its own rows and vectors, goes into one packed sum per row.  The
-caller's bound on the entries picks the lanes: 32 bits below 2^31, 64 bits
-below ``LANE_LIMIT``, and past that it sums entry by entry.
+lanes are 32 bits wide; when the caller's bound on the entries reaches
+``LANE_LIMIT`` = 2^31, it sums entry by entry instead.
 """
 
 from __future__ import annotations
@@ -153,85 +153,82 @@ def _reader(label: Tuple[int, int, int], cols, index: list, pos=None, flip=1) ->
 
 
 # ---------------------------------------------------------------------------
-# packed 32- or 64-bit lanes
+# packed 32-bit lanes
 # ---------------------------------------------------------------------------
 
-# A lane of w bits holds an int in [-2^(w-1), 2^(w-1)); a sum of packed
-# vectors whose every lane stays below 2^(w-1) in magnitude unpacks to the
-# lane-wise sum.  64-bit lanes reach LANE_LIMIT; a bound below 2^31 takes
-# 32-bit lanes, half the digits per multiply-add.
-LANE_LIMIT = 2 ** 63
+# A 32-bit lane holds an int in [-2^31, 2^31); a sum of packed vectors
+# whose every lane stays below LANE_LIMIT in magnitude unpacks to the
+# lane-wise sum.
+LANE_LIMIT = 2 ** 31
 
-# typecode by item width in bits; the 32-bit one is whichever C int is 4 bytes
-_TYPECODES = {32: next(t for t in "il" if array(t).itemsize == 4), 64: "q"}
+# the lane typecode: whichever C int is 4 bytes
+_TYPECODE = next(t for t in "il" if array(t).itemsize == 4)
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
 @lru_cache(maxsize=32)
-def _lane_bias(n: int, bits: int = 64) -> int:
-    """The top bit of each of n lanes: sum over k of 2^(bits-1) * 2^(bits k)."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")
+def _lane_bias(n: int) -> int:
+    """The top bit of each of n lanes: sum over k of 2^31 * 2^(32 k)."""
+    return int.from_bytes(b"\0\0\0\x80" * n, "little")
 
 
-def pack_lanes(values: Sequence[int], bits: int = 64) -> int:
-    """sum over k of values[k] * 2^(bits k), for ints in [-2^(bits-1),
-    2^(bits-1)) and ``bits`` 32 or 64.
+def pack_lanes(values: Sequence[int]) -> int:
+    """sum over k of values[k] * 2^(32 k), for ints in [-2^31, 2^31).
 
-    The bytes of an ``array`` of that item width read as one unsigned int
-    hold each negative lane as its two's complement, v + 2^bits.  Flipping
-    every top bit adds 2^(bits-1) to each lane and leaves no lane negative;
-    subtracting the same bias then leaves the signed sum.  A value out of
-    range raises OverflowError.
+    The bytes of an ``array`` of 32-bit items read as one unsigned int hold
+    each negative lane as its two's complement, v + 2^32.  Flipping every
+    top bit adds 2^31 to each lane and leaves no lane negative; subtracting
+    the same bias then leaves the signed sum.  A value out of range raises
+    OverflowError.
     """
-    lanes = array(_TYPECODES[bits], values)
+    lanes = array(_TYPECODE, values)
     if _BIG_ENDIAN:
         lanes.byteswap()
-    bias = _lane_bias(len(lanes), bits)
+    bias = _lane_bias(len(lanes))
     return (int.from_bytes(lanes.tobytes(), "little") ^ bias) - bias
 
 
-def unpack_lanes(packed: int, n: int, bits: int = 64) -> array:
-    """The n lanes of ``packed`` as an ``array`` of ``bits``-bit items: the
+def unpack_lanes(packed: int, n: int) -> array:
+    """The n lanes of ``packed`` as an ``array`` of 32-bit items: the
     inverse of :func:`pack_lanes` whenever every lane lies in
-    [-2^(bits-1), 2^(bits-1))."""
-    bias = _lane_bias(n, bits)
-    lanes = array(_TYPECODES[bits])
-    lanes.frombytes(((packed + bias) ^ bias).to_bytes(bits // 8 * n, "little"))
+    [-2^31, 2^31)."""
+    bias = _lane_bias(n)
+    lanes = array(_TYPECODE)
+    lanes.frombytes(((packed + bias) ^ bias).to_bytes(4 * n, "little"))
     if _BIG_ENDIAN:
         lanes.byteswap()
     return lanes
 
 
-def lane_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[dict]]], bound: int) -> Iterator:
+def lane_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[list]]], bound: int) -> Iterator:
     """Per output row i, lazily: ``_signed`` of the sum over the terms
     (rows, vectors, held) of sum over k of rows[i][k] * vectors[k].  Every
     term has one entry in ``rows`` per output row: one int coefficient per
     vector, or None where the term adds nothing to that row.  A term's
     vectors, a nonempty iterable of int sequences, share one width with
     every other term's.  ``bound`` is the caller's bound on every |entry|
-    of the vectors and of the summed rows.  Below 2^31 the lanes are 32
-    bits wide, below ``LANE_LIMIT`` 64: each vector is packed once, each
-    rows[i][k] is one big-int multiply-add into row i's packed sum, and a
-    row sum s is one unpack of s - (s << bits * width), the lanes of s
-    then of -s, none of which can carry into its neighbour.  At or past
-    ``LANE_LIMIT``, ``_entry_sums`` takes over.  The terms are taken one
-    at a time, so one term's packs are alive at once: all but the last
-    are summed into a list of row sums, and the last term's rows are read,
-    finished and unpacked one at a time.
+    of the vectors and of the summed rows.  Below ``LANE_LIMIT`` each
+    vector is packed once, each rows[i][k] is one big-int multiply-add
+    into row i's packed sum, and a row sum s is one unpack of
+    s - (s << 32 width), the lanes of s then of -s, none of which can
+    carry into its neighbour.  At or past ``LANE_LIMIT``, ``_entry_sums``
+    takes over.  The terms are taken one at a time, so one term's packs
+    are alive at once: all but the last are summed into a list of row
+    sums, and the last term's rows are read, finished and unpacked one at
+    a time.
 
-    ``held``, a dict or None, keeps that term's packed vectors by lane
-    width for a caller that sums the same vectors again: passed back with
-    them, the vectors are neither read nor packed a second time."""
-    bits = 32 if bound < 2 ** 31 else 64 if bound < LANE_LIMIT else 0
-    if not bits:
+    ``held``, a list or None, keeps that term's packed vectors for a
+    caller that sums the same vectors again: passed back with them, the
+    vectors are neither read nor packed a second time."""
+    if bound >= LANE_LIMIT:
         yield from _entry_sums(terms)
         return
     terms = iter(terms)
     term, sums = next(terms), None
     while term is not None:
         rows, vectors, held = term
-        width, packed = _packs(vectors, bits, held)
+        width, packed = _packs(vectors, held)
         part = map(_row_sum, rows, repeat(packed))
         if sums is not None:
             part = map(add, sums, part)
@@ -240,19 +237,19 @@ def lane_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[dict]]], bound:
             sums = list(part)
             del part, packed  # before the next term's packs are made
     for s in part:
-        yield unpack_lanes(s - (s << bits * width), 2 * width, bits)
+        yield unpack_lanes(s - (s << 32 * width), 2 * width)
 
 
-def _packs(vectors: Iterable, bits: int, held: Optional[dict]) -> Tuple[int, list]:
+def _packs(vectors: Iterable, held: Optional[list]) -> Tuple[int, list]:
     """(width, packed vectors) of one term, taken from ``held`` when it
-    has them at ``bits`` and kept there when it is a dict."""
-    kept = None if held is None else held.get(bits)
-    if kept is None:
-        vectors = iter(vectors)
-        first = next(vectors)
-        kept = len(first), [pack_lanes(first, bits), *(pack_lanes(v, bits) for v in vectors)]
-        if held is not None:
-            held[bits] = kept
+    has them and kept there when it is a list."""
+    if held:
+        return held[0]
+    vectors = iter(vectors)
+    first = next(vectors)
+    kept = len(first), [pack_lanes(first), *map(pack_lanes, vectors)]
+    if held is not None:
+        held.append(kept)
     return kept
 
 
@@ -260,7 +257,7 @@ def _row_sum(r: Optional[Sequence[int]], packed: list) -> int:
     return 0 if r is None else sum(map(mul, r, packed))
 
 
-def _entry_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[dict]]]) -> Iterator[list]:
+def _entry_sums(terms: Iterable[Tuple[Iterable, Iterable, Optional[list]]]) -> Iterator[list]:
     """``lane_sums`` entry by entry, exact for ints of any size: row i of
     every term is read together, the vectors of all terms at hand."""
     terms = [(rows, list(vectors)) for rows, vectors, _ in terms]

@@ -788,7 +788,7 @@ def test_act_matches_pair_actions(case, seed):
         # two and three terms, some with packs held, against the sum of the
         # per-term actions
         for count in (2, 3):
-            terms = [(rng.choice((-3, -1, 1, 2)), draw_so(rng, sp), draw_spinor(rng, sp, block), rng.choice((None, {})))
+            terms = [(rng.choice((-3, -1, 1, 2)), draw_so(rng, sp), draw_spinor(rng, sp, block), rng.choice((None, [])))
                      for _ in range(count)]
             want = [0] * sp.rep.dim
             for c, xt, psit, _ in terms:
@@ -796,48 +796,6 @@ def test_act_matches_pair_actions(case, seed):
                 want = [w + c * v for w, v in zip(want, acted)]
             got = _k_act(sp, ("so", block), [(c, so_list(sp, xt), psit, held) for c, xt, psit, held in terms])
             assert got == (want, den_factor)
-
-
-def count_entry_sums(monkeypatch, paths):
-    """Append "entries" to ``paths`` each time ``lane_sums`` falls back to
-    summing entry by entry."""
-    entry_sums = linalg_mod._entry_sums
-
-    def counted(*args):
-        paths.append("entries")
-        return entry_sums(*args)
-
-    monkeypatch.setattr(linalg_mod, "_entry_sums", counted)
-
-
-def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
-    # sum |x| * max |psi| just below LANE_LIMIT packs, with some lane of
-    # the row at that magnitude; one step further falls back
-    sp, actions, _ = oracle_space("der", 0, "unprimed")
-    paths = []
-    count_entry_sums(monkeypatch, paths)
-    for x in ({(0, 1): 1}, {(0, 1): -8}, {(0, 1): 1, (0, 2): 1}):
-        total = sum(map(abs, x.values()))
-        cap = (LANE_LIMIT - 1) // total
-        for peak in (cap, cap + 1):
-            for sign in (1, -1):
-                psi = [sign * peak] * sp.rep.dim
-                got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi))
-                assert got == ep_oracle.act(sp, actions, x, psi)
-                assert max(map(abs, got[0])) == total * peak
-        assert paths == ["entries", "entries"]
-        paths.clear()
-    # two terms, each alone below LANE_LIMIT, whose sum reaches it: the one
-    # bound of the sum picks the path, with some lane of the sum at it
-    x = {(0, 1): 1}
-    for peak in ((LANE_LIMIT - 1) // 2, LANE_LIMIT // 2):
-        for sign in (1, -1):
-            psi = [sign * peak] * sp.rep.dim
-            got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi) * 2)
-            acted, den_factor = ep_oracle.act(sp, actions, x, psi)
-            assert got == ([2 * v for v in acted], den_factor)
-            assert max(map(abs, got[0])) == 2 * peak
-    assert paths == ["entries", "entries"]
 
 
 def count_lane_paths(monkeypatch, paths):
@@ -853,37 +811,34 @@ def count_lane_paths(monkeypatch, paths):
     monkeypatch.setattr(ep_mod, "lane_sums", counted)
 
 
-NARROW_LIMIT = 2 ** 31
-
-
-def test_act_matches_pair_actions_at_the_narrow_lane_edge(monkeypatch):
-    # sum |x| * max |psi| at 2^31 - 1 takes 32-bit lanes, with some lane of
-    # the row at that magnitude; one step further takes 64-bit lanes
+def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
+    # sum |x| * max |psi| at LANE_LIMIT - 1 packs, with some lane of the
+    # row at that magnitude; one step further sums entry by entry
     sp, actions, _ = oracle_space("der", 0, "unprimed")
     paths = []
     count_lane_paths(monkeypatch, paths)
     for x in ({(0, 1): 1}, {(0, 1): -8}, {(0, 1): 1, (0, 2): 1}):
         total = sum(map(abs, x.values()))
-        cap = (NARROW_LIMIT - 1) // total
+        cap = (LANE_LIMIT - 1) // total
         for peak in (cap, cap + 1):
             for sign in (1, -1):
                 psi = [sign * peak] * sp.rep.dim
                 got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi))
                 assert got == ep_oracle.act(sp, actions, x, psi)
                 assert max(map(abs, got[0])) == total * peak
-        assert paths == [32, 32, 64, 64]
+        assert paths == [32, 32, "entries", "entries"]
         paths.clear()
-    # two terms, each alone below 2^31, whose sum reaches it: the one bound
-    # of the sum picks the width, with some lane of the sum at it
+    # two terms, each alone below LANE_LIMIT, whose sum reaches it: the one
+    # bound of the sum picks the path, with some lane of the sum at it
     x = {(0, 1): 1}
-    for peak in ((NARROW_LIMIT - 1) // 2, NARROW_LIMIT // 2):
+    for peak in ((LANE_LIMIT - 1) // 2, LANE_LIMIT // 2):
         for sign in (1, -1):
             psi = [sign * peak] * sp.rep.dim
             got = _k_act(sp, ("so", "psi"), alone(so_list(sp, x), psi) * 2)
             acted, den_factor = ep_oracle.act(sp, actions, x, psi)
             assert got == ([2 * v for v in acted], den_factor)
             assert max(map(abs, got[0])) == 2 * peak
-    assert paths == [32, 32, 64, 64]
+    assert paths == [32, 32, "entries", "entries"]
 
 
 ZERO_AND_ONE_PAIR_SPACES = [(level, n) for level in ep_mod.LEVELS for n in (0, 1)]
@@ -933,10 +888,10 @@ def test_pair_so_matches_pair_forms(case, seed):
 
 def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
     # a lane of row a is at most |image| * max |psi| * max |phi|; operands
-    # one step below LANE_LIMIT pack, with the lane of one pair at that
-    # magnitude; exactly at the bound the rows are summed entry by entry
+    # at LANE_LIMIT - 1 pack, with the lane of one pair at that magnitude;
+    # exactly at the bound the rows are summed entry by entry
     paths = []
-    count_entry_sums(monkeypatch, paths)
+    count_lane_paths(monkeypatch, paths)
     for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
         sp, _, forms = oracle_space(*case)
         bx, by = sp.spinor_blocks()[0], sp.spinor_blocks()[-1]
@@ -956,45 +911,17 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
                     assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
                     assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
             assert len(support) * (cap + 1) * q == LANE_LIMIT
-            assert paths == ["entries", "entries"]
+            assert paths == [32, 32, "entries", "entries"]
             paths.clear()
-        # a zero operand beside one past 2^63: the guard counts the zero
-        # as 1, so the other is never packed
+        # a zero operand beside one past LANE_LIMIT: the guard counts the
+        # zero as 1, so the other is never packed
         zero, big = [0] * sp.rep.dim, [0] * sp.rep.dim
         for c in support:
-            big[c] = 2 ** 63 + 5
+            big[c] = LANE_LIMIT + 5
         for psi, phi in ((zero, big), (big, zero)):
             assert _k_pair_so(sp, (by, by), alone(psi, phi)) == ([0] * len(sp.pairs), 1)
         assert paths == ["entries", "entries"]
         paths.clear()
-
-
-def test_pair_so_matches_pair_forms_at_the_narrow_lane_edge(monkeypatch):
-    # |image| * max |psi| * max |phi| at 2^31 - 1 takes 32-bit lanes, with
-    # the lane of one pair at that magnitude; at 2^31, 64-bit lanes
-    paths = []
-    count_lane_paths(monkeypatch, paths)
-    for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
-        sp, _, forms = oracle_space(*case)
-        bx, by = sp.spinor_blocks()[0], sp.spinor_blocks()[-1]
-        support = sp.spinor_support[by]
-        # psi[form.rows[c]] = form.signs[c] puts every term of the pair
-        # (0, 1) at the same sign
-        form = mat_mul(pauli_string(sp.rep.dim, conjugation(sp.rep, 1).C), mat_mul(sp.rep.gammas[0], sp.rep.gammas[1]))
-        for q in (1, 2):
-            cap = (NARROW_LIMIT - 1) // (len(support) * q)
-            for peak in (cap, cap + 1):
-                for sign in (1, -1):
-                    psi, phi = [0] * sp.rep.dim, [0] * sp.rep.dim
-                    for c in support:
-                        psi[form.rows[c]] = sign * peak * form.signs[c]
-                        phi[c] = q
-                    got = _k_pair_so(sp, (bx, by), alone(psi, phi))
-                    assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
-                    assert abs(got[0][sp.pairs.index((0, 1))]) == len(support) * peak * q
-            assert len(support) * (cap + 1) * q == NARROW_LIMIT
-            assert paths == [32, 32, 64, 64]
-            paths.clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1015,7 +942,7 @@ def test_commutator_matches_endpoint_index_at_the_lane_bound(monkeypatch):
     sp, _, _ = oracle_space("der", 0, "unprimed")
     m = len(sp.rep.metric)
     paths = []
-    count_entry_sums(monkeypatch, paths)
+    count_lane_paths(monkeypatch, paths)
     y = {(0, 1): -1, (1, 2): 1, (0, 8): 1}
     for peak in ((LANE_LIMIT - 1) // m, -(-LANE_LIMIT // m)):
         for sign in (1, -1):
@@ -1024,14 +951,15 @@ def test_commutator_matches_endpoint_index_at_the_lane_bound(monkeypatch):
             assert got == listed(sp, ep_oracle.commutator(sp, x, y))
             # some entry of the bracket carries the peak's magnitude
             assert max(map(abs, got[0])) >= peak
-    assert paths == ["entries", "entries"]
+    assert paths == [32, 32, "entries", "entries"]
 
 
-@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("seed", [1, 7, 13])
 def test_benchmarked_inputs_take_the_packed_action(monkeypatch, seed):
-    # the calibrations at n = 0 and the certificates at n = 1 never fall
-    # back to summing entry by entry, in the action, the pair form or the
-    # commutator
+    # the calibrations at n = 0, the certificates at n = 1 and the der
+    # certificate at n = 2, the largest bound a CLI command reaches, never
+    # fall back to summing entry by entry, in the action, the pair form or
+    # the commutator: a bound at LANE_LIMIT fails here
     def refuse(*args):
         raise AssertionError("a kernel left the packed lanes")
 
@@ -1039,6 +967,7 @@ def test_benchmarked_inputs_take_the_packed_action(monkeypatch, seed):
     for level in ep_mod.LEVELS:
         calibrate(level, 0, seed=seed)
         jacobi_infeasibility(level, 1, samples=3, seed=seed)
+    jacobi_infeasibility("der", 2, seed=seed)
 
 
 # ---------------------------------------------------------------------------

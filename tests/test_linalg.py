@@ -289,14 +289,11 @@ def test_kron_mixed_product(data):
 
 
 # ---------------------------------------------------------------------------
-# packed 32- and 64-bit lanes
+# packed 32-bit lanes
 # ---------------------------------------------------------------------------
 
-# the ends of a signed 64-bit lane, and the values next to 0
-LANE_EDGES = (0, 1, -1, 2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63))
-# the same for a signed 32-bit lane
-NARROW_EDGES = (0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1), -(2 ** 31))
-NARROW_LIMIT = 2 ** 31
+# the ends of a signed 32-bit lane, and the values next to 0
+LANE_EDGES = (0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1), -(2 ** 31))
 
 
 def random_lanes(rng, n, cap):
@@ -322,14 +319,8 @@ def test_lanes_roundtrip(seed):
     v = random_lanes(rng, n, LANE_LIMIT - 1)
     v[rng.randrange(n)] = rng.choice(LANE_EDGES)
     packed = pack_lanes(v)
-    assert packed == sum(x << (64 * k) for k, x in enumerate(v))
-    assert list(unpack_lanes(packed, n)) == v
-    # the same on 32-bit lanes
-    v = random_lanes(rng, n, NARROW_LIMIT - 1)
-    v[rng.randrange(n)] = rng.choice(NARROW_EDGES)
-    packed = pack_lanes(v, 32)
     assert packed == sum(x << (32 * k) for k, x in enumerate(v))
-    assert list(unpack_lanes(packed, n, 32)) == v
+    assert list(unpack_lanes(packed, n)) == v
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,13 +338,10 @@ def test_lane_combination_matches_elementwise(seed):
 
 
 def test_pack_lanes_refuses_values_past_a_lane():
-    assert pack_lanes([]) == 0 == pack_lanes([], 32)
-    for bad in (2 ** 63, -(2 ** 63) - 1):
-        with pytest.raises(OverflowError):
-            pack_lanes([0, bad])
+    assert pack_lanes([]) == 0
     for bad in (2 ** 31, -(2 ** 31) - 1):
         with pytest.raises(OverflowError):
-            pack_lanes([0, bad], 32)
+            pack_lanes([0, bad])
 
 
 def entrywise_sums(rows, vectors):
@@ -389,54 +377,28 @@ def test_lane_sums_match_entrywise_sums(seed):
         assert spy.call_count == fallbacks
 
 
-def test_lane_sums_reach_the_lane_edge():
-    edge = LANE_LIMIT - 1
-    rows = [[1, 0], [1, 1], [-1, -1], [0, 0]]
-    vectors = [[2 ** 62, -(2 ** 62), 0], [2 ** 62 - 1, 1 - 2 ** 62, 5]]
-    got = [list(s) for s in lane_sums([(rows, vectors, None)], edge)]
-    assert got == entrywise_sums(rows, vectors)
-    assert got[1][:2] == [edge, -edge] and got[2][:2] == [-edge, edge]
-
-
 def lane_path(rows):
     """The path a ``lane_sums`` call took, read off its rows: the item width
     in bits of an unpacked ``array``, or "entries" for ``_signed`` lists."""
     return 8 * rows[0].itemsize if isinstance(rows[0], array) else "entries"
 
 
-def test_lane_typecodes_have_their_widths():
-    assert {bits: array(code).itemsize for bits, code in linalg_mod._TYPECODES.items()} == {32: 4, 64: 8}
-
-
-def test_lane_sums_take_the_narrowest_lanes_the_bound_allows():
-    # entries and sums at +-(2^31 - 1) fit a 32-bit lane; a bound of 2^31
-    # takes 64-bit lanes, and LANE_LIMIT sums entry by entry
-    edge = NARROW_LIMIT - 1
+def test_lane_sums_reach_the_lane_edge():
+    # entries and sums at +-(2^31 - 1) fit a lane; a bound of LANE_LIMIT
+    # sums entry by entry
+    edge = LANE_LIMIT - 1
     rows = [[1, 0], [1, 1], [-1, -1], [0, 0]]
     vectors = [[2 ** 30, -(2 ** 30), 0, edge], [2 ** 30 - 1, 1 - 2 ** 30, 5, 0]]
     expected = entrywise_sums(rows, vectors)
-    assert expected[1][:2] == [edge, -edge] and expected[0][3] == edge
-    for bound, path in ((edge, 32), (NARROW_LIMIT, 64), (LANE_LIMIT - 1, 64), (LANE_LIMIT, "entries")):
+    assert expected[1][:2] == [edge, -edge] and expected[2][:2] == [-edge, edge] and expected[0][3] == edge
+    for bound, path in ((edge, 32), (LANE_LIMIT, "entries")):
         got = list(lane_sums([(rows, vectors, None)], bound))
         assert [list(s) for s in got] == expected
         assert lane_path(got) == path
 
 
-@settings(max_examples=100, deadline=None)
-@given(SEEDS)
-def test_every_lane_width_matches_the_entry_sums(seed):
-    # the vectors are capped so every sum stays within 2^31 - 1; each bound
-    # then picks one path, and all three agree with the entry-by-entry sums
-    rng = random.Random(seed)
-    n, k = rng.randint(1, 16), rng.randint(1, 6)
-    rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(k)] for _ in range(rng.randint(1, 4))]
-    cap = (NARROW_LIMIT - 1) // max(1, max(sum(map(abs, r)) for r in rows))
-    vectors = [random_lanes(rng, n, cap) for _ in range(k)]
-    expected = list(linalg_mod._entry_sums([(rows, vectors, None)]))
-    for bound, path in ((NARROW_LIMIT - 1, 32), (NARROW_LIMIT, 64), (LANE_LIMIT, "entries")):
-        got = list(lane_sums([(rows, vectors, None)], bound))
-        assert [list(r) for r in got] == expected
-        assert lane_path(got) == path
+def test_lane_typecodes_have_their_widths():
+    assert array(linalg_mod._TYPECODE).itemsize == 4
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,24 +415,23 @@ def test_term_sums_match_the_sum_of_each_terms_entry_sums(seed):
         k = rng.randint(1, 6)
         rows = [None if rng.random() < 0.3 else [rng.choice((0, rng.randint(-9, 9))) for _ in range(k)]
                 for _ in range(count)]
-        cap = (NARROW_LIMIT - 1) // (nterms * max([1] + [sum(map(abs, r)) for r in rows if r is not None]))
+        cap = (LANE_LIMIT - 1) // (nterms * max([1] + [sum(map(abs, r)) for r in rows if r is not None]))
         terms.append((rows, [random_lanes(rng, n, cap) for _ in range(k)]))
     expected = [[0] * (2 * n) for _ in range(count)]
     for rows, vectors in terms:
         present = [r or [0] * len(vectors) for r in rows]
         expected = [list(map(add, e, s)) for e, s in zip(expected, entrywise_sums(present, vectors))]
-    for bound, path in ((NARROW_LIMIT - 1, 32), (NARROW_LIMIT, 64), (LANE_LIMIT, "entries")):
+    for bound, path in ((LANE_LIMIT - 1, 32), (LANE_LIMIT, "entries")):
         got = list(lane_sums(((rows, iter(vectors), None) for rows, vectors in terms), bound))
         assert [list(r) for r in got] == expected
         assert lane_path(got) == path
 
 
-def test_held_packs_are_made_once_per_width():
-    # passed back with the same dict, the vectors are not read again; a
-    # bound that takes the other width packs them afresh
+def test_held_packs_are_made_once():
+    # passed back with the same list, the vectors are not read again
     rows = [[1, -2], [0, 3]]
     vectors = [[1, -5, 7], [2, 0, -3]]
-    held = {}
+    held = []
 
     def once():
         yield from vectors
@@ -480,13 +441,13 @@ def test_held_packs_are_made_once_per_width():
         yield
 
     first = [list(s) for s in lane_sums([(rows, once(), held)], 99)]
-    assert first == entrywise_sums(rows, vectors) and set(held) == {32}
-    assert [list(s) for s in lane_sums([(rows, never(), held)], 99)] == first
-    assert [list(s) for s in lane_sums([(rows, once(), held)], NARROW_LIMIT)] == first
-    assert set(held) == {32, 64}
+    assert first == entrywise_sums(rows, vectors) and len(held) == 1
+    kept = held[0]
+    assert [list(s) for s in lane_sums([(rows, never(), held)], LANE_LIMIT - 1)] == first
+    assert held == [kept]
     # past LANE_LIMIT the entries are summed and nothing is kept
     assert [list(s) for s in lane_sums([(rows, vectors, held)], LANE_LIMIT)] == first
-    assert set(held) == {32, 64}
+    assert held == [kept]
 
 
 # ---------------------------------------------------------------------------

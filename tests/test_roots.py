@@ -168,9 +168,9 @@ def fraction_pairings(rs):
 
 def test_pairing_table_is_exact_past_the_lane_bound():
     # entry i of column j is 2(s_i, s_j), at most 2 * max (s, s); below
-    # 2^63 it fits a signed 64-bit lane, that is while |coordinate| < 2^31
-    # here, and at or past it the columns are summed entry by entry
-    edge, far = 2 ** 31, 2 ** 40
+    # LANE_LIMIT it fits a lane, that is while |coordinate| < 2^15 here,
+    # and at or past it the columns are summed entry by entry
+    edge, far = 2 ** 15, 2 ** 40
     assert 2 * (edge - 1) ** 2 < LANE_LIMIT <= 2 * edge ** 2
     with mock.patch.object(linalg_mod, "_entry_sums", wraps=linalg_mod._entry_sums) as spy:
         inside = hand_built(((edge - 1, 0), (0, 1 - edge), (1 - edge, 0)))
