@@ -828,8 +828,15 @@ def test_act_matches_pair_actions_at_the_lane_bound(monkeypatch):
                 assert max(map(abs, got[0])) == total * peak
         assert paths == [32, 32, "entries", "entries"]
         paths.clear()
+
+
+def test_act_matches_pair_actions_at_the_narrow_lane_edge(monkeypatch):
     # two terms, each alone below LANE_LIMIT, whose sum reaches it: the one
-    # bound of the sum picks the path, with some lane of the sum at it
+    # bound of the sum picks the path, with some lane of the sum at
+    # 2^31 - 1, the edge of a 32-bit lane
+    sp, actions, _ = oracle_space("der", 0, "unprimed")
+    paths = []
+    count_lane_paths(monkeypatch, paths)
     x = {(0, 1): 1}
     for peak in ((LANE_LIMIT - 1) // 2, LANE_LIMIT // 2):
         for sign in (1, -1):
@@ -886,10 +893,11 @@ def test_pair_so_matches_pair_forms(case, seed):
             assert got == listed(sp, ep_oracle.pair_so(sp, forms, psi, phi))
 
 
-def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
+def test_pair_so_matches_pair_forms_at_the_narrow_lane_edge(monkeypatch):
     # a lane of row a is at most |image| * max |psi| * max |phi|; operands
-    # at LANE_LIMIT - 1 pack, with the lane of one pair at that magnitude;
-    # exactly at the bound the rows are summed entry by entry
+    # at LANE_LIMIT - 1 pack, with the lane of one pair at 2^31 - 1, the
+    # edge of a 32-bit lane; exactly at the bound the rows are summed entry
+    # by entry
     paths = []
     count_lane_paths(monkeypatch, paths)
     for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
@@ -913,8 +921,17 @@ def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
             assert len(support) * (cap + 1) * q == LANE_LIMIT
             assert paths == [32, 32, "entries", "entries"]
             paths.clear()
-        # a zero operand beside one past LANE_LIMIT: the guard counts the
-        # zero as 1, so the other is never packed
+
+
+def test_pair_so_matches_pair_forms_at_the_lane_bound(monkeypatch):
+    # a zero operand beside one past LANE_LIMIT: the guard counts the zero
+    # as 1, so the other is never packed
+    paths = []
+    count_lane_paths(monkeypatch, paths)
+    for case in (("der", 0, "unprimed"), ("str0", 0, "unprimed")):
+        sp, _, _ = oracle_space(*case)
+        by = sp.spinor_blocks()[-1]
+        support = sp.spinor_support[by]
         zero, big = [0] * sp.rep.dim, [0] * sp.rep.dim
         for c in support:
             big[c] = LANE_LIMIT + 5

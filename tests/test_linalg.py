@@ -383,16 +383,28 @@ def lane_path(rows):
     return 8 * rows[0].itemsize if isinstance(rows[0], array) else "entries"
 
 
+# rows and vectors whose entries and sums reach +-(2^31 - 1), the ends of a
+# lane that a bound of LANE_LIMIT - 1 allows
+EDGE_ROWS = [[1, 0], [1, 1], [-1, -1], [0, 0]]
+EDGE_VECTORS = [[2 ** 30, -(2 ** 30), 0, LANE_LIMIT - 1], [2 ** 30 - 1, 1 - 2 ** 30, 5, 0]]
+
+
 def test_lane_sums_reach_the_lane_edge():
-    # entries and sums at +-(2^31 - 1) fit a lane; a bound of LANE_LIMIT
-    # sums entry by entry
+    # entries and sums at +-(2^31 - 1) come back exact from packed lanes
     edge = LANE_LIMIT - 1
-    rows = [[1, 0], [1, 1], [-1, -1], [0, 0]]
-    vectors = [[2 ** 30, -(2 ** 30), 0, edge], [2 ** 30 - 1, 1 - 2 ** 30, 5, 0]]
-    expected = entrywise_sums(rows, vectors)
+    expected = entrywise_sums(EDGE_ROWS, EDGE_VECTORS)
     assert expected[1][:2] == [edge, -edge] and expected[2][:2] == [-edge, edge] and expected[0][3] == edge
-    for bound, path in ((edge, 32), (LANE_LIMIT, "entries")):
-        got = list(lane_sums([(rows, vectors, None)], bound))
+    got = list(lane_sums([(EDGE_ROWS, EDGE_VECTORS, None)], edge))
+    assert [list(s) for s in got] == expected
+    assert lane_path(got) == 32
+
+
+def test_lane_sums_take_the_narrowest_lanes_the_bound_allows():
+    # the bound alone picks the path: 32-bit lanes up to 2^31 - 1, entry by
+    # entry from LANE_LIMIT on, with the same sums either way
+    expected = entrywise_sums(EDGE_ROWS, EDGE_VECTORS)
+    for bound, path in ((LANE_LIMIT - 1, 32), (LANE_LIMIT, "entries"), (2 ** 63, "entries")):
+        got = list(lane_sums([(EDGE_ROWS, EDGE_VECTORS, None)], bound))
         assert [list(s) for s in got] == expected
         assert lane_path(got) == path
 
